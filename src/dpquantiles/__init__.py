@@ -40,6 +40,7 @@ from .quantiles import (
     indexp,
     qexp,
     qexp_density,
+    qexp_draws,
     recexp,
     recexp_depth,
     target_rank,
@@ -75,6 +76,7 @@ __all__ = [
     "private_histogram",
     "qexp",
     "qexp_density",
+    "qexp_draws",
     "quantile_from_histogram",
     "recexp",
     "recexp_depth",

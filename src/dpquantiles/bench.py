@@ -89,7 +89,9 @@ class ExperimentConfig:
             object.__setattr__(self, "m_grid", (len(orders),))
         elif not self.m_grid or any(m < 1 for m in self.m_grid):
             raise InvalidArgumentError("m_grid must be a nonempty list of counts >= 1")
-        PrivacyBudget(self.epsilon, self.relation)  # validates epsilon > 0
+        budget = PrivacyBudget(self.epsilon, self.relation)  # validates epsilon > 0
+        if self.explicit_orders is not None:
+            QuantileQuery(self.explicit_orders, budget)  # validates the orders
         if self.n < 1:
             raise InvalidArgumentError(f"n must be >= 1, got {self.n}")
         if self.histogram_bin_count < 1:

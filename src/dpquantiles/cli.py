@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import bounds
 from .bench import (
+    CellResult,
     CheckReport,
     ExperimentConfig,
     ExperimentResult,
@@ -219,21 +220,19 @@ def write_experiment_outputs(result: ExperimentResult, outdir: Path) -> list[Pat
     """One CSV per distribution plus a JSON summary for exact replay."""
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
+    cells_by_key: dict[tuple[str, str, int], list[CellResult]] = {}
+    for cell in result.cells:
+        cells_by_key.setdefault((cell.distribution, cell.estimator, cell.m), []).append(cell)
     for oracle in result.config.distributions:
         path = outdir / f"{oracle.slug}.csv"
         lines = ["m,estimator,mean_error,std_error,trials"]
         for m in result.config.m_grid:
             for estimator in result.config.estimators:
-                for cell in result.cells:
-                    if (
-                        cell.distribution == oracle.label
-                        and cell.estimator == estimator
-                        and cell.m == m
-                    ):
-                        lines.append(
-                            f"{cell.m},{cell.estimator},{cell.mean_error!r},"
-                            f"{cell.std_error!r},{cell.trials}"
-                        )
+                for cell in cells_by_key.get((oracle.label, estimator, m), ()):
+                    lines.append(
+                        f"{cell.m},{cell.estimator},{cell.mean_error!r},"
+                        f"{cell.std_error!r},{cell.trials}"
+                    )
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
     summary = {

@@ -5,6 +5,12 @@ quantile draw with density proportional to ``exp((eps/2) * u)`` for the
 rank-error utility ``u(q) = -abs(#{X_i < q} - r)``, an independent
 composition over many orders, and a recursive budget-splitting scheme that
 halves the data range at a privately estimated middle quantile.
+
+Draws on the full domain (qexp, indexp) come from :func:`qexp_draws`, which
+serves any number of target ranks from one O(n) log-space prefix table. The
+recursive estimator draws on sub-samples with their own domains through
+:func:`qexp_density` and :func:`sample_piecewise`; that density sampler is
+also the reference the table is tested against.
 """
 
 from __future__ import annotations
@@ -61,6 +67,8 @@ class QuantileQuery:
         object.__setattr__(self, "orders", orders)
         if len(orders) < 1:
             raise InvalidArgumentError("need at least one order")
+        if not all(math.isfinite(p) for p in orders):
+            raise InvalidArgumentError("orders must be finite numbers")
         if orders[0] <= 0.0 or orders[-1] >= 1.0:
             raise InvalidArgumentError("orders must lie strictly inside (0, 1)")
         if any(a >= b for a, b in zip(orders, orders[1:])):
@@ -129,12 +137,68 @@ def qexp_density(sample: SortedSample, target: RankTarget, epsilon: float) -> We
     return WeightedIntervalDensity(breakpoints, log_weights)
 
 
+# Two positive double gaps differ by less than e^745, so from c = 1490 on the
+# intervals beyond the nearest positive-length ones hold less than e^-745 of
+# the mass, far below the 2^-53 resolution of a uniform, and no draw depends
+# on c any more. Capping c there keeps c * k finite for any finite epsilon.
+_SATURATED_C = 1500.0
+
+
+def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -> np.ndarray:
+    """One exponential-mechanism draw on [0, 1] per target rank, all at ``epsilon``.
+
+    Draw ``j`` has the law of ``sample_piecewise(qexp_density(sample,
+    RankTarget(ranks[j]), epsilon), rng)`` and consumes the same two
+    uniforms in the same order, but every rank is served by one O(n) table
+    instead of its own density, so m ranks cost O(n + m log n).
+
+    With gaps ``g_k`` of ``[0, x_1, ..., x_n, 1]`` and ``c = epsilon / 2``,
+    the table holds ``A_k = log sum_{j<k} g_j e^{cj}`` (non-decreasing) and
+    ``B_k = log sum_{j>=k} g_j e^{-cj}`` (non-increasing). The mass left of
+    interval ``r`` is ``e^{A_r - cr}``, the mass from ``r`` on is
+    ``e^{B_r + cr}``, and inverting the CDF is a side choice plus one
+    ``searchsorted``. Zero-length intervals repeat a table entry, so the
+    strict comparisons never select one. The chosen interval equals the
+    density sampler's except when a uniform falls within rounding of an
+    interval boundary of the CDF.
+    """
+    if epsilon < 0 or not math.isfinite(epsilon):
+        raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {epsilon}")
+    n = sample.n
+    r = np.asarray(ranks, dtype=np.int64)
+    if r.ndim != 1 or (r.size and (r.min() < 0 or r.max() > n)):
+        raise InvalidArgumentError(f"ranks must be a list of integers in [0, {n}]")
+    b = np.concatenate(([0.0], sample.values, [1.0]))
+    c = min(epsilon / 2.0, _SATURATED_C)
+    ck = c * np.arange(n + 1)
+    with np.errstate(divide="ignore"):
+        log_gaps = np.log(np.diff(b))
+    A = np.empty(n + 2)
+    A[0] = -np.inf
+    np.logaddexp.accumulate(log_gaps + ck, out=A[1:])
+    B = np.empty(n + 2)
+    B[n + 1] = -np.inf
+    B[: n + 1] = np.logaddexp.accumulate((log_gaps - ck)[::-1])[::-1]
+    cr = c * r
+    log_z = np.logaddexp(A[r] - cr, B[r] + cr)
+    u_pick, u_pos = rng.random(2 * r.size).reshape(r.size, 2).T
+    with np.errstate(divide="ignore"):
+        left_target = np.log(u_pick) + log_z + cr
+    left = left_target < A[r]
+    k = np.where(
+        left,
+        np.searchsorted(A[1:], left_target, side="right"),
+        np.searchsorted(-B[1:], -(np.log1p(-u_pick) + log_z - cr), side="right"),
+    )
+    return b[k] + u_pos * (b[k + 1] - b[k])
+
+
 def qexp(sample: SortedSample, p: float, epsilon: float, rng: RandomSource) -> float:
-    """Single private quantile of order ``p`` on the full domain [0, 1]."""
+    """Single private quantile of order ``p`` on the full domain [0, 1]:
+    the one-rank case of :func:`qexp_draws`."""
     if not 0.0 < p < 1.0:
         raise InvalidArgumentError(f"p must lie in (0, 1), got {p}")
-    target = RankTarget(target_rank(sample.n, p))
-    return sample_piecewise(qexp_density(sample, target, epsilon), rng)
+    return float(qexp_draws(sample, [target_rank(sample.n, p)], epsilon, rng)[0])
 
 
 @dataclass(frozen=True)
@@ -184,20 +248,20 @@ def indexp(
     rng: RandomSource,
     ledger: BudgetLedger | None = None,
 ) -> np.ndarray:
-    """Independent composition: one qexp call per order, each at eps / m.
+    """Independent composition: one qexp draw per order, each at eps / m.
 
+    All m draws come from one shared :func:`qexp_draws` table, in O(n + m
+    log n), and equal m sequential :func:`qexp` calls on the same stream.
     The utility sensitivity is 1 under both neighboring relations, so no
     relation adjustment is needed. Outputs are not forced monotone.
     """
     eps_each = query.budget.epsilon / query.m
     if ledger is not None:
         ledger.allocate(query.budget.epsilon, query.budget.epsilon, query.m)
-    out = np.empty(query.m)
-    for j, p in enumerate(query.orders):
-        if ledger is not None:
+        for j in range(query.m):
             ledger.record(j, 1, eps_each, sample.n)
-        out[j] = qexp(sample, p, eps_each, rng)
-    return out
+    ranks = [target_rank(sample.n, p) for p in query.orders]
+    return qexp_draws(sample, ranks, eps_each, rng)
 
 
 def recexp_depth(m: int) -> int:

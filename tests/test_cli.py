@@ -115,6 +115,15 @@ class TestEstimate:
         assert cli.main(argv) == 2
         assert cli.main(["estimate", "--data", data_file, "--method", "recexp", "--epsilon", "1"]) == 2
 
+    @pytest.mark.parametrize("method", ["indexp", "recexp", "histogram"])
+    def test_nan_order_exits_2(self, data_file, method, capsys):
+        argv = ["estimate", "--data", data_file, "--method", method, "--orders", "0.3,nan",
+                "--epsilon", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
+
     def test_nonpositive_epsilon_exits_2(self, data_file):
         argv = ["estimate", "--data", data_file, "--method", "recexp", "--m", "1", "--epsilon", "0"]
         assert cli.main(argv) == 2
@@ -178,6 +187,18 @@ class TestBench:
         assert cli.main(["bench", "--config", str(path), "--output", str(outdir)]) == 0
         lines = (outdir / "uniform.csv").read_text().splitlines()
         assert lines[1].startswith("2,indexp,")
+
+    @pytest.mark.parametrize("orders", ["0.5,1.5", "0.3,nan"])
+    def test_invalid_explicit_orders_exit_2(self, tmp_path, capsys, orders):
+        path = tmp_path / "explicit.cfg"
+        path.write_text(
+            CONFIG.replace("m_grid = 1, 3\n", "").replace("orders = centered-grid", f"orders = {orders}")
+        )
+        outdir = tmp_path / "out"
+        assert cli.main(["bench", "--config", str(path), "--output", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "orders" in err
+        assert not outdir.exists()
 
 
 # expected values computed independently with 40-digit mpmath arithmetic

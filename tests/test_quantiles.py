@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp, kstest
 
-from dpquantiles.bench import max_log_density_ratio, neighboring_sample_pairs
+from dpquantiles.bench import centered_grid, max_log_density_ratio, neighboring_sample_pairs
 from dpquantiles.bounds import fact_qexp_threshold
 from dpquantiles.errors import InvalidArgumentError
 from dpquantiles.mechanisms import (
@@ -17,6 +17,7 @@ from dpquantiles.mechanisms import (
 )
 from dpquantiles.quantiles import (
     BudgetLedger,
+    MechanismCall,
     QuantileQuery,
     RankTarget,
     SortedSample,
@@ -24,6 +25,7 @@ from dpquantiles.quantiles import (
     indexp,
     qexp,
     qexp_density,
+    qexp_draws,
     recexp,
     recexp_depth,
     target_rank,
@@ -164,6 +166,101 @@ class TestIndexp:
             np.any(np.diff(indexp(sample, query, rng)) < 0) for _ in range(50)
         )
         assert unsorted_seen
+
+
+def density_oracle(sample, ranks, epsilon, rng):
+    # the per-order density sampler that the shared table replaces
+    return np.array(
+        [sample_piecewise(qexp_density(sample, RankTarget(r), epsilon), rng) for r in ranks]
+    )
+
+
+class ScriptedUniforms:
+    """Stands in for RandomSource: replays a fixed cycle of uniforms."""
+
+    def __init__(self, cycle):
+        self.cycle, self.drawn = cycle, 0
+
+    def random(self, size=None):
+        if size is not None:
+            return np.array([self.random() for _ in range(size)])
+        self.drawn += 1
+        return self.cycle[(self.drawn - 1) % len(self.cycle)]
+
+
+def oracle_test_sample(shape, n, seed):
+    x = np.random.default_rng(seed).beta(2.0, 5.0, n)
+    if shape == "duplicates":
+        x = np.round(x, 2)
+    elif shape == "endpoints":
+        # a third of the points at exactly 0 and a third at exactly 1
+        x[: (n + 2) // 3] = 0.0
+        x[n - n // 3 :] = 1.0
+    elif shape == "tiny-gaps":
+        # the lower half spaced 1e-300 apart from 0 on
+        x[: (n + 1) // 2] = np.arange(1, (n + 1) // 2 + 1) * 1e-300
+    return SortedSample.from_unsorted(x)
+
+
+class TestQexpDraws:
+    @pytest.mark.parametrize("shape", ["beta", "duplicates", "endpoints", "tiny-gaps"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 1000, 10000])
+    def test_indexp_equals_the_density_oracle(self, n, shape):
+        sample = oracle_test_sample(shape, n, seed=n)
+        for m in (1, 2, 10, 100):
+            orders = centered_grid(m) if m > 2 else (0.01, 0.99)[-m:]
+            for eps_each in (1e-3, 0.1, 1.0, 10.0, 1000.0):
+                query = QuantileQuery(orders, PrivacyBudget(eps_each * m, ADD_REMOVE))
+                ledger = BudgetLedger()
+                rng, oracle_rng = RandomSource(17, (n, m)), RandomSource(17, (n, m))
+                out = indexp(sample, query, rng, ledger=ledger)
+                ranks = [target_rank(n, p) for p in orders]
+                expected = density_oracle(sample, ranks, query.budget.epsilon / m, oracle_rng)
+                assert np.array_equal(out, expected), (m, eps_each)
+                # the stream stays in step with m sequential density draws
+                assert rng.random() == oracle_rng.random()
+                eps_call = query.budget.epsilon / m
+                assert ledger.calls == [MechanismCall(j, 1, eps_call, n) for j in range(m)]
+                assert ledger.levels == m and ledger.eps_per_call == eps_call
+
+    def test_every_rank_and_zero_budget(self):
+        sample = oracle_test_sample("duplicates", 300, seed=4)
+        ranks = list(range(301))
+        for epsilon in (0.0, 3.0):
+            expected = density_oracle(sample, ranks, epsilon, RandomSource(8))
+            assert np.array_equal(qexp_draws(sample, ranks, epsilon, RandomSource(8)), expected)
+
+    def test_extreme_uniforms_skip_zero_length_intervals(self):
+        # three points at 0 and two at 1 make zero-length end intervals; the
+        # smallest and largest uniforms must still land in positive ones
+        sample = SortedSample(np.array([0.0, 0.0, 0.0, 0.25, 0.5, 1.0, 1.0]))
+        ranks = list(range(8))
+        for epsilon in (0.0, 1.0, 50.0):
+            draws = qexp_draws(sample, ranks, epsilon, ScriptedUniforms([0.0, 0.5]))
+            expected = density_oracle(sample, ranks, epsilon, ScriptedUniforms([0.0, 0.5]))
+            assert np.array_equal(draws, expected) and np.all(draws == 0.125)
+            top = qexp_draws(sample, ranks, epsilon, ScriptedUniforms([1.0 - 2.0**-53, 0.5]))
+            assert np.all((top > 0.0) & (top < 1.0))
+
+    def test_saturated_budget_matches_the_oracle(self):
+        # beyond c = 1500 the oracle's law no longer depends on epsilon
+        sample = oracle_test_sample("tiny-gaps", 1000, seed=6)
+        ranks = list(range(0, 1001, 37))
+        for epsilon in (2999.0, 3001.0, 1e5):
+            expected = density_oracle(sample, ranks, epsilon, RandomSource(2))
+            assert np.array_equal(qexp_draws(sample, ranks, epsilon, RandomSource(2)), expected)
+        draws = qexp_draws(sample, ranks, 1.7e308, RandomSource(2))
+        assert np.all((draws >= 0.0) & (draws <= 1.0))
+
+    def test_validation(self):
+        sample = evenly_spaced_sample(3)
+        for ranks in ([4], [-1], [[1]]):
+            with pytest.raises(InvalidArgumentError):
+                qexp_draws(sample, ranks, 1.0, RandomSource(0))
+        for epsilon in (-1.0, math.inf, math.nan):
+            with pytest.raises(InvalidArgumentError):
+                qexp_draws(sample, [1], epsilon, RandomSource(0))
+        assert qexp_draws(sample, [], 1.0, RandomSource(0)).shape == (0,)
 
 
 class TestRecexpDepth:
