@@ -179,47 +179,29 @@ def sample_piecewise(density: WeightedIntervalDensity, rng: RandomSource, size: 
     return b[ks] + rng.random(size) * (b[ks + 1] - b[ks])
 
 
-def _interval_index(density: WeightedIntervalDensity, q: float) -> int:
+def log_density_grid(density: WeightedIntervalDensity, qs) -> np.ndarray:
+    """Normalized log-density of the sampling law at every point of ``qs``.
+
+    At an interior breakpoint the right interval decides; at the right edge
+    of the support the last positive-length interval does. Points of [0, 1]
+    outside the support have density zero (``-inf``).
+    """
+    qs = np.asarray(qs, dtype=float)
+    if not np.all((qs >= 0.0) & (qs <= 1.0)):
+        raise InvalidArgumentError("points must lie in [0, 1]")
+    log_norm = density.log_normalizer  # raises on degenerate densities
     b = density.breakpoints
-    k = int(np.searchsorted(b, q, side="right")) - 1
-    k = min(k, len(b) - 2)
-    # q at the right edge of the support may hit a zero-length interval run
-    while k > 0 and b[k] == b[k + 1]:
-        k -= 1
-    return k
+    # a density that did not raise has a positive-length interval; every
+    # interval after the last one is a zero-length run at the right edge
+    last = np.flatnonzero(b[1:] > b[:-1])[-1]
+    ks = np.minimum(np.searchsorted(b, qs, side="right") - 1, last)
+    outside = (qs < b[0]) | (qs > b[-1])
+    return np.where(outside, -np.inf, density.log_weights[ks] - log_norm)
 
 
 def log_density_at(density: WeightedIntervalDensity, q: float) -> float:
-    """Normalized log-density of the sampling law at ``q``.
-
-    At an interior breakpoint the right interval decides; at the right edge
-    of the support the left interval does. Points of [0, 1] outside the
-    support have density zero (returns ``-inf``).
-    """
-    if not 0.0 <= q <= 1.0:
-        raise InvalidArgumentError(f"q must lie in [0, 1], got {q}")
-    log_norm = density.log_normalizer  # raises on degenerate densities
-    b = density.breakpoints
-    if q < b[0] or q > b[-1]:
-        return -math.inf
-    k = _interval_index(density, q)
-    return float(density.log_weights[k] - log_norm)
-
-
-def log_density_grid(density: WeightedIntervalDensity, qs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`log_density_at` over a grid of points in [0, 1]."""
-    qs = np.asarray(qs, dtype=float)
-    if np.any(qs < 0.0) or np.any(qs > 1.0):
-        raise InvalidArgumentError("grid points must lie in [0, 1]")
-    log_norm = density.log_normalizer
-    b = density.breakpoints
-    ks = np.clip(np.searchsorted(b, qs, side="right") - 1, 0, len(b) - 2)
-    out = density.log_weights[ks] - log_norm
-    # fix the support edges and outside-support points scalar-wise (rare)
-    edge = (qs <= b[0]) | (qs >= b[-1])
-    for i in np.nonzero(edge)[0]:
-        out[i] = log_density_at(density, float(qs[i]))
-    return out
+    """:func:`log_density_grid` at the single point ``q``."""
+    return float(log_density_grid(density, q))
 
 
 def interval_mass(density: WeightedIntervalDensity, lo: float, hi: float) -> float:

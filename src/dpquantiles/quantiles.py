@@ -112,6 +112,13 @@ def empirical_error(sample: SortedSample, q: float, r: int) -> int:
     return abs(below - r)
 
 
+# Two positive double gaps differ by less than e^745, so from c = 1490 on the
+# intervals beyond the nearest positive-length ones hold less than e^-745 of
+# the mass, far below the 2^-53 resolution of a uniform, and no draw depends
+# on c any more. Capping c there keeps c * k finite for any finite epsilon.
+_SATURATED_C = 1500.0
+
+
 def qexp_density(sample: SortedSample, target: RankTarget, epsilon: float) -> WeightedIntervalDensity:
     """Exponential-mechanism density for one quantile on the target's domain.
 
@@ -120,7 +127,9 @@ def qexp_density(sample: SortedSample, target: RankTarget, epsilon: float) -> We
     log-weight ``-(epsilon / 2) * abs(k - r)``; the utility has sensitivity 1
     under both neighboring relations. Duplicated sample points produce
     zero-length intervals, which the sampler ignores. ``epsilon = 0`` is
-    accepted and degenerates to the uniform law on the domain.
+    accepted and degenerates to the uniform law on the domain. As in
+    :func:`qexp_draws`, ``epsilon / 2`` is capped at ``_SATURATED_C``, so the
+    log-weights stay finite and the gap lengths keep their say at any budget.
     """
     if epsilon < 0 or not math.isfinite(epsilon):
         raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {epsilon}")
@@ -133,15 +142,8 @@ def qexp_density(sample: SortedSample, target: RankTarget, epsilon: float) -> We
         )
     breakpoints = np.concatenate(([target.domain_lo], values, [target.domain_hi]))
     ranks = np.arange(sample.n + 1)
-    log_weights = -(epsilon / 2.0) * np.abs(ranks - target.rank)
+    log_weights = -min(epsilon / 2.0, _SATURATED_C) * np.abs(ranks - target.rank)
     return WeightedIntervalDensity(breakpoints, log_weights)
-
-
-# Two positive double gaps differ by less than e^745, so from c = 1490 on the
-# intervals beyond the nearest positive-length ones hold less than e^-745 of
-# the mass, far below the 2^-53 resolution of a uniform, and no draw depends
-# on c any more. Capping c there keeps c * k finite for any finite epsilon.
-_SATURATED_C = 1500.0
 
 
 def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -> np.ndarray:

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from dpquantiles import bench
 from dpquantiles.bench import (
     ExperimentConfig,
     centered_grid,
+    max_log_density_ratio,
+    neighboring_sample_pairs,
     run_experiment,
     run_trial,
     verify_dp_ratio,
@@ -17,8 +20,21 @@ from dpquantiles.bounds import thm_hist_tail, thm_qexp_tail, thm_recexp_tail
 from dpquantiles.distributions import DensityEnvelope, DistributionOracle
 from dpquantiles.errors import InvalidArgumentError
 from dpquantiles.histogram import quantile_from_histogram
-from dpquantiles.mechanisms import NeighboringRelation, PrivacyBudget, RandomSource
-from dpquantiles.quantiles import QuantileQuery, qexp, recexp
+from dpquantiles.mechanisms import (
+    NeighboringRelation,
+    PrivacyBudget,
+    RandomSource,
+    log_density_grid,
+)
+from dpquantiles.quantiles import (
+    QuantileQuery,
+    RankTarget,
+    SortedSample,
+    qexp,
+    qexp_density,
+    recexp,
+    target_rank,
+)
 
 UNIFORM = DistributionOracle.uniform()
 
@@ -160,6 +176,114 @@ class TestVerifyDpRatio:
     def test_zero_budget_is_uniform(self):
         report = verify_dp_ratio([((0.2,), (0.2, 0.9))], 0.0)
         assert report.rows[0]["empirical"] == pytest.approx(0.0, abs=1e-12)
+
+
+def per_pair_sup(first, second, p, epsilon):
+    """Reference: one pair's sup on the cells of its own merged breakpoints."""
+    densities = []
+    for values in (first, second):
+        sample = SortedSample(np.asarray(values, dtype=float))
+        target = RankTarget(target_rank(sample.n, p))
+        densities.append(qexp_density(sample, target, epsilon))
+    cuts = np.unique(
+        np.concatenate([densities[0].breakpoints, densities[1].breakpoints, [0.0, 1.0]])
+    )
+    points = np.concatenate([(cuts[:-1] + cuts[1:]) / 2.0, [0.0, 1.0]])
+    la = log_density_grid(densities[0], points)
+    lb = log_density_grid(densities[1], points)
+    return float(np.max(np.abs(la - lb)))
+
+
+ORDERS = (0.25, 0.5, 0.75)
+EPSILONS = (0.0, 0.5, 1.0, 4.0)
+AUDIT_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
+
+EDGE_PAIRS = [
+    ((), (0.5,)),  # the empty sample
+    ((), (0.0,)),
+    ((0.3, 0.3, 0.3), (0.3, 0.3)),  # duplicates make zero-length intervals
+    ((0.3, 0.3), (0.3, 0.3, 0.7)),
+    ((0.0, 1.0), (0.0,)),  # values exactly at the ends of the domain
+    ((0.0,), (1.0,)),
+    ((1.0, 1.0), (0.0, 1.0, 1.0)),
+    ((0.2,), (0.2, 0.9)),  # both orientations of one pair
+    ((0.2, 0.9), (0.2,)),
+    ((0.1, 0.4), (0.4, 0.7)),  # value sets differ: the batch cuts refine these
+    ((0.05,), (0.95,)),
+    ((0.2, 0.4), (0.2, 0.4)),
+]
+
+
+def assert_matches_reference(pairs, orders=ORDERS, epsilons=EPSILONS):
+    for p in orders:
+        for epsilon in epsilons:
+            sups = max_log_density_ratio(pairs, p, epsilon)
+            expected = [per_pair_sup(a, b, p, epsilon) for a, b in pairs]
+            assert sups.shape == (len(pairs),)
+            assert sups.tolist() == expected, (p, epsilon)
+
+
+class TestMaxLogDensityRatio:
+    @pytest.mark.parametrize("relation", list(NeighboringRelation))
+    def test_small_grid_matches_per_pair_reference(self, relation):
+        assert_matches_reference(neighboring_sample_pairs((0.2, 0.5, 0.8), 5, relation))
+
+    @pytest.mark.parametrize("relation", list(NeighboringRelation))
+    def test_audit_grid_subset_matches_per_pair_reference(self, relation):
+        pairs = neighboring_sample_pairs(AUDIT_GRID, 4, relation)
+        picked = np.random.default_rng(2026).choice(len(pairs), 150, replace=False)
+        assert_matches_reference([pairs[i] for i in sorted(picked)])
+
+    def test_edge_cases_match_per_pair_reference(self):
+        assert_matches_reference(EDGE_PAIRS)
+        for pair in EDGE_PAIRS:  # one pair per call: the table has only its own cells
+            assert_matches_reference([pair])
+
+    def test_orientation_does_not_matter(self):
+        flipped = [(b, a) for a, b in EDGE_PAIRS]
+        for p in ORDERS:
+            forward = max_log_density_ratio(EDGE_PAIRS, p, 1.0)
+            assert max_log_density_ratio(flipped, p, 1.0).tolist() == forward.tolist()
+
+    def test_empty_pair_list(self):
+        assert max_log_density_ratio([], 0.5, 1.0).shape == (0,)
+
+    def test_rejects_values_outside_the_domain(self):
+        with pytest.raises(InvalidArgumentError):
+            max_log_density_ratio([((0.2,), (0.2, 1.5))], 0.5, 1.0)
+
+    def test_pairs_beyond_the_table_bound_are_chunked(self):
+        rng = np.random.default_rng(11)
+        pairs = []
+        for _ in range(80):
+            base = tuple(np.sort(rng.random(200)).tolist())
+            pairs.append((base, tuple(sorted(base + (float(rng.random()),)))))
+        values = {v for pair in pairs for sample in pair for v in sample}
+        assert 2 * len(pairs) * (len(values) + 3) > bench._TABLE_ENTRIES
+        assert len(list(bench._pair_chunks(pairs))) > 1
+        assert_matches_reference(pairs, orders=(0.5,), epsilons=(1.0,))
+
+    def test_tiny_table_bound_gives_the_same_sups(self, monkeypatch):
+        # samples shared across chunk boundaries, and pairs alone over the bound
+        pairs = neighboring_sample_pairs(AUDIT_GRID[:4], 3, NeighboringRelation.REPLACE)
+        pairs += EDGE_PAIRS
+        whole = [max_log_density_ratio(pairs, p, 1.0).tolist() for p in ORDERS]
+        monkeypatch.setattr(bench, "_TABLE_ENTRIES", 16)
+        assert len(list(bench._pair_chunks(pairs))) == len(pairs)
+        assert [max_log_density_ratio(pairs, p, 1.0).tolist() for p in ORDERS] == whole
+        monkeypatch.setattr(bench, "_TABLE_ENTRIES", 200)
+        assert 1 < len(list(bench._pair_chunks(pairs))) < len(pairs)
+        assert [max_log_density_ratio(pairs, p, 1.0).tolist() for p in ORDERS] == whole
+
+    def test_verify_counts_every_pair_and_order(self):
+        pairs = neighboring_sample_pairs((0.2, 0.5, 0.8), 3, NeighboringRelation.ADD_REMOVE)
+        report = verify_dp_ratio(pairs, 1.0, orders=ORDERS)
+        row = report.rows[0]
+        assert row["trials"] == len(pairs) * len(ORDERS)
+        assert row["empirical"] == max(
+            per_pair_sup(a, b, p, 1.0) for a, b in pairs for p in ORDERS
+        )
+        assert report.passed
 
 
 class TestVerifyQuantileConcentration:

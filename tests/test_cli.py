@@ -128,6 +128,30 @@ class TestEstimate:
         argv = ["estimate", "--data", data_file, "--method", "recexp", "--m", "1", "--epsilon", "0"]
         assert cli.main(argv) == 2
 
+    def test_huge_budget_on_tied_data(self, tmp_path, capsys):
+        # uncapped, (epsilon / 2) * rank distance overflowed every log-weight to -inf
+        path = tmp_path / "tied.txt"
+        path.write_text("0.5\n" * 7)
+        argv = ["estimate", "--data", str(path), "--method", "recexp", "--m", "1",
+                "--epsilon", "1.7e308", "--relation", "add-remove"]
+        assert cli.main(argv) == 0
+        q = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert 0.0 <= q <= 1.0
+
+    def test_huge_budget_keeps_the_gap_lengths(self, tmp_path, capsys):
+        # the intervals [0, 1e-300] and [1e-300, 1] are both one rank off the
+        # target, so the long one must take nearly all the mass, as in indexp
+        path = tmp_path / "tiny_gap.txt"
+        path.write_text("0\n1e-300\n1e-300\n")
+        argv = ["estimate", "--data", str(path), "--orders", "0.7", "--epsilon", "1e100",
+                "--relation", "add-remove", "--seed", "3"]
+        estimates = {}
+        for method in ("recexp", "indexp"):
+            assert cli.main(argv + ["--method", method]) == 0
+            estimates[method] = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert 1e-300 < estimates["recexp"] <= 1.0
+        assert estimates["recexp"] == estimates["indexp"]
+
     def test_missing_file_exits_2(self):
         argv = ["estimate", "--data", "/nonexistent/x.txt", "--method", "recexp", "--m", "1",
                 "--epsilon", "1"]

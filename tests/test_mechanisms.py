@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import kstest
@@ -197,7 +197,31 @@ def densities(draw):
     return WeightedIntervalDensity(breakpoints, weights)
 
 
+def reference_log_density(dens, q):
+    """Reference: the scalar interval lookup, walking left off a zero-length
+    run at the right edge of the support."""
+    b = dens.breakpoints
+    if q < b[0] or q > b[-1]:
+        return -math.inf
+    k = min(int(np.searchsorted(b, q, side="right")) - 1, len(b) - 2)
+    while k > 0 and b[k] == b[k + 1]:
+        k -= 1
+    return float(dens.log_weights[k] - dens.log_normalizer)
+
+
 class TestDensityProperties:
+    @given(densities(), st.floats(0.0, 0.4), st.floats(0.6, 1.0))
+    @settings(max_examples=200)
+    def test_grid_matches_scalar_reference(self, dens, lo, hi):
+        # shrink the support so that points fall outside it on both sides
+        b = lo + (hi - lo) * dens.breakpoints
+        sub = WeightedIntervalDensity(np.clip(b, lo, hi), dens.log_weights)
+        assume(np.any((np.diff(sub.breakpoints) > 0) & np.isfinite(sub.log_weights)))
+        qs = np.concatenate([[0.0, 1.0], sub.breakpoints, np.linspace(0.0, 1.0, 33)])
+        expected = [reference_log_density(sub, float(q)) for q in qs]
+        assert log_density_grid(sub, qs).tolist() == expected
+        assert [log_density_at(sub, float(q)) for q in qs] == expected
+
     @given(densities())
     @settings(max_examples=200)
     def test_normalization(self, dens):

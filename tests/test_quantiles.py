@@ -355,16 +355,15 @@ class TestDpRatio:
         epsilon = 1.0
         for relation in (ADD_REMOVE, REPLACE):
             pairs = neighboring_sample_pairs(grid, 5, relation)
-            worst = max(
-                max_log_density_ratio(a, b, 0.5, epsilon) for a, b in pairs
-            )
+            worst = max(max_log_density_ratio(pairs, 0.5, epsilon))
             assert worst <= epsilon + 1e-9
 
     def test_identical_samples_have_zero_ratio(self):
-        assert max_log_density_ratio((0.3, 0.6), (0.3, 0.6), 0.5, 2.0) == 0.0
+        assert max_log_density_ratio([((0.3, 0.6), (0.3, 0.6))], 0.5, 2.0)[0] == 0.0
 
     def test_zero_budget_densities_coincide(self):
-        assert max_log_density_ratio((0.2,), (0.2, 0.9), 0.5, 0.0) == pytest.approx(0.0, abs=1e-12)
+        sups = max_log_density_ratio([((0.2,), (0.2, 0.9))], 0.5, 0.0)
+        assert sups[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDuplicateValues:
