@@ -8,6 +8,7 @@ precondition violated.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -101,18 +102,61 @@ def _parse_distribution(text: str) -> DistributionOracle:
     )
 
 
-_CONFIG_KEYS = {
-    "config_version",
-    "distributions",
-    "estimators",
-    "n",
-    "epsilon",
-    "relation",
-    "m_grid",
-    "orders",
-    "trials",
-    "bins",
-    "base_seed",
+def _parser(convert, complaint: str):
+    """``convert`` with its ValueError reported as ``complaint``."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise InvalidArgumentError(complaint)
+
+    return parse
+
+
+_parse_int = _parser(int, "not an integer")
+_parse_ints = _parser(
+    lambda text: tuple(int(item) for item in text.split(",")), "not a list of integers"
+)
+_parse_floats = _parser(
+    lambda text: tuple(float(item) for item in text.split(",")),
+    "use 'centered-grid' or a comma-separated list",
+)
+
+
+def _parse_version(text: str) -> int:
+    if _parse_int(text) != 1:
+        raise InvalidArgumentError("only version 1 is supported")
+    return 1
+
+
+def _as_is(value):
+    return value
+
+
+# config key -> (ExperimentConfig field, parser of the value text, JSON form
+# in summary.json). config_version names no field; m_grid goes with
+# `orders = centered-grid` only, since explicit orders fix m themselves.
+_CONFIG_FIELDS = {
+    "config_version": (None, _parse_version, lambda _: 1),
+    "distributions": (
+        "distributions",
+        lambda text: tuple(_parse_distribution(item) for item in text.split(",")),
+        lambda ds: [{"label": d.label, "alpha": d.alpha, "beta": d.beta} for d in ds],
+    ),
+    "estimators": ("estimators", lambda text: tuple(s.strip() for s in text.split(",")), list),
+    "n": ("n", _parse_int, _as_is),
+    "epsilon": ("epsilon", _parser(float, "not a number"), _as_is),
+    "relation": ("relation", _parse_relation, lambda relation: relation.value),
+    "m_grid": ("m_grid", _parse_ints, list),
+    "orders": (
+        "explicit_orders",
+        lambda text: None if text == "centered-grid" else _parse_floats(text),
+        lambda orders: "centered-grid" if orders is None else list(orders),
+    ),
+    "trials": ("trials", _parse_int, _as_is),
+    "bins": ("histogram_bin_count", _parse_int, _as_is),
+    "base_seed": ("base_seed", _parse_int, _as_is),
 }
 
 
@@ -132,87 +176,39 @@ def parse_config_file(path: str) -> ExperimentConfig:
                 raise InvalidArgumentError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG_FIELDS:
                 raise InvalidArgumentError(f"{path}:{lineno}: unknown key {key!r}")
             if key in entries:
                 raise InvalidArgumentError(f"{path}:{lineno}: duplicate key {key!r}")
             entries[key] = value
 
-    def need(key: str) -> str:
-        if key not in entries:
-            raise InvalidArgumentError(f"{path}: missing required key {key!r}")
-        return entries[key]
-
-    def parse_int(key: str) -> int:
-        try:
-            return int(need(key))
-        except ValueError:
-            raise InvalidArgumentError(f"{path}: key {key!r}: not an integer")
-
-    if parse_int("config_version") != 1:
-        raise InvalidArgumentError(f"{path}: key 'config_version': only version 1 is supported")
-    try:
-        epsilon = float(need("epsilon"))
-    except ValueError:
-        raise InvalidArgumentError(f"{path}: key 'epsilon': not a number")
-    distributions = tuple(
-        _parse_distribution(item) for item in need("distributions").split(",")
-    )
-    estimators = tuple(item.strip() for item in need("estimators").split(","))
-    orders_text = need("orders")
-    if orders_text == "centered-grid":
-        explicit = None
-        try:
-            m_grid = tuple(int(item) for item in need("m_grid").split(","))
-        except ValueError:
-            raise InvalidArgumentError(f"{path}: key 'm_grid': not a list of integers")
-    else:
-        if "m_grid" in entries:
-            raise InvalidArgumentError(
-                f"{path}: key 'm_grid' conflicts with explicit orders (remove one)"
-            )
-        try:
-            explicit = tuple(float(item) for item in orders_text.split(","))
-        except ValueError:
-            raise InvalidArgumentError(
-                f"{path}: key 'orders': use 'centered-grid' or a comma-separated list"
-            )
-        m_grid = (len(explicit),)
-    try:
-        return ExperimentConfig(
-            distributions=distributions,
-            estimators=estimators,
-            n=parse_int("n"),
-            epsilon=epsilon,
-            relation=_parse_relation(need("relation")),
-            m_grid=m_grid,
-            trials=parse_int("trials"),
-            histogram_bin_count=parse_int("bins"),
-            base_seed=parse_int("base_seed"),
-            explicit_orders=explicit,
+    centered = entries.get("orders") == "centered-grid"
+    if "m_grid" in entries and "orders" in entries and not centered:
+        raise InvalidArgumentError(
+            f"{path}: key 'm_grid' conflicts with explicit orders (remove one)"
         )
+    fields = {"m_grid": ()}
+    for key, (name, parse, _) in _CONFIG_FIELDS.items():
+        if key not in entries:
+            if key == "m_grid" and not centered:
+                continue
+            raise InvalidArgumentError(f"{path}: missing required key {key!r}")
+        try:
+            value = parse(entries[key])
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"{path}: key {key!r}: {exc}")
+        if name is not None:
+            fields[name] = value
+    try:
+        return ExperimentConfig(**fields)
     except InvalidArgumentError as exc:
         raise InvalidArgumentError(f"{path}: {exc}")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     return {
-        "config_version": 1,
-        "distributions": [
-            {"label": d.label, "alpha": d.alpha, "beta": d.beta}
-            for d in config.distributions
-        ],
-        "estimators": list(config.estimators),
-        "n": config.n,
-        "epsilon": config.epsilon,
-        "relation": config.relation.value,
-        "m_grid": list(config.m_grid),
-        "orders": (
-            "centered-grid" if config.explicit_orders is None else list(config.explicit_orders)
-        ),
-        "trials": config.trials,
-        "bins": config.histogram_bin_count,
-        "base_seed": config.base_seed,
+        key: dump(None if name is None else getattr(config, name))
+        for key, (name, _, dump) in _CONFIG_FIELDS.items()
     }
 
 
@@ -328,125 +324,71 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-# formula name -> (argument names, evaluator building (value, guard descriptions))
-def _bounds_registry():
-    def envelope_from(v, need_lipschitz=False):
-        return DensityEnvelope(
-            lower=v.get("pi_lower", 0.0),
-            upper=v.get("pi_upper", math.inf),
-            lipschitz=v.get("lipschitz", math.inf if not need_lipschitz else 0.0),
-        )
+# formula -> (evaluator, the guards echoed once it evaluates). The name=value
+# arguments are the evaluator's required parameters, renamed by _ALIASES, with
+# `envelope` given as pi_lower and pi_upper (and lipschitz for thm_hist).
+_BOUNDS = {
+    "fact_qexp": (bounds.fact_qexp_threshold, ["0 < delta <= 1", "0 < beta < 1", "eps > 0"]),
+    "fact_recexp": (
+        bounds.fact_recexp_threshold,
+        ["0 < delta <= 1", "0 < beta < 1", "eps > 0", "m >= 1"],
+    ),
+    "thm_qexp": (bounds.thm_qexp_tail, ["n >= 1", "gamma > 0", "eps > 0", "pi_lower > 0"]),
+    "thm_indexp": (
+        bounds.thm_indexp_tail,
+        ["n >= 1", "m >= 1", "gamma > 0", "eps > 0", "pi_lower > 0"],
+    ),
+    "thm_recexp": (
+        bounds.thm_recexp_tail,
+        ["n >= 1", "m >= 1", "gamma > 0", "eps > 0", "pi_lower > 0"],
+    ),
+    "thm_hist": (bounds.thm_hist_tail, ["gamma > 2 L h / pi_lower", "gamma < 1/2"]),
+    "lemma_hist_density": (bounds.lemma_hist_density_tail, ["gamma > L h"]),
+    "lemma_qexp_lower": (bounds.lemma_qexp_lower, ["gamma in (0, 1/4]"]),
+    "indexp_lower": (bounds.indexp_lower, ["gamma in (0, 1/4]"]),
+    "recexp_lower": (bounds.recexp_lower, ["gamma in (0, 1/4]"]),
+    "gap_survival": (
+        bounds.gap_survival_uniform,
+        ["0 < gamma (zero is returned beyond 1/(n+1))"],
+    ),
+    "lemma_gap_lower": (bounds.lemma_gap_lower, ["0 < gamma < 1 / (4 pi_upper)"]),
+    "lemma_quantile_concentration": (
+        bounds.lemma_quantile_concentration_tail,
+        ["n >= 1", "0 < p < 1", "gamma > 0", "pi_lower > 0"],
+    ),
+}
+_ALIASES = {"delta_gap": "delta", "epsilon": "eps"}
 
-    return {
-        "fact_qexp": (
-            ("delta", "beta", "eps"),
-            lambda v: (
-                bounds.fact_qexp_threshold(v["delta"], v["beta"], v["eps"]),
-                ["0 < delta <= 1", "0 < beta < 1", "eps > 0"],
-            ),
-        ),
-        "fact_recexp": (
-            ("delta", "beta", "eps", "m"),
-            lambda v: (
-                bounds.fact_recexp_threshold(v["delta"], v["beta"], v["eps"], int(v["m"])),
-                ["0 < delta <= 1", "0 < beta < 1", "eps > 0", "m >= 1"],
-            ),
-        ),
-        "thm_qexp": (
-            ("n", "gamma", "eps", "pi_lower", "pi_upper"),
-            lambda v: (
-                bounds.thm_qexp_tail(int(v["n"]), v["gamma"], v["eps"], envelope_from(v)),
-                ["n >= 1", "gamma > 0", "eps > 0", "pi_lower > 0"],
-            ),
-        ),
-        "thm_indexp": (
-            ("n", "m", "gamma", "eps", "pi_lower", "pi_upper"),
-            lambda v: (
-                bounds.thm_indexp_tail(
-                    int(v["n"]), int(v["m"]), v["gamma"], v["eps"], envelope_from(v)
-                ),
-                ["n >= 1", "m >= 1", "gamma > 0", "eps > 0", "pi_lower > 0"],
-            ),
-        ),
-        "thm_recexp": (
-            ("n", "m", "gamma", "eps", "pi_lower", "pi_upper"),
-            lambda v: (
-                bounds.thm_recexp_tail(
-                    int(v["n"]), int(v["m"]), v["gamma"], v["eps"], envelope_from(v)
-                ),
-                ["n >= 1", "m >= 1", "gamma > 0", "eps > 0", "pi_lower > 0"],
-            ),
-        ),
-        "thm_hist": (
-            ("n", "gamma", "eps", "pi_lower", "pi_upper", "lipschitz", "h"),
-            lambda v: (
-                bounds.thm_hist_tail(
-                    int(v["n"]), v["gamma"], v["eps"], envelope_from(v, True), v["h"]
-                ),
-                ["gamma > 2 L h / pi_lower", "gamma < 1/2"],
-            ),
-        ),
-        "lemma_hist_density": (
-            ("n", "gamma", "eps", "lipschitz", "h"),
-            lambda v: (
-                bounds.lemma_hist_density_tail(
-                    int(v["n"]), v["gamma"], v["eps"], v["lipschitz"], v["h"]
-                ),
-                ["gamma > L h"],
-            ),
-        ),
-        "lemma_qexp_lower": (
-            ("n", "eps"),
-            lambda v: (bounds.lemma_qexp_lower(int(v["n"]), v["eps"]), ["gamma in (0, 1/4]"]),
-        ),
-        "indexp_lower": (
-            ("n", "m", "eps"),
-            lambda v: (
-                bounds.indexp_lower(int(v["n"]), int(v["m"]), v["eps"]),
-                ["gamma in (0, 1/4]"],
-            ),
-        ),
-        "recexp_lower": (
-            ("n", "m", "eps"),
-            lambda v: (
-                bounds.recexp_lower(int(v["n"]), int(v["m"]), v["eps"]),
-                ["gamma in (0, 1/4]"],
-            ),
-        ),
-        "gap_survival": (
-            ("n", "gamma"),
-            lambda v: (
-                bounds.gap_survival_uniform(int(v["n"]), v["gamma"]),
-                ["0 < gamma (zero is returned beyond 1/(n+1))"],
-            ),
-        ),
-        "lemma_gap_lower": (
-            ("gamma", "pi_upper"),
-            lambda v: (
-                bounds.lemma_gap_lower(v["gamma"], v["pi_upper"]),
-                ["0 < gamma < 1 / (4 pi_upper)"],
-            ),
-        ),
-        "lemma_quantile_concentration": (
-            ("n", "p", "gamma", "pi_lower"),
-            lambda v: (
-                bounds.lemma_quantile_concentration_tail(
-                    int(v["n"]), v["p"], v["gamma"], v["pi_lower"]
-                ),
-                ["n >= 1", "0 < p < 1", "gamma > 0", "pi_lower > 0"],
-            ),
-        ),
-    }
+
+def _bound_form(evaluator):
+    """The name=value arguments of ``evaluator`` in order, each with its type,
+    and a function that evaluates it on their values."""
+    arguments, getters = {}, []
+    for param in inspect.signature(evaluator, eval_str=True).parameters.values():
+        if param.default is not param.empty:
+            continue
+        if param.annotation is DensityEnvelope:
+            arguments.update(pi_lower=float, pi_upper=float)
+            if evaluator is bounds.thm_hist_tail:
+                arguments["lipschitz"] = float
+            getters.append(lambda v: DensityEnvelope(
+                v["pi_lower"], v["pi_upper"], v.get("lipschitz", math.inf)
+            ))
+        else:
+            name = _ALIASES.get(param.name, param.name)
+            arguments[name] = param.annotation
+            getters.append(lambda v, name=name: v[name])
+    return arguments, lambda values: evaluator(*(get(values) for get in getters))
 
 
 def cmd_bounds(args) -> int:
-    registry = _bounds_registry()
-    if args.formula not in registry:
+    if args.formula not in _BOUNDS:
         return _fail(
-            f"unknown formula {args.formula!r}; choose from: {', '.join(sorted(registry))}",
+            f"unknown formula {args.formula!r}; choose from: {', '.join(sorted(_BOUNDS))}",
             EXIT_INPUT_ERROR,
         )
-    expected, evaluate = registry[args.formula]
+    evaluator, guards = _BOUNDS[args.formula]
+    expected, evaluate = _bound_form(evaluator)
     values: dict[str, float] = {}
     for item in args.assignments:
         key, sep, raw = item.partition("=")
@@ -457,17 +399,24 @@ def cmd_bounds(args) -> int:
                 f"formula {args.formula!r} does not take {key!r}; expected: {', '.join(expected)}",
                 EXIT_INPUT_ERROR,
             )
+        if key in values:
+            return _fail(f"argument {key!r} is given twice", EXIT_INPUT_ERROR)
         try:
-            values[key] = float(raw)
+            value = float(raw)
         except ValueError:
             return _fail(f"argument {key!r}: not a number: {raw!r}", EXIT_INPUT_ERROR)
+        if expected[key] is int:
+            if not value.is_integer():
+                return _fail(f"argument {key!r}: not an integer: {raw!r}", EXIT_INPUT_ERROR)
+            value = int(value)
+        values[key] = value
     missing = [k for k in expected if k not in values]
     if missing:
         return _fail(
             f"formula {args.formula!r} is missing: {', '.join(missing)}", EXIT_INPUT_ERROR
         )
     try:
-        value, guards = evaluate(values)
+        value = evaluate(values)
     except BoundPreconditionError as exc:
         print(f"precondition violated: {exc.guard}", file=sys.stderr)
         return EXIT_BOUND_PRECONDITION
@@ -479,51 +428,65 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _suite_gap_law(seed: int, trials: int) -> CheckReport:
-    report = CheckReport("gap-law", True)
-    rng = RandomSource(seed)
-    for i, (n, gammas) in enumerate([(1, (0.25,)), (5, (0.05,)), (10, (0.02,))]):
-        part = verify_gap_law(n, gammas, trials, rng.child(i))
+# The verification suites' cases. Acceptance criteria 2, 3 and 5 check the
+# same cases, at more trials (2) and more quantile orders (3).
+GAP_LAW_CASES = ((1, (0.25,)), (5, (0.05,)), (10, (0.02,)))  # (n, gammas)
+DP_RATIO_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
+DP_RATIO_MAX_N = 4
+DP_RATIO_EPSILONS = (0.5, 1.0, 4.0)
+LOWER_BOUND_NS = range(21)
+LOWER_BOUND_EPSILONS = (0.5, 1.0)
+LOWER_BOUND_TS = (0.3, 0.5)
+LOWER_BOUND_GAMMAS = (0.1, 0.25)
+# (n, p, gamma)
+QUANTILE_CONCENTRATION_CASES = ((1000, 0.5, 0.2), (1000, 0.25, 0.1), (200, 0.5, 0.3))
+
+
+def _combined(name: str, parts) -> CheckReport:
+    report = CheckReport(name, True)
+    for part in parts:
         report.passed &= part.passed
         report.rows.extend(part.rows)
     return report
+
+
+def _suite_gap_law(seed: int, trials: int) -> CheckReport:
+    rng = RandomSource(seed)
+    return _combined("gap-law", (
+        verify_gap_law(n, gammas, trials, rng.child(i))
+        for i, (n, gammas) in enumerate(GAP_LAW_CASES)
+    ))
 
 
 def _suite_dp_ratio(seed: int, trials: int) -> CheckReport:
     del seed, trials  # analytic check, no randomness
-    grid = [round(0.1 * k, 1) for k in range(1, 10)]
-    report = CheckReport("dp-ratio", True)
+    parts = []
     for relation in NeighboringRelation:
-        pairs = neighboring_sample_pairs(grid, 4, relation)
-        for epsilon in (0.5, 1.0, 4.0):
+        pairs = neighboring_sample_pairs(DP_RATIO_GRID, DP_RATIO_MAX_N, relation)
+        for epsilon in DP_RATIO_EPSILONS:
             part = verify_dp_ratio(pairs, epsilon)
-            report.passed &= part.passed
             for row in part.rows:
                 row["relation"] = relation.value
-            report.rows.extend(part.rows)
-    return report
+            parts.append(part)
+    return _combined("dp-ratio", parts)
 
 
 def _suite_lower_bound(seed: int, trials: int) -> CheckReport:
     del seed, trials  # exact integration, no randomness
-    report = CheckReport("lower-bound", True)
-    for t in (0.3, 0.5):
-        for gamma in (0.1, 0.25):
-            part = verify_lower_bound_qexp(range(0, 21), (0.5, 1.0), t, gamma)
-            report.passed &= part.passed
-            report.rows.extend(part.rows)
-    return report
+    return _combined("lower-bound", (
+        verify_lower_bound_qexp(LOWER_BOUND_NS, LOWER_BOUND_EPSILONS, t, gamma)
+        for t in LOWER_BOUND_TS
+        for gamma in LOWER_BOUND_GAMMAS
+    ))
 
 
 def _suite_quantile_concentration(seed: int, trials: int) -> CheckReport:
     rng = RandomSource(seed)
-    report = CheckReport("quantile-concentration", True)
     oracle = DistributionOracle.uniform()
-    for i, (n, p, gamma) in enumerate([(1000, 0.5, 0.2), (1000, 0.25, 0.1), (200, 0.5, 0.3)]):
-        part = verify_quantile_concentration(oracle, n, p, gamma, trials, rng.child(i))
-        report.passed &= part.passed
-        report.rows.extend(part.rows)
-    return report
+    return _combined("quantile-concentration", (
+        verify_quantile_concentration(oracle, n, p, gamma, trials, rng.child(i))
+        for i, (n, p, gamma) in enumerate(QUANTILE_CONCENTRATION_CASES)
+    ))
 
 
 _SUITES = {
@@ -535,10 +498,13 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    if args.zero_noise:
-        print(ZERO_NOISE_BANNER, file=sys.stderr)
+    if args.trials < 1:
+        return _fail(f"--trials must be at least 1, got {args.trials}", EXIT_INPUT_ERROR)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    reports = [_SUITES[name](args.seed, args.trials) for name in names]
+    try:
+        reports = [_SUITES[name](args.seed, args.trials) for name in names]
+    except InvalidArgumentError as exc:
+        return _fail(str(exc), EXIT_INPUT_ERROR)
     for report in reports:
         for row in report.rows:
             keys = ", ".join(
@@ -600,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--trials", type=int, default=20000)
     ver.add_argument("--output", help="JSON report path (default: stdout)")
-    ver.add_argument("--zero-noise", action="store_true", help="NON-PRIVATE test mode")
     ver.set_defaults(func=cmd_verify)
     return parser
 

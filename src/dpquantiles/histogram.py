@@ -99,11 +99,10 @@ def generalized_quantile(values: np.ndarray, p: float) -> float:
     """First-crossing infimum ``inf{q : integral_0^q of the estimate >= p}``.
 
     ``values`` are per-bin heights of a piecewise-constant function on the
-    uniform partition of [0, 1] (negative heights allowed). The scan walks
-    bins left to right and returns at the first crossing, which is the exact
-    infimum even when later negative bins dip back below ``p``; if the
-    running integral never reaches ``p`` the convention ``inf emptyset = 1``
-    applies.
+    uniform partition of [0, 1] (negative heights allowed). The first
+    crossing is the exact infimum even when later negative bins dip back
+    below ``p``; if the running integral never reaches ``p`` the convention
+    ``inf emptyset = 1`` applies.
     """
     out = generalized_quantiles(values, [p])
     return float(out[0])
@@ -112,9 +111,11 @@ def generalized_quantile(values: np.ndarray, p: float) -> float:
 def generalized_quantiles(values: np.ndarray, ps) -> np.ndarray:
     """Vector version of :func:`generalized_quantile` for nondecreasing ``ps``.
 
-    A single left-to-right pass serves every order: first crossings are
-    monotone in ``p``, so the scan resumes from the bin where the previous
-    order crossed. Cost O(len(values) + len(ps)).
+    The running integral at the start of bin k (zero at k = 0) need not be
+    monotone, but its running maximum is, and the first k at which that
+    maximum reaches p is the first crossing of p: for k > 0 the crossing lies
+    inside bin k - 1, whose height is then positive. Cost
+    O(len(values) + len(ps) log len(values)).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 1:
@@ -125,25 +126,14 @@ def generalized_quantiles(values: np.ndarray, ps) -> np.ndarray:
     if np.any(np.diff(ps) < 0):
         raise InvalidArgumentError("quantile orders must be nondecreasing")
 
-    bins = values.size
-    h = 1.0 / bins
-    out = np.empty(ps.size)
-    b = 0
-    running = 0.0  # integral at the start of bin b
-    for i, p in enumerate(ps):
-        while True:
-            if running >= p:
-                out[i] = b * h
-                break
-            if b == bins:
-                out[i] = 1.0
-                break
-            v = values[b]
-            if v > 0.0 and running + v * h >= p:
-                out[i] = b * h + (p - running) / v
-                break
-            running += v * h
-            b += 1
+    h = 1.0 / values.size
+    running = np.concatenate(([0.0], np.cumsum(values * h)))
+    # fmax skips NaN: from a NaN bin on the integral is NaN and never crosses
+    first = np.searchsorted(np.fmax.accumulate(running), ps)
+    out = np.where(first == 0, 0.0, 1.0)
+    inside = (first > 0) & (first < running.size)
+    b = first[inside] - 1
+    out[inside] = b * h + (ps[inside] - running[b]) / values[b]
     return out
 
 

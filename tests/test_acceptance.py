@@ -40,7 +40,22 @@ from dpquantiles.quantiles import (
 
 BETA_2_5 = DistributionOracle.make_beta(2, 5)
 BETA_HALF = DistributionOracle.make_beta(0.5, 0.5)
-PROTOCOL_M_GRID = (1, 2, 5, 10, 20, 50, 100)
+
+# Benchmark protocol at desk scale: n = 1e4, eps = 0.1, 50 trials, 200 bins,
+# the built-in quantile grid, add/remove accounting (the recursive
+# estimator's native relation; under replacement its budget halves and
+# criterion 1's 2x ratio clause is unreachable).
+PROTOCOL = ExperimentConfig(
+    distributions=(BETA_2_5, BETA_HALF),
+    estimators=("indexp", "recexp", "histogram"),
+    n=10_000,
+    epsilon=0.1,
+    relation=NeighboringRelation.ADD_REMOVE,
+    m_grid=(1, 2, 5, 10, 20, 50, 100),
+    trials=50,
+    histogram_bin_count=200,
+    base_seed=20260809,
+)
 
 
 def report(number: str, name: str, ok: bool, detail: str = "") -> bool:
@@ -52,22 +67,8 @@ def report(number: str, name: str, ok: bool, detail: str = "") -> bool:
 
 @pytest.fixture(scope="module")
 def protocol_means():
-    """Benchmark protocol at desk scale: n = 1e4, eps = 0.1, 50 trials,
-    200 bins, the built-in quantile grid, add/remove accounting (the
-    recursive estimator's native relation; under replacement its budget
-    halves and the criterion's 2x ratio clause is unreachable)."""
-    config = ExperimentConfig(
-        distributions=(BETA_2_5, BETA_HALF),
-        estimators=("indexp", "recexp", "histogram"),
-        n=10_000,
-        epsilon=0.1,
-        relation=NeighboringRelation.ADD_REMOVE,
-        m_grid=PROTOCOL_M_GRID,
-        trials=50,
-        histogram_bin_count=200,
-        base_seed=20260809,
-    )
-    result = run_experiment(config, workers=2)
+    """Mean sup-norm error per (distribution, estimator, m) cell of PROTOCOL."""
+    result = run_experiment(PROTOCOL, workers=2)
     return {(c.distribution, c.estimator, c.m): c.mean_error for c in result.cells}
 
 
@@ -76,13 +77,6 @@ def first_crossover(means, distribution):
         if means[(distribution, "histogram", m)] < means[(distribution, "recexp", m)]:
             return m
     return None
-
-
-# n, epsilon and bin count of the protocol_means fixture, restated for the
-# noise-law prediction of clause 1c-ordering; keep them equal to the fixture's.
-PROTOCOL_N = 10_000
-PROTOCOL_EPSILON = 0.1
-PROTOCOL_BINS = 200
 
 
 def histogram_noise_ratio(oracle):
@@ -98,9 +92,10 @@ def histogram_noise_ratio(oracle):
     histogram carries the same sampling error on top, so its full m = 1
     error ratio is about sqrt(1 + rho^2), which orders shapes as rho does.
     """
+    n = PROTOCOL.n
     x = float(oracle.quantile(0.5))
-    noise_sd = math.sqrt(2.0 * PROTOCOL_BINS * x) / (PROTOCOL_EPSILON * PROTOCOL_N)
-    sampling_sd = math.sqrt(0.25 / PROTOCOL_N)
+    noise_sd = math.sqrt(2.0 * PROTOCOL.histogram_bin_count * x) / (PROTOCOL.epsilon * n)
+    sampling_sd = math.sqrt(0.25 / n)
     return noise_sd / sampling_sd
 
 
@@ -118,7 +113,7 @@ class TestCriterion1FigureReproduction:
             f"ratio at m=10: {ratio:.2f}",
         )
 
-        hist_curve = np.array([means[("beta(2,5)", "histogram", m)] for m in PROTOCOL_M_GRID])
+        hist_curve = np.array([means[("beta(2,5)", "histogram", m)] for m in PROTOCOL.m_grid])
         # flatness metric: relative standard deviation across the m grid
         spread = float(np.std(hist_curve) / np.mean(hist_curve))
         ok_b = report(
@@ -179,22 +174,22 @@ class TestCriterion2GapLaw:
         rng = RandomSource(431)
         ok = True
         details = []
-        for i, (n, gamma) in enumerate([(1, 0.25), (5, 0.05), (10, 0.02)]):
-            part = verify_gap_law(n, (gamma,), 100_000, rng.child(i))
-            row = part.rows[0]
-            ok &= part.passed and abs(row["empirical"] - row["bound"]) <= 0.005
-            details.append(f"n={n}: exact {row['bound']:.5f} vs {row['empirical']:.5f}")
+        for i, (n, gammas) in enumerate(cli.GAP_LAW_CASES):
+            part = verify_gap_law(n, gammas, 100_000, rng.child(i))
+            ok &= part.passed
+            for row in part.rows:
+                ok &= abs(row["empirical"] - row["bound"]) <= 0.005
+                details.append(f"n={n}: exact {row['bound']:.5f} vs {row['empirical']:.5f}")
         assert report("2", "exact minimum-gap survival law", ok, "; ".join(details))
 
 
 class TestCriterion3DpRatio:
     def test_exhaustive_neighbor_pairs(self):
-        grid = [round(0.1 * k, 1) for k in range(1, 10)]
         ok = True
         worst = {}
         for relation in NeighboringRelation:
-            pairs = neighboring_sample_pairs(grid, 4, relation)
-            for epsilon in (0.5, 1.0, 4.0):
+            pairs = neighboring_sample_pairs(cli.DP_RATIO_GRID, cli.DP_RATIO_MAX_N, relation)
+            for epsilon in cli.DP_RATIO_EPSILONS:
                 part = verify_dp_ratio(pairs, epsilon, orders=(0.25, 0.5, 0.75))
                 ok &= part.passed
                 worst[(relation.value, epsilon)] = part.rows[0]["empirical"]
@@ -251,9 +246,11 @@ class TestCriterion4EmpiricalErrorFacts:
 class TestCriterion5LowerBound:
     def test_error_floor_on_the_grid(self):
         ok = True
-        for t in (0.3, 0.5):
-            for gamma in (0.1, 0.25):
-                part = verify_lower_bound_qexp(range(0, 21), (0.5, 1.0), t, gamma)
+        for t in cli.LOWER_BOUND_TS:
+            for gamma in cli.LOWER_BOUND_GAMMAS:
+                part = verify_lower_bound_qexp(
+                    cli.LOWER_BOUND_NS, cli.LOWER_BOUND_EPSILONS, t, gamma
+                )
                 ok &= part.passed
         assert report("5", "exponential-mechanism error floor", ok)
 

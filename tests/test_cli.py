@@ -197,6 +197,17 @@ class TestBench:
         assert cli.main(["bench", "--config", str(path), "--output", str(tmp_path / "o")]) == 2
         assert "mystery_knob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key", ["config_version", "n", "relation", "m_grid", "trials", "bins", "base_seed"]
+    )
+    def test_missing_key_is_named(self, tmp_path, capsys, key):
+        path = tmp_path / "missing.cfg"
+        path.write_text("".join(
+            line + "\n" for line in CONFIG.splitlines() if not line.startswith(key + " ")
+        ))
+        assert cli.main(["bench", "--config", str(path), "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: missing required key {key!r}\n"
+
     def test_bad_version_exits_2(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(CONFIG.replace("config_version = 1", "config_version = 2"))
@@ -299,6 +310,31 @@ class TestBounds:
     def test_unexpected_argument_exits_2(self):
         assert cli.main(["bounds", "gap_survival", "n=1", "gamma=0.1", "zeta=2"]) == 2
 
+    @pytest.mark.parametrize("formula", sorted(FORMULA_CASES))
+    def test_arguments_follow_the_evaluator_signature(self, formula, capsys):
+        # the names and their order come from the evaluator's signature
+        assert cli.main(["bounds", formula]) == 2
+        names = [item.partition("=")[0] for item in FORMULA_CASES[formula][0]]
+        assert capsys.readouterr().err == (
+            f"error: formula {formula!r} is missing: {', '.join(names)}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "assignments, message",
+        [
+            (["n=inf", "eps=1"], "not an integer"),
+            (["n=nan", "eps=1"], "not an integer"),
+            (["n=2.5", "eps=1"], "not an integer"),
+            (["n=5", "n=6", "eps=1"], "given twice"),
+        ],
+        ids=["inf", "nan", "fraction", "repeated"],
+    )
+    def test_bad_integer_argument_exits_2(self, assignments, message, capsys):
+        assert cli.main(["bounds", "lemma_qexp_lower"] + assignments) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "'n'" in captured.err
+        assert captured.out == ""
+
 
 class TestVerify:
     def test_gap_law_suite_passes(self, tmp_path, capsys):
@@ -327,9 +363,23 @@ class TestVerify:
         assert cli.main(["verify", "gap-law"]) == 1
         assert "FAIL" in capsys.readouterr().err
 
-    def test_zero_noise_banner(self, capsys):
-        assert cli.main(["verify", "lower-bound", "--zero-noise"]) == 0
-        assert "NON-PRIVATE" in capsys.readouterr().err
+    def test_zero_noise_flag_rejected(self):
+        # the suites add no noise, so verify has no zero-noise mode
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "lower-bound", "--zero-noise"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("suite", ["gap-law", "quantile-concentration", "all"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_exit_2(self, suite, trials, capsys):
+        assert cli.main(["verify", suite, "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err and captured.out == ""
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert cli.main(["verify", "gap-law", "--seed", "-1", "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert "seed" in captured.err and captured.out == ""
 
     def test_quantile_concentration_suite_passes(self, capsys):
         assert cli.main(["verify", "quantile-concentration", "--trials", "2000"]) == 0

@@ -88,7 +88,57 @@ class TestPrivateHistogram:
                         assert l1 <= 2
 
 
+def scan_quantiles(values, ps):
+    """The former left-to-right scan of generalized_quantiles, kept as the
+    reference for its running-maximum inversion: it walks the bins once and
+    resumes each order from the bin where the previous order crossed."""
+    values = np.asarray(values, dtype=float)
+    bins = values.size
+    h = 1.0 / bins
+    out = np.empty(len(ps))
+    b = 0
+    running = 0.0  # integral at the start of bin b
+    for i, p in enumerate(np.asarray(ps, dtype=float)):
+        while True:
+            if running >= p:
+                out[i] = b * h
+                break
+            if b == bins:
+                out[i] = 1.0
+                break
+            v = values[b]
+            if v > 0.0 and running + v * h >= p:
+                out[i] = b * h + (p - running) / v
+                break
+            running += v * h
+            b += 1
+    return out
+
+
 class TestGeneralizedQuantile:
+    def test_matches_scan_reference(self):
+        # negative and zero bins, p in {0, 1}, and up to 200 bins and 40 orders
+        rng = np.random.default_rng(20240)
+        for _ in range(4000):
+            bins = int(rng.integers(1, 200))
+            values = rng.normal(loc=rng.uniform(-0.5, 1.5), scale=rng.uniform(0.1, 3.0), size=bins)
+            values[rng.random(bins) < 0.1] = 0.0
+            ps = np.sort(np.concatenate([rng.random(int(rng.integers(0, 40))), [0.0, 1.0]]))
+            ps = ps[rng.random(ps.size) < 0.8]
+            assert np.array_equal(generalized_quantiles(values, ps), scan_quantiles(values, ps))
+
+    def test_exact_crossings_and_flat_bins(self):
+        # crossings on a bin edge, zero-height bins, and an integral that
+        # reaches p exactly and then dips
+        cases = [
+            (np.ones(2), [0.0, 0.5, 0.5, 1.0]),
+            (np.array([0.0, 0.0, 4.0, 0.0]), [0.0, 0.25, 1.0]),
+            (np.array([2.0, -2.0, 2.0, 0.0]), [0.5, 0.5, 1.0]),
+            (np.array([-1.0, 0.0]), [0.0, 0.1, 1.0]),
+        ]
+        for values, ps in cases:
+            assert np.array_equal(generalized_quantiles(values, ps), scan_quantiles(values, ps))
+
     def test_uniform_density_is_identity(self):
         ones = np.ones(8)
         for p in (0.0, 0.1, 0.33, 0.5, 0.731, 1.0):
