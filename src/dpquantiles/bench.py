@@ -25,7 +25,7 @@ from .bounds import (
 )
 from .distributions import DistributionOracle
 from .errors import InvalidArgumentError
-from .histogram import quantile_from_histogram
+from .histogram import noise_scale, quantile_from_histogram
 from .mechanisms import (
     NeighboringRelation,
     PrivacyBudget,
@@ -90,6 +90,11 @@ class ExperimentConfig:
         elif not self.m_grid or any(m < 1 for m in self.m_grid):
             raise InvalidArgumentError("m_grid must be a nonempty list of counts >= 1")
         budget = PrivacyBudget(self.epsilon, self.relation)  # validates epsilon > 0
+        if "histogram" in self.estimators and math.isinf(noise_scale(budget)):
+            raise InvalidArgumentError(
+                f"epsilon {self.epsilon!r} is too small: the histogram's Laplace "
+                f"scale sensitivity / epsilon overflows"
+            )
         if self.explicit_orders is not None:
             QuantileQuery(self.explicit_orders, budget)  # validates the orders
         if self.n < 1:

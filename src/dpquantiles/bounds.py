@@ -55,6 +55,13 @@ def _check_tail_inputs(n: int, gamma: float, epsilon: float, envelope: DensityEn
     _require(math.isfinite(envelope.upper), "the density upper bound must be finite")
 
 
+def _log_prefactor(n: int, pi_max: float) -> float:
+    """log(4 n sqrt(2 e pi_max)). The privacy terms multiply this prefactor
+    by exp(-(...) n), so they are formed as one exp of a sum: at huge n the
+    product itself would be inf * 0 = nan, while the term tends to 0."""
+    return math.log(4.0) + math.log(n) + 0.5 * math.log(2.0 * math.e * pi_max)
+
+
 def thm_qexp_tail(
     n: int,
     gamma: float,
@@ -76,9 +83,7 @@ def thm_qexp_tail(
     if use_proof_exponent:
         _require(p is not None and 0.0 < p < 1.0, "the sharper exponent needs p in (0, 1)")
         denominator = 8.0 * max(p, 1.0 - p)
-    privacy = 4.0 * n * math.sqrt(2.0 * math.e * pi_max) * math.exp(
-        -epsilon * n * gamma * pi_min / 32.0
-    )
+    privacy = math.exp(_log_prefactor(n, pi_max) - epsilon * n * gamma * pi_min / 32.0)
     sampling = 4.0 * math.exp(-gamma * gamma * pi_min * pi_min * n / denominator)
     return privacy + sampling
 
@@ -91,8 +96,8 @@ def thm_indexp_tail(
     _check_tail_inputs(n, gamma, epsilon, envelope)
     _require(m >= 1, f"m must be at least 1, got {m}")
     pi_min, pi_max = envelope.lower, envelope.upper
-    privacy = 4.0 * n * m * math.sqrt(2.0 * math.e * pi_max) * math.exp(
-        -epsilon * n * gamma * pi_min / (32.0 * m)
+    privacy = math.exp(
+        _log_prefactor(n, pi_max) + math.log(m) - epsilon * n * gamma * pi_min / (32.0 * m)
     )
     sampling = 4.0 * m * math.exp(-gamma * gamma * pi_min * pi_min * n / 8.0)
     return privacy + sampling
@@ -107,8 +112,9 @@ def thm_recexp_tail(
     _require(m >= 1, f"m must be at least 1, got {m}")
     pi_min, pi_max = envelope.lower, envelope.upper
     depth = math.log2(2.0 * m)
-    privacy = 4.0 * n * math.sqrt(2.0 * math.e * pi_max * m) * math.exp(
-        -epsilon * n * gamma * pi_min / (32.0 * depth * depth)
+    privacy = math.exp(
+        _log_prefactor(n, pi_max) + 0.5 * math.log(m)
+        - epsilon * n * gamma * pi_min / (32.0 * depth * depth)
     )
     sampling = 4.0 * m * math.exp(-gamma * gamma * pi_min * pi_min * n / 8.0)
     return privacy + sampling

@@ -14,6 +14,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bounds
 from .bench import (
     CellResult,
@@ -30,7 +32,7 @@ from .bench import (
 )
 from .distributions import DensityEnvelope, DistributionOracle
 from .errors import BoundPreconditionError, InvalidArgumentError
-from .histogram import quantile_from_histogram
+from .histogram import noise_scale, quantile_from_histogram
 from .mechanisms import NeighboringRelation, PrivacyBudget, RandomSource
 from .quantiles import BudgetLedger, QuantileQuery, SortedSample, indexp, recexp
 
@@ -57,21 +59,30 @@ def load_data_file(path: str) -> SortedSample:
     Unsorted input is sorted on load. Malformed or out-of-range values are
     reported with their line number.
     """
-    values = []
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise InvalidArgumentError(f"{path}:{lineno}: not a decimal number: {line!r}")
-            if math.isnan(value) or not 0.0 <= value <= 1.0:
-                raise InvalidArgumentError(
-                    f"{path}:{lineno}: value {value} outside [0, 1]"
-                )
-            values.append(value)
+        # fast path: every line is a number in range (float() ignores the
+        # whitespace the loop strips); anything else, comments and blank
+        # lines included, takes the line loop, which names the first bad line
+        try:
+            values = np.fromiter(map(float, handle), dtype=float)
+        except ValueError:
+            values = None
+        if values is None or not np.all((values >= 0.0) & (values <= 1.0)):
+            handle.seek(0)
+            values = []
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    value = float(line)
+                except ValueError:
+                    raise InvalidArgumentError(f"{path}:{lineno}: not a decimal number: {line!r}")
+                if math.isnan(value) or not 0.0 <= value <= 1.0:
+                    raise InvalidArgumentError(
+                        f"{path}:{lineno}: value {value} outside [0, 1]"
+                    )
+                values.append(value)
     return SortedSample.from_unsorted(values)
 
 
@@ -278,6 +289,11 @@ def cmd_estimate(args) -> int:
         else:
             orders = centered_grid(args.m)
         budget = PrivacyBudget(args.epsilon, relation)
+        if args.method == "histogram" and not args.zero_noise and math.isinf(noise_scale(budget)):
+            raise InvalidArgumentError(
+                f"--epsilon {args.epsilon!r} is too small: the histogram's Laplace "
+                f"scale sensitivity / epsilon overflows"
+            )
         query = QuantileQuery(orders, budget)
         rng = RandomSource(args.seed)
         ledger = BudgetLedger()

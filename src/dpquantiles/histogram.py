@@ -63,6 +63,15 @@ def bin_counts(sample: SortedSample, bin_count: int) -> np.ndarray:
     return counts
 
 
+def noise_scale(budget: PrivacyBudget) -> float:
+    """Laplace scale per bin, ``sensitivity / epsilon``: the count vector has
+    sensitivity 2 under replacement (one point moves between two bins) and 1
+    under add/remove. It is ``inf`` when epsilon is too small for the ratio
+    to be a double."""
+    sensitivity = 2.0 if budget.relation is NeighboringRelation.REPLACE else 1.0
+    return sensitivity / budget.epsilon
+
+
 def private_histogram(
     sample: SortedSample,
     bin_count: int,
@@ -72,11 +81,10 @@ def private_histogram(
 ) -> HistogramEstimate:
     """Laplace-noised histogram density estimate.
 
-    The count vector has sensitivity 2 under replacement (one point moves
-    between two bins) and 1 under add/remove, so the per-bin noise scale is
-    ``sensitivity / epsilon`` on the raw counts. Dividing by ``n`` costs no
-    budget under replacement, where ``n`` is a constant of the problem; the
-    same normalization is applied under add/remove but is then a heuristic.
+    The per-bin noise scale on the raw counts is :func:`noise_scale`.
+    Dividing by ``n`` costs no budget under replacement, where ``n`` is a
+    constant of the problem; the same normalization is applied under
+    add/remove but is then a heuristic.
 
     ``zero_noise=True`` is a NON-PRIVATE test mode that skips the noise
     entirely; production paths must leave it off.
@@ -89,8 +97,7 @@ def private_histogram(
     if zero_noise:
         noisy = counts.astype(float)
     else:
-        sensitivity = 2.0 if budget.relation is NeighboringRelation.REPLACE else 1.0
-        noisy = counts + laplace_draw(sensitivity / budget.epsilon, rng, bin_count)
+        noisy = counts + laplace_draw(noise_scale(budget), rng, bin_count)
     values = noisy * (bin_count / sample.n)  # divide by n * h
     return HistogramEstimate(values, budget.epsilon, budget.relation)
 

@@ -6,11 +6,14 @@ rank-error utility ``u(q) = -abs(#{X_i < q} - r)``, an independent
 composition over many orders, and a recursive budget-splitting scheme that
 halves the data range at a privately estimated middle quantile.
 
-Draws on the full domain (qexp, indexp) come from :func:`qexp_draws`, which
-serves any number of target ranks from one O(n) log-space prefix table. The
-recursive estimator draws on sub-samples with their own domains through
-:func:`qexp_density` and :func:`sample_piecewise`; that density sampler is
-also the reference the table is tested against.
+Every draw reads one O(n) log-space prefix table over the gaps of the
+whole sample (:func:`_gap_tables`): :func:`qexp_draws` serves any number of
+target ranks on the full domain (qexp, indexp), and :func:`recexp` serves
+each slice of its recursion, on its own sub-domain, by subtracting the
+table entries outside the slice. The per-density sampler
+(:func:`qexp_density` with :func:`sample_piecewise`) draws the same law on
+the same uniforms; it stays as the reference the table is tested against,
+and the privacy audits read its densities.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .mechanisms import (
     PrivacyBudget,
     RandomSource,
     WeightedIntervalDensity,
-    sample_piecewise,
+    sample_piecewise,  # noqa: F401  (the reference sampler, see above)
 )
 
 
@@ -146,19 +149,41 @@ def qexp_density(sample: SortedSample, target: RankTarget, epsilon: float) -> We
     return WeightedIntervalDensity(breakpoints, log_weights)
 
 
+def _gap_tables(values: np.ndarray, epsilon: float):
+    """The O(n) log-space table every exponential-mechanism draw reads.
+
+    With breakpoints ``x = [0, x_1, ..., x_n, 1]``, gaps ``g_k = x[k+1] -
+    x[k]`` and ``c = min(epsilon / 2, _SATURATED_C)``, returns ``(x, c, A,
+    B)`` where ``A_k = log sum_{j<k} g_j e^{cj}`` (non-decreasing) and ``B_k
+    = log sum_{j>=k} g_j e^{-cj}`` (non-increasing), both of length n + 2.
+    Zero-length gaps repeat a table entry.
+    """
+    n = values.size
+    x = np.concatenate(([0.0], values, [1.0]))
+    c = min(epsilon / 2.0, _SATURATED_C)
+    ck = c * np.arange(n + 1)
+    with np.errstate(divide="ignore"):
+        log_gaps = np.log(np.diff(x))
+    A = np.empty(n + 2)
+    A[0] = -np.inf
+    np.logaddexp.accumulate(log_gaps + ck, out=A[1:])
+    B = np.empty(n + 2)
+    B[n + 1] = -np.inf
+    B[: n + 1] = np.logaddexp.accumulate((log_gaps - ck)[::-1])[::-1]
+    return x, c, A, B
+
+
 def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -> np.ndarray:
     """One exponential-mechanism draw on [0, 1] per target rank, all at ``epsilon``.
 
     Draw ``j`` has the law of ``sample_piecewise(qexp_density(sample,
     RankTarget(ranks[j]), epsilon), rng)`` and consumes the same two
     uniforms in the same order, but every rank is served by one O(n) table
-    instead of its own density, so m ranks cost O(n + m log n).
+    (:func:`_gap_tables`) instead of its own density, so m ranks cost O(n +
+    m log n).
 
-    With gaps ``g_k`` of ``[0, x_1, ..., x_n, 1]`` and ``c = epsilon / 2``,
-    the table holds ``A_k = log sum_{j<k} g_j e^{cj}`` (non-decreasing) and
-    ``B_k = log sum_{j>=k} g_j e^{-cj}`` (non-increasing). The mass left of
-    interval ``r`` is ``e^{A_r - cr}``, the mass from ``r`` on is
-    ``e^{B_r + cr}``, and inverting the CDF is a side choice plus one
+    The mass left of interval ``r`` is ``e^{A_r - cr}``, the mass from ``r``
+    on is ``e^{B_r + cr}``, and inverting the CDF is a side choice plus one
     ``searchsorted``. Zero-length intervals repeat a table entry, so the
     strict comparisons never select one. The chosen interval equals the
     density sampler's except when a uniform falls within rounding of an
@@ -170,17 +195,7 @@ def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -
     r = np.asarray(ranks, dtype=np.int64)
     if r.ndim != 1 or (r.size and (r.min() < 0 or r.max() > n)):
         raise InvalidArgumentError(f"ranks must be a list of integers in [0, {n}]")
-    b = np.concatenate(([0.0], sample.values, [1.0]))
-    c = min(epsilon / 2.0, _SATURATED_C)
-    ck = c * np.arange(n + 1)
-    with np.errstate(divide="ignore"):
-        log_gaps = np.log(np.diff(b))
-    A = np.empty(n + 2)
-    A[0] = -np.inf
-    np.logaddexp.accumulate(log_gaps + ck, out=A[1:])
-    B = np.empty(n + 2)
-    B[n + 1] = -np.inf
-    B[: n + 1] = np.logaddexp.accumulate((log_gaps - ck)[::-1])[::-1]
+    b, c, A, B = _gap_tables(sample.values, epsilon)
     cr = c * r
     log_z = np.logaddexp(A[r] - cr, B[r] + cr)
     u_pick, u_pos = rng.random(2 * r.size).reshape(r.size, 2).T
@@ -274,6 +289,67 @@ def recexp_depth(m: int) -> int:
     return int(m).bit_length()
 
 
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """Scalar ``np.logaddexp``, with the same formula."""
+    if x < y:
+        x, y = y, x
+    if y == -math.inf:
+        return x
+    return x + math.log1p(math.exp(y - x))
+
+
+def _logsubexp(x: float, y: float) -> float:
+    """``log(e^x - e^y)``, or ``-inf`` where ``e^x <= e^y``."""
+    if x <= y:
+        return -math.inf
+    return x + math.log(-math.expm1(y - x))
+
+
+def _slice_draw(x, c, A, B, neg_B, a, b, lo, hi, R, u_pick, u_pos) -> float:
+    """One exponential-mechanism draw for the slice ``values[a:b]`` on
+    ``[lo, hi]`` with clamped global rank ``R``, read off the whole sample's
+    :func:`_gap_tables`.
+
+    The slice's intervals are the global gaps ``a..b``, with gap ``a`` cut
+    to ``[lo, x[a+1]]`` and gap ``b`` to ``[x[b], hi]``; gap ``k`` has
+    log-weight ``-c * abs(k - R)``. ``D_A = e^{A_a} + (lo - x[a]) e^{ca}`` is
+    the A-mass below ``lo`` and ``D_B = e^{B_{b+1}} + (x[b+1] - hi) e^{-cb}``
+    the B-mass above ``hi``, so the mass of gaps ``a..R-1`` is ``e^{-cR}
+    (e^{A_R} - D_A)`` and that of gaps ``R..b`` is ``e^{cR} (e^{B_R} -
+    D_B)``; for ``R = a`` the cut gap ``a`` is added to gaps ``a+1..b``
+    explicitly. The uniforms are used as in :func:`qexp_draws`: ``u_pick``
+    chooses the side and one ``searchsorted`` in A or B the interval, so a
+    slice costs O(log n).
+    """
+    if a == b:
+        k = a  # no sample point inside: the one interval [lo, hi]
+    else:
+        log_da = _logaddexp(A[a], _log(lo - x[a]) + c * a)
+        log_db = _logaddexp(B[b + 1], _log(x[b + 1] - hi) - c * b)
+        cr = c * R
+        if R > a:
+            log_left = _logsubexp(A[R], log_da) - cr
+            log_right = _logsubexp(B[R], log_db) + cr
+        else:
+            log_left = -math.inf
+            log_right = _logaddexp(_log(x[a + 1] - lo), _logsubexp(B[a + 1], log_db) + cr)
+        log_z = _logaddexp(log_left, log_right)
+        target = _logaddexp(_log(u_pick) + log_z + cr, log_da)
+        if target < A[R]:
+            k = int(np.searchsorted(A, target, side="right")) - 1
+        else:
+            target = _logaddexp(math.log1p(-u_pick) + log_z - cr, log_db)
+            k = int(np.searchsorted(neg_B, -target, side="right")) - 1
+            k = min(max(k, a), b)  # rounding must not leave the slice
+    left = max(x[k], lo)
+    right = min(x[k + 1], hi)
+    return float(left + u_pos * (right - left))
+
+
 def recexp(
     sample: SortedSample,
     query: QuantileQuery,
@@ -287,6 +363,12 @@ def recexp(
     per-call budget is ``eps / depth`` under add/remove neighboring and
     ``(eps / 2) / depth`` under replacement (a replacement is an addition
     plus a removal). Outputs are nondecreasing because child domains nest.
+
+    Node ``j`` draws from ``qexp_density`` on its slice of the sample and
+    its domain, as :func:`sample_piecewise` would, on the same two uniforms,
+    but every slice is read off one table over the whole sample
+    (:func:`_slice_draw`), so m orders cost O(n + m log n). The tree is
+    walked depth-first, left before right, with an explicit stack.
     """
     m = query.m
     depth = recexp_depth(m)
@@ -298,27 +380,30 @@ def recexp(
 
     values = sample.values
     n = sample.n
+    ranks = [target_rank(n, p) for p in query.orders]
+    x, c, A, B = _gap_tables(values, eps_call)
+    neg_B = -B
     out = np.empty(m)
-
-    def recurse(j_lo: int, j_hi: int, a: int, b: int, lo: float, hi: float, level: int):
+    # a node holds orders j_lo..j_hi (1-based) of the slice values[a:b] on
+    # [lo, hi]; the right child is pushed first, so the left one runs first
+    stack = [(1, m, 0, n, 0.0, 1.0, 1)]
+    while stack:
+        j_lo, j_hi, a, b, lo, hi, level = stack.pop()
         if j_lo > j_hi:
-            return
+            continue
         if lo == hi:
             # a collapsed domain pins every quantile in the subtree; no
             # mechanism call is made, so no budget is recorded
             out[j_lo - 1 : j_hi] = lo
-            return
+            continue
         j_mid = (j_lo + j_hi) // 2
-        sub = SortedSample(values[a:b])
-        r = min(max(target_rank(n, query.orders[j_mid - 1]) - a, 0), b - a)
-        density = qexp_density(sub, RankTarget(r, lo, hi), eps_call)
-        q = sample_piecewise(density, rng)
+        R = min(max(ranks[j_mid - 1], a), b)
+        u_pick, u_pos = rng.random(2)
+        q = _slice_draw(x, c, A, B, neg_B, a, b, lo, hi, R, u_pick, u_pos)
         if ledger is not None:
             ledger.record(j_mid - 1, level, eps_call, b - a)
         out[j_mid - 1] = q
-        s = int(np.searchsorted(values[a:b], q, side="left"))
-        recurse(j_lo, j_mid - 1, a, a + s, lo, q, level + 1)
-        recurse(j_mid + 1, j_hi, a + s, b, q, hi, level + 1)
-
-    recurse(1, m, 0, n, 0.0, 1.0, 1)
+        s = a + int(np.searchsorted(values[a:b], q, side="left"))
+        stack.append((j_mid + 1, j_hi, s, b, q, hi, level + 1))
+        stack.append((j_lo, j_mid - 1, a, s, lo, q, level + 1))
     return out

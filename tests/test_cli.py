@@ -1,9 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from dpquantiles import cli
 from dpquantiles.bench import CheckReport
+from dpquantiles.errors import InvalidArgumentError
 
 DATA = "0.2\n0.5\n0.8\n"
 
@@ -21,6 +24,25 @@ bins = 16
 base_seed = 12
 orders = centered-grid
 """
+
+
+def line_loop_load(path):
+    # the line-by-line parser that load_data_file falls back to, kept as the
+    # reference its whole-file fast path must agree with
+    values = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                raise InvalidArgumentError(f"{path}:{lineno}: not a decimal number: {line!r}")
+            if math.isnan(value) or not 0.0 <= value <= 1.0:
+                raise InvalidArgumentError(f"{path}:{lineno}: value {value} outside [0, 1]")
+            values.append(value)
+    return np.sort(np.asarray(values, dtype=float))
 
 
 @pytest.fixture
@@ -152,6 +174,56 @@ class TestEstimate:
         assert 1e-300 < estimates["recexp"] <= 1.0
         assert estimates["recexp"] == estimates["indexp"]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.3\n0.1\n0.2\n",
+            "0.3\n0.1",  # no final newline
+            "",
+            "0.1 0.2\n",
+            "# header\n0.3\n0.1\n",
+            "0.3\n\n0.1\n",
+            "0.3\r\n0.1\r\n",
+            "0.3\r0.1\r",
+            " 0.25 \n\t0.5\x0c\n",
+            "0.3\nnan\n",
+            "0.3\n1.5\n",
+            "0.3\n-inf\n",
+            "1e-400\n-0.0\n1\n",
+            "1_0\n",
+            "0.5\n0x1p-2\n",
+        ],
+    )
+    def test_fast_path_accepts_what_the_line_loop_accepts(self, tmp_path, text):
+        path = tmp_path / "data.txt"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = line_loop_load(str(path))
+        except InvalidArgumentError as err:
+            with pytest.raises(InvalidArgumentError) as got:
+                cli.load_data_file(str(path))
+            assert str(got.value) == str(err)
+        else:
+            loaded = cli.load_data_file(str(path)).values
+            assert loaded.dtype == expected.dtype and np.array_equal(loaded, expected)
+
+    def test_bad_line_exits_2_with_its_line_number(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("0.5\n0.1 0.2\n")
+        argv = ["estimate", "--data", str(path), "--method", "indexp", "--m", "1", "--epsilon", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: not a decimal number: '0.1 0.2'\n"
+
+    @pytest.mark.parametrize("relation", ["replace", "add-remove"])
+    def test_too_small_epsilon_is_named(self, data_file, relation, capsys):
+        # sensitivity / epsilon overflows: the message names --epsilon, not the noise scale
+        argv = ["estimate", "--data", data_file, "--method", "histogram", "--m", "2",
+                "--epsilon", "1e-320", "--relation", relation]
+        assert cli.main(argv) == 2
+        assert "--epsilon 1e-320 is too small" in capsys.readouterr().err
+        # the noiseless test mode draws no noise, so it has no scale to overflow
+        assert cli.main(argv + ["--zero-noise"]) == 0
+
     def test_missing_file_exits_2(self):
         argv = ["estimate", "--data", "/nonexistent/x.txt", "--method", "recexp", "--m", "1",
                 "--epsilon", "1"]
@@ -207,6 +279,12 @@ class TestBench:
         ))
         assert cli.main(["bench", "--config", str(path), "--output", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {path}: missing required key {key!r}\n"
+
+    def test_too_small_epsilon_is_named(self, tmp_path, capsys):
+        path = tmp_path / "tiny.cfg"
+        path.write_text(CONFIG.replace("epsilon = 1.0", "epsilon = 1e-320"))
+        assert cli.main(["bench", "--config", str(path), "--output", str(tmp_path / "o")]) == 2
+        assert "epsilon 1e-320 is too small" in capsys.readouterr().err
 
     def test_bad_version_exits_2(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -283,6 +361,15 @@ class TestBounds:
         assert cli.main(["bounds", formula] + assignments) == 0
         printed = float(capsys.readouterr().out)
         assert printed == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("formula", ["thm_qexp", "thm_indexp", "thm_recexp"])
+    def test_tail_at_huge_n_is_finite(self, formula, capsys):
+        # 4 n sqrt(...) overflows and exp(-...) underflows there: inf * 0 printed nan
+        assignments = ["n=1e308", "gamma=0.05", "eps=1", "pi_lower=0.5", "pi_upper=1.5"]
+        if formula != "thm_qexp":
+            assignments.append("m=8")
+        assert cli.main(["bounds", formula] + assignments) == 0
+        assert math.isfinite(float(capsys.readouterr().out))
 
     def test_fact_qexp_near_zero(self, capsys):
         assert cli.main(["bounds", "fact_qexp", "delta=1", "beta=0.999999", "eps=1"]) == 0

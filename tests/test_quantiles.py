@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -199,6 +200,9 @@ def oracle_test_sample(shape, n, seed):
     elif shape == "tiny-gaps":
         # the lower half spaced 1e-300 apart from 0 on
         x[: (n + 1) // 2] = np.arange(1, (n + 1) // 2 + 1) * 1e-300
+    elif shape == "ulps":
+        # six adjacent doubles above 1/2, so draws often round onto a point
+        x = 0.5 + np.random.default_rng(seed).integers(0, 6, n) * 2.0**-53
     return SortedSample.from_unsorted(x)
 
 
@@ -261,6 +265,110 @@ class TestQexpDraws:
             with pytest.raises(InvalidArgumentError):
                 qexp_draws(sample, [1], epsilon, RandomSource(0))
         assert qexp_draws(sample, [], 1.0, RandomSource(0)).shape == (0,)
+
+
+def per_slice_recexp(sample, query, rng, ledger=None):
+    # the recursion that the shared table replaces: a SortedSample, a
+    # qexp_density and a sample_piecewise draw on every slice
+    m = query.m
+    depth = recexp_depth(m)
+    eps = query.budget.epsilon
+    eps_effective = eps if query.budget.relation is ADD_REMOVE else eps / 2.0
+    eps_call = eps_effective / depth
+    if ledger is not None:
+        ledger.allocate(eps, eps_effective, depth)
+    values, n, out = sample.values, sample.n, np.empty(m)
+
+    def recurse(j_lo, j_hi, a, b, lo, hi, level):
+        if j_lo > j_hi:
+            return
+        if lo == hi:
+            out[j_lo - 1 : j_hi] = lo
+            return
+        j_mid = (j_lo + j_hi) // 2
+        r = min(max(target_rank(n, query.orders[j_mid - 1]) - a, 0), b - a)
+        density = qexp_density(SortedSample(values[a:b]), RankTarget(r, lo, hi), eps_call)
+        q = sample_piecewise(density, rng)
+        if ledger is not None:
+            ledger.record(j_mid - 1, level, eps_call, b - a)
+        out[j_mid - 1] = q
+        s = int(np.searchsorted(values[a:b], q, side="left"))
+        recurse(j_lo, j_mid - 1, a, a + s, lo, q, level + 1)
+        recurse(j_mid + 1, j_hi, a + s, b, q, hi, level + 1)
+
+    recurse(1, m, 0, n, 0.0, 1.0, 1)
+    return out
+
+
+def recexp_test_orders(m):
+    # extreme orders at small m, so targets fall outside many slices
+    return {1: (0.01,), 2: (0.01, 0.99), 3: (0.001, 0.5, 0.999)}.get(m) or centered_grid(m)
+
+
+RECEXP_GRID = [
+    (epsilon, relation)
+    for epsilon in (1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e300)
+    for relation in (ADD_REMOVE, REPLACE)
+]
+
+
+class TestRecexpTable:
+    @pytest.mark.parametrize("shape", ["beta", "duplicates", "endpoints", "tiny-gaps", "ulps"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 50, 10000])
+    def test_equals_the_per_slice_oracle(self, n, shape):
+        sample = oracle_test_sample(shape, n, seed=n)
+        for m in (1, 2, 3, 10, 100):
+            # the per-slice oracle is slow at m = 100 and at n = 10000
+            cases = RECEXP_GRID if m <= 10 and n < 10000 else RECEXP_GRID[::5]
+            for epsilon, relation in cases:
+                query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(epsilon, relation))
+                rng, oracle_rng = RandomSource(5, (n, m)), RandomSource(5, (n, m))
+                ledger, oracle_ledger = BudgetLedger(), BudgetLedger()
+                out = recexp(sample, query, rng, ledger=ledger)
+                expected = per_slice_recexp(sample, query, oracle_rng, ledger=oracle_ledger)
+                assert np.array_equal(out, expected), (m, epsilon, relation)
+                # same stream position and the same ledger records
+                assert rng.random() == oracle_rng.random()
+                assert ledger == oracle_ledger
+
+    def test_extreme_uniforms_skip_zero_length_intervals(self):
+        # zero-length intervals at both ends and in the middle, and children
+        # whose domain ends on a sample point (a position uniform of 0): the
+        # smallest and largest uniforms must pick what the density sampler picks
+        samples = (
+            SortedSample(np.array([0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0])),
+            oracle_test_sample("beta", 5, seed=5),
+            oracle_test_sample("beta", 50, seed=50),
+        )
+        cycles = ([0.0, 0.5], [0.5, 0.0], [0.3, 1.0 - 2.0**-53], [0.5, 0.0, 1.0 - 2.0**-53, 0.5])
+        for sample in samples:
+            for m in (1, 3, 7):
+                for epsilon in (1e-3, 1.0, 50.0):
+                    query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(epsilon, ADD_REMOVE))
+                    for cycle in cycles:
+                        out = recexp(sample, query, ScriptedUniforms(cycle))
+                        expected = per_slice_recexp(sample, query, ScriptedUniforms(cycle))
+                        assert np.array_equal(out, expected), (cycle, m, epsilon)
+        # the density sampler's forced final cumulative 1.0 can send the
+        # largest uniform to the zero-length interval at 1; the table cannot
+        # select it
+        for m in (1, 3, 7):
+            for epsilon in (1e-3, 1.0, 50.0):
+                query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(epsilon, ADD_REMOVE))
+                top = recexp(samples[0], query, ScriptedUniforms([1.0 - 2.0**-53, 0.5]))
+                assert np.all((top > 0.0) & (top < 1.0)), (m, epsilon)
+
+    def test_leaves_no_reference_cycles(self):
+        # a cycle would keep the O(n) tables alive until the cyclic collector ran
+        sample = oracle_test_sample("beta", 1000, seed=3)
+        query = QuantileQuery(centered_grid(10), PrivacyBudget(1.0, REPLACE))
+        gc.collect()
+        gc.disable()
+        try:
+            recexp(sample, query, RandomSource(1), ledger=BudgetLedger())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRecexpDepth:
