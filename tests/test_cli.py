@@ -364,7 +364,8 @@ class TestBounds:
 
     @pytest.mark.parametrize("formula", ["thm_qexp", "thm_indexp", "thm_recexp"])
     def test_tail_at_huge_n_is_finite(self, formula, capsys):
-        # 4 n sqrt(...) overflows and exp(-...) underflows there: inf * 0 printed nan
+        # the prefactor overflows and the exponential underflows there, so the
+        # product is only finite when it is formed in log space
         assignments = ["n=1e308", "gamma=0.05", "eps=1", "pi_lower=0.5", "pi_upper=1.5"]
         if formula != "thm_qexp":
             assignments.append("m=8")
