@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -153,16 +154,46 @@ def run_trial(
     return float(np.max(np.abs(estimate - truth)))
 
 
-def _trial_task(config: ExperimentConfig, d_idx: int, e_idx: int, m_idx: int, t: int) -> float:
-    rng = RandomSource(config.base_seed, (d_idx, e_idx, m_idx, t))
+def _trial_chunks(config: ExperimentConfig, workers: int) -> list[tuple]:
+    """Every cell's trials as ``((d_idx, e_idx, m_idx), start, stop)`` ranges,
+    in cell order and then trial order; a chunk never spans two cells.
+
+    A chunk holds ``min(trials, ceil(total trials / (4 workers)))`` trials, so
+    each worker gets about four chunks to balance the load with, and a
+    config with few cells still spreads over every worker.
+    """
+    cells = list(
+        itertools.product(
+            range(len(config.distributions)),
+            range(len(config.estimators)),
+            range(len(config.m_grid)),
+        )
+    )
+    size = min(config.trials, math.ceil(len(cells) * config.trials / (4 * workers)))
+    return [
+        (cell, start, min(start + size, config.trials))
+        for cell in cells
+        for start in range(0, config.trials, size)
+    ]
+
+
+def _run_chunk(config: ExperimentConfig, chunk: tuple) -> tuple[list[float], float]:
+    """The errors of one chunk's trials, in trial order, and the seconds they took."""
+    (d_idx, e_idx, m_idx), start, stop = chunk
     oracle = config.distributions[d_idx]
+    estimator = config.estimators[e_idx]
     m = config.m_grid[m_idx]
-    try:
-        return run_trial(oracle, config.estimators[e_idx], m, config, rng)
-    except Exception as exc:
-        raise RuntimeError(
-            f"trial {t} of cell ({oracle.label}, {config.estimators[e_idx]}, m={m}) failed"
-        ) from exc
+    began = time.perf_counter()
+    errors = []
+    for t in range(start, stop):
+        rng = RandomSource(config.base_seed, (d_idx, e_idx, m_idx, t))
+        try:
+            errors.append(run_trial(oracle, estimator, m, config, rng))
+        except Exception as exc:
+            raise RuntimeError(
+                f"trial {t} of cell ({oracle.label}, {estimator}, m={m}) failed"
+            ) from exc
+    return errors, time.perf_counter() - began
 
 
 def run_experiment(
@@ -174,53 +205,45 @@ def run_experiment(
 
     Trials are embarrassingly parallel; each owns a child random source
     keyed by its indices, and aggregation is an ordered reduction, so the
-    result does not depend on ``workers``.
+    result does not depend on ``workers``. The trials are cut into chunks
+    (:func:`_trial_chunks`) that run in this process at one worker, or in
+    one ``map`` over a pool of ``min(workers, chunks)`` processes, with no
+    barrier between cells. A cell's ``wall_time`` is the summed time of its
+    chunks in the processes that ran them.
     """
-    cells = list(
-        itertools.product(
-            range(len(config.distributions)),
-            range(len(config.estimators)),
-            range(len(config.m_grid)),
-        )
-    )
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be at least 1, got {workers}")
+    chunks = _trial_chunks(config, workers)
+    if workers == 1:
+        outputs = [_run_chunk(config, chunk) for chunk in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            outputs = list(pool.map(_run_chunk, itertools.repeat(config), chunks))
+    cell_errors: dict[tuple, list[float]] = defaultdict(list)
+    cell_walls: dict[tuple, float] = defaultdict(float)
+    for (cell, _, _), (errors, seconds) in zip(chunks, outputs):
+        cell_errors[cell] += errors
+        cell_walls[cell] += seconds
     result = ExperimentResult(config)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for d_idx, e_idx, m_idx in cells:
-            start = time.perf_counter()
-            if pool is None:
-                errors = [
-                    _trial_task(config, d_idx, e_idx, m_idx, t)
-                    for t in range(config.trials)
-                ]
-            else:
-                futures = [
-                    pool.submit(_trial_task, config, d_idx, e_idx, m_idx, t)
-                    for t in range(config.trials)
-                ]
-                errors = [f.result() for f in futures]
-            wall = time.perf_counter() - start
-            mean = math.fsum(errors) / config.trials
-            if config.trials > 1:
-                variance = math.fsum((e - mean) ** 2 for e in errors) / (config.trials - 1)
-                std_error = math.sqrt(variance / config.trials)
-            else:
-                std_error = 0.0
-            result.cells.append(
-                CellResult(
-                    distribution=config.distributions[d_idx].label,
-                    estimator=config.estimators[e_idx],
-                    m=config.m_grid[m_idx],
-                    mean_error=mean,
-                    std_error=std_error,
-                    trials=config.trials,
-                    wall_time=wall,
-                    errors=tuple(errors) if keep_trial_errors else None,
-                )
+    for (d_idx, e_idx, m_idx), errors in cell_errors.items():
+        mean = math.fsum(errors) / config.trials
+        if config.trials > 1:
+            variance = math.fsum((e - mean) ** 2 for e in errors) / (config.trials - 1)
+            std_error = math.sqrt(variance / config.trials)
+        else:
+            std_error = 0.0
+        result.cells.append(
+            CellResult(
+                distribution=config.distributions[d_idx].label,
+                estimator=config.estimators[e_idx],
+                m=config.m_grid[m_idx],
+                mean_error=mean,
+                std_error=std_error,
+                trials=config.trials,
+                wall_time=cell_walls[d_idx, e_idx, m_idx],
+                errors=tuple(errors) if keep_trial_errors else None,
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        )
     return result
 
 

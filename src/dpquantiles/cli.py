@@ -329,6 +329,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.workers < 1:
+        return _fail(f"--workers must be at least 1, got {args.workers}", EXIT_INPUT_ERROR)
     try:
         config = parse_config_file(args.config)
     except (InvalidArgumentError, OSError) as exc:

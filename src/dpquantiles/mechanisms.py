@@ -158,7 +158,11 @@ class WeightedIntervalDensity:
     @cached_property
     def _cumulative(self) -> np.ndarray:
         cum = np.cumsum(self.interval_probabilities)
-        cum[-1] = 1.0
+        # The intervals after the last one that moves the rounded cumulative
+        # (zero-length ones among them) hold less mass than its rounding
+        # error. Pinning 1.0 from that interval on keeps the uniforms in the
+        # gap between the rounded total and 1 from selecting them.
+        cum[np.searchsorted(cum, cum[-1]) :] = 1.0
         return cum
 
 

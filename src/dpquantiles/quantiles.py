@@ -6,11 +6,14 @@ rank-error utility ``u(q) = -abs(#{X_i < q} - r)``, an independent
 composition over many orders, and a recursive budget-splitting scheme that
 halves the data range at a privately estimated middle quantile.
 
-Every draw reads one O(n) log-space prefix table over the gaps of the
-whole sample (:func:`_gap_tables`): :func:`qexp_draws` serves any number of
-target ranks on the full domain (qexp, indexp), and :func:`recexp` serves
-each slice of its recursion, on its own sub-domain, by subtracting the
-table entries outside the slice. The per-density sampler
+Every draw reads one log-space prefix table over the gaps of the whole
+sample (:class:`_GapTable`): :func:`qexp_draws` serves any number of target
+ranks on the full domain (qexp, indexp), and :func:`recexp` serves each
+slice of its recursion, on its own sub-domain, by subtracting the table
+entries outside the slice. The table is computed only where the draws read
+it: its left half up to the largest target rank and its right half from the
+smallest, each extended when a draw reads further, so one order costs about
+one pass over the sample instead of two. The per-density sampler
 (:func:`qexp_density` with :func:`sample_piecewise`) draws the same law on
 the same uniforms; it stays as the reference the table is tested against,
 and the privacy audits read its densities.
@@ -149,28 +152,81 @@ def qexp_density(sample: SortedSample, target: RankTarget, epsilon: float) -> We
     return WeightedIntervalDensity(breakpoints, log_weights)
 
 
-def _gap_tables(values: np.ndarray, epsilon: float):
-    """The O(n) log-space table every exponential-mechanism draw reads.
+class _GapTable:
+    """The log-space prefix table every exponential-mechanism draw reads,
+    computed only where the draws read it.
 
     With breakpoints ``x = [0, x_1, ..., x_n, 1]``, gaps ``g_k = x[k+1] -
-    x[k]`` and ``c = min(epsilon / 2, _SATURATED_C)``, returns ``(x, c, A,
-    B)`` where ``A_k = log sum_{j<k} g_j e^{cj}`` (non-decreasing) and ``B_k
-    = log sum_{j>=k} g_j e^{-cj}`` (non-increasing), both of length n + 2.
-    Zero-length gaps repeat a table entry.
+    x[k]`` and ``c = min(epsilon / 2, _SATURATED_C)``, the table holds ``A_k
+    = log sum_{j<k} g_j e^{cj}`` (non-decreasing) and ``B_k = log sum_{j>=k}
+    g_j e^{-cj}`` (non-increasing), plus ``neg_B = -B`` for ascending
+    searches, for k = 0..n+1. Only ``A[0..a_hi]`` and ``B[b_lo..n+1]`` are
+    computed. Above ``a_hi`` A holds +inf and below ``b_lo`` neg_B holds
+    -inf, so both stay sorted and a search over the whole array counts the
+    uncomputed entries as beyond any finite target. Zero-length gaps repeat a
+    table entry.
+
+    ``A_k`` depends only on the gaps below k and ``B_k`` only on the gaps
+    from k on, and ``np.logaddexp.accumulate`` is a left fold, so extending
+    a table from its last computed entry gives the bits of the full pass.
     """
-    n = values.size
-    x = np.concatenate(([0.0], values, [1.0]))
-    c = min(epsilon / 2.0, _SATURATED_C)
-    ck = c * np.arange(n + 1)
-    with np.errstate(divide="ignore"):
-        log_gaps = np.log(np.diff(x))
-    A = np.empty(n + 2)
-    A[0] = -np.inf
-    np.logaddexp.accumulate(log_gaps + ck, out=A[1:])
-    B = np.empty(n + 2)
-    B[n + 1] = -np.inf
-    B[: n + 1] = np.logaddexp.accumulate((log_gaps - ck)[::-1])[::-1]
-    return x, c, A, B
+
+    __slots__ = ("x", "c", "A", "B", "neg_B", "a_hi", "b_lo")
+
+    def __init__(self, values: np.ndarray, epsilon: float, b_lo: int, a_hi: int):
+        n = values.size
+        self.x = np.concatenate(([0.0], values, [1.0]))
+        self.c = min(epsilon / 2.0, _SATURATED_C)
+        self.A = np.full(n + 2, np.inf)
+        self.B = np.empty(n + 2)
+        self.neg_B = np.full(n + 2, -np.inf)
+        self.A[0] = -np.inf
+        self.B[n + 1] = -np.inf
+        self.neg_B[n + 1] = np.inf
+        self.a_hi = 0
+        self.b_lo = n + 1
+        self.extend_a(a_hi)
+        self.extend_b(b_lo)
+
+    def _log_gaps(self, lo: int, hi: int):
+        """``log g_j`` and ``c * j`` for j = lo..hi-1."""
+        with np.errstate(divide="ignore"):
+            log_gaps = np.log(np.diff(self.x[lo : hi + 1]))
+        return log_gaps, self.c * np.arange(lo, hi)
+
+    def extend_a(self, k: int) -> None:
+        """Compute A up to index k."""
+        lo = self.a_hi
+        if k > lo:
+            log_gaps, ck = self._log_gaps(lo, k)
+            terms = np.concatenate(([self.A[lo]], log_gaps + ck))
+            self.A[lo : k + 1] = np.logaddexp.accumulate(terms)
+            self.a_hi = k
+
+    def extend_b(self, k: int) -> None:
+        """Compute B and neg_B down to index k."""
+        hi = self.b_lo
+        if k < hi:
+            log_gaps, ck = self._log_gaps(k, hi)
+            terms = np.concatenate(([self.B[hi]], (log_gaps - ck)[::-1]))
+            self.B[k : hi + 1] = np.logaddexp.accumulate(terms)[::-1]
+            np.negative(self.B[k:hi], out=self.neg_B[k:hi])
+            self.b_lo = k
+
+    def last_b_at_least(self, target: float, floor: int) -> int:
+        """The largest index k with ``B_k >= target``, or ``floor`` if it is
+        below ``floor``.
+
+        B is non-increasing, so when a computed entry reaches the target,
+        every entry below the computed region does too. When none does, the
+        search ends just below ``b_lo``, where the answer may lie lower, and
+        B is extended down to ``floor`` for a second search.
+        """
+        k = int(np.searchsorted(self.neg_B, -target, side="right")) - 1
+        if k < self.b_lo and self.b_lo > floor:
+            self.extend_b(floor)
+            k = int(np.searchsorted(self.neg_B, -target, side="right")) - 1
+        return max(k, floor)
 
 
 def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -> np.ndarray:
@@ -178,9 +234,10 @@ def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -
 
     Draw ``j`` has the law of ``sample_piecewise(qexp_density(sample,
     RankTarget(ranks[j]), epsilon), rng)`` and consumes the same two
-    uniforms in the same order, but every rank is served by one O(n) table
-    (:func:`_gap_tables`) instead of its own density, so m ranks cost O(n +
-    m log n).
+    uniforms in the same order, but every rank is served by one table
+    (:class:`_GapTable`) instead of its own density, so m ranks cost O(n +
+    m log n). The table is computed on ``A[0..max r]`` and ``B[min r..n+1]``,
+    and B further down only when a rounded target passes ``B[min r]``.
 
     The mass left of interval ``r`` is ``e^{A_r - cr}``, the mass from ``r``
     on is ``e^{B_r + cr}``, and inverting the CDF is a side choice plus one
@@ -195,19 +252,26 @@ def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -
     r = np.asarray(ranks, dtype=np.int64)
     if r.ndim != 1 or (r.size and (r.min() < 0 or r.max() > n)):
         raise InvalidArgumentError(f"ranks must be a list of integers in [0, {n}]")
-    b, c, A, B = _gap_tables(sample.values, epsilon)
+    table = _GapTable(sample.values, epsilon, int(r.min(initial=n + 1)), int(r.max(initial=0)))
+    x, c, A, neg_B = table.x, table.c, table.A, table.neg_B
     cr = c * r
-    log_z = np.logaddexp(A[r] - cr, B[r] + cr)
+    log_z = np.logaddexp(A[r] - cr, table.B[r] + cr)
     u_pick, u_pos = rng.random(2 * r.size).reshape(r.size, 2).T
     with np.errstate(divide="ignore"):
         left_target = np.log(u_pick) + log_z + cr
     left = left_target < A[r]
+    right_target = np.log1p(-u_pick) + log_z - cr
+    # the vector form of _GapTable.last_b_at_least, with floor 0
+    k_right = np.searchsorted(neg_B, -right_target, side="right") - 1
+    if table.b_lo > 0 and np.any(~left & (k_right < table.b_lo)):
+        table.extend_b(0)
+        k_right = np.searchsorted(neg_B, -right_target, side="right") - 1
     k = np.where(
         left,
         np.searchsorted(A[1:], left_target, side="right"),
-        np.searchsorted(-B[1:], -(np.log1p(-u_pick) + log_z - cr), side="right"),
+        np.maximum(k_right, 0),
     )
-    return b[k] + u_pos * (b[k + 1] - b[k])
+    return x[k] + u_pos * (x[k + 1] - x[k])
 
 
 def qexp(sample: SortedSample, p: float, epsilon: float, rng: RandomSource) -> float:
@@ -309,10 +373,10 @@ def _logsubexp(x: float, y: float) -> float:
     return x + math.log(-math.expm1(y - x))
 
 
-def _slice_draw(x, c, A, B, neg_B, a, b, lo, hi, R, u_pick, u_pos) -> float:
+def _slice_draw(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> float:
     """One exponential-mechanism draw for the slice ``values[a:b]`` on
     ``[lo, hi]`` with clamped global rank ``R``, read off the whole sample's
-    :func:`_gap_tables`.
+    :class:`_GapTable`, which it extends to ``A[0..R]`` and ``B[R..n+1]``.
 
     The slice's intervals are the global gaps ``a..b``, with gap ``a`` cut
     to ``[lo, x[a+1]]`` and gap ``b`` to ``[x[b], hi]``; gap ``k`` has
@@ -323,11 +387,17 @@ def _slice_draw(x, c, A, B, neg_B, a, b, lo, hi, R, u_pick, u_pos) -> float:
     D_B)``; for ``R = a`` the cut gap ``a`` is added to gaps ``a+1..b``
     explicitly. The uniforms are used as in :func:`qexp_draws`: ``u_pick``
     chooses the side and one ``searchsorted`` in A or B the interval, so a
-    slice costs O(log n).
+    slice costs O(log n) plus the table entries it is the first to read.
     """
+    x = table.x
     if a == b:
         k = a  # no sample point inside: the one interval [lo, hi]
     else:
+        if R > table.a_hi:
+            table.extend_a(R)
+        if R < table.b_lo:
+            table.extend_b(R)
+        c, A, B = table.c, table.A, table.B
         log_da = _logaddexp(A[a], _log(lo - x[a]) + c * a)
         log_db = _logaddexp(B[b + 1], _log(x[b + 1] - hi) - c * b)
         cr = c * R
@@ -343,8 +413,8 @@ def _slice_draw(x, c, A, B, neg_B, a, b, lo, hi, R, u_pick, u_pos) -> float:
             k = int(np.searchsorted(A, target, side="right")) - 1
         else:
             target = _logaddexp(math.log1p(-u_pick) + log_z - cr, log_db)
-            k = int(np.searchsorted(neg_B, -target, side="right")) - 1
-            k = min(max(k, a), b)  # rounding must not leave the slice
+            # rounding must not leave the slice
+            k = min(table.last_b_at_least(target, a), b)
     left = max(x[k], lo)
     right = min(x[k + 1], hi)
     return float(left + u_pos * (right - left))
@@ -367,8 +437,10 @@ def recexp(
     Node ``j`` draws from ``qexp_density`` on its slice of the sample and
     its domain, as :func:`sample_piecewise` would, on the same two uniforms,
     but every slice is read off one table over the whole sample
-    (:func:`_slice_draw`), so m orders cost O(n + m log n). The tree is
-    walked depth-first, left before right, with an explicit stack.
+    (:func:`_slice_draw`), so m orders cost O(n + m log n). The table starts
+    on ``A[0..max rank]`` and ``B[min rank..n+1]`` and grows only when a
+    slice's clamped rank, or a rounded search, leaves that region. The tree
+    is walked depth-first, left before right, with an explicit stack.
     """
     m = query.m
     depth = recexp_depth(m)
@@ -381,8 +453,7 @@ def recexp(
     values = sample.values
     n = sample.n
     ranks = [target_rank(n, p) for p in query.orders]
-    x, c, A, B = _gap_tables(values, eps_call)
-    neg_B = -B
+    table = _GapTable(values, eps_call, min(ranks), max(ranks))
     out = np.empty(m)
     # a node holds orders j_lo..j_hi (1-based) of the slice values[a:b] on
     # [lo, hi]; the right child is pushed first, so the left one runs first
@@ -399,7 +470,7 @@ def recexp(
         j_mid = (j_lo + j_hi) // 2
         R = min(max(ranks[j_mid - 1], a), b)
         u_pick, u_pos = rng.random(2)
-        q = _slice_draw(x, c, A, B, neg_B, a, b, lo, hi, R, u_pick, u_pos)
+        q = _slice_draw(table, a, b, lo, hi, R, u_pick, u_pos)
         if ledger is not None:
             ledger.record(j_mid - 1, level, eps_call, b - a)
         out[j_mid - 1] = q

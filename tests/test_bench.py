@@ -108,6 +108,37 @@ class TestRunTrial:
             run_trial(UNIFORM, "mystery", 2, small_config(), RandomSource(0))
 
 
+class FakePool:
+    """In-process stand-in for ProcessPoolExecutor that records how it is used."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables):
+        results = [fn(*args) for args in zip(*iterables)]
+        self.tasks += len(results)
+        return iter(results)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    pools = []
+
+    def make(max_workers):
+        pools.append(FakePool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", make)
+    return pools
+
+
 class TestRunExperiment:
     def test_single_trial_equals_run_trial(self):
         config = small_config(trials=1, m_grid=(2,), estimators=("recexp",), distributions=(UNIFORM,))
@@ -117,13 +148,19 @@ class TestRunExperiment:
         assert result.cells[0].std_error == 0.0
 
     def test_parallelism_does_not_change_results(self):
-        config = small_config()
-        serial = run_experiment(config, workers=1)
-        parallel = run_experiment(config, workers=3)
-        for a, b in zip(serial.cells, parallel.cells):
-            assert (a.distribution, a.estimator, a.m) == (b.distribution, b.estimator, b.m)
-            assert a.mean_error == b.mean_error
-            assert a.std_error == b.std_error
+        # 4 cells of 7 trials: whole-cell chunks at 1 worker, chunks of 4 and
+        # 3 trials at 2 workers, and of 3, 3 and 1 at 3 workers
+        config = small_config(trials=7, distributions=(UNIFORM,), estimators=("indexp", "histogram"))
+        assert [len(bench._trial_chunks(config, w)) for w in (1, 2, 3)] == [4, 8, 12]
+        serial = run_experiment(config, workers=1, keep_trial_errors=True)
+        for workers in (2, 3):
+            parallel = run_experiment(config, workers=workers, keep_trial_errors=True)
+            for a, b in zip(serial.cells, parallel.cells, strict=True):
+                assert (a.distribution, a.estimator, a.m) == (b.distribution, b.estimator, b.m)
+                assert a.mean_error == b.mean_error
+                assert a.std_error == b.std_error
+                assert a.errors == b.errors
+                assert b.wall_time > 0.0
 
     def test_trial_errors_retained_on_request(self):
         config = small_config(trials=4, estimators=("histogram",), distributions=(UNIFORM,), m_grid=(1,))
@@ -131,6 +168,43 @@ class TestRunExperiment:
         errors = result.cells[0].errors
         assert len(errors) == 4
         assert result.cells[0].mean_error == pytest.approx(math.fsum(errors) / 4)
+
+    def test_trial_errors_keep_trial_order_across_chunks(self, fake_pool):
+        config = small_config(trials=10, estimators=("indexp", "histogram"), distributions=(UNIFORM,), m_grid=(2,))
+        result = run_experiment(config, workers=2, keep_trial_errors=True)
+        assert fake_pool[0].tasks == 8  # chunks of 3, 3, 3 and 1 trials per cell
+        for e_idx, cell in enumerate(result.cells):
+            assert cell.errors == tuple(
+                run_trial(UNIFORM, cell.estimator, 2, config, RandomSource(99, (0, e_idx, 0, t)))
+                for t in range(10)
+            )
+
+    def test_one_cell_spreads_over_the_workers(self, fake_pool):
+        config = small_config(trials=10, estimators=("histogram",), distributions=(UNIFORM,), m_grid=(1,))
+        serial = run_experiment(config, workers=1, keep_trial_errors=True)
+        spread = run_experiment(config, workers=2, keep_trial_errors=True)
+        (pool,) = fake_pool
+        assert pool.max_workers == 2 and pool.tasks == 5
+        assert spread.cells[0].errors == serial.cells[0].errors
+
+    def test_pool_is_capped_at_the_chunk_count(self, fake_pool):
+        config = small_config(trials=3, estimators=("histogram",), distributions=(UNIFORM,), m_grid=(1,))
+        run_experiment(config, workers=64)
+        (pool,) = fake_pool
+        assert pool.max_workers == 3 and pool.tasks == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_trial_names_its_trial_and_cell(self, workers):
+        config = small_config(trials=3, estimators=("histogram",), distributions=(UNIFORM,), m_grid=(1,))
+        object.__setattr__(config, "estimators", ("histogram", "mystery"))  # past validation
+        with pytest.raises(RuntimeError, match=r"trial 0 of cell \(uniform.*, mystery, m=1\) failed"):
+            run_experiment(config, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_fewer_than_one_worker(self, workers, fake_pool):
+        with pytest.raises(InvalidArgumentError, match="workers"):
+            run_experiment(small_config(), workers=workers)
+        assert fake_pool == []
 
     def test_zero_n_rejected_upfront(self):
         with pytest.raises(InvalidArgumentError):

@@ -286,6 +286,13 @@ class TestBench:
         assert cli.main(["bench", "--config", str(path), "--output", str(tmp_path / "o")]) == 2
         assert "epsilon 1e-320 is too small" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_exits_2(self, config_file, tmp_path, capsys, workers):
+        argv = ["bench", "--config", config_file, "--output", str(tmp_path / "o"), "--workers", workers]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: --workers must be at least 1, got {workers}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_bad_version_exits_2(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(CONFIG.replace("config_version = 1", "config_version = 2"))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp, kstest
 
+from dpquantiles import quantiles
 from dpquantiles.bench import centered_grid, max_log_density_ratio, neighboring_sample_pairs
 from dpquantiles.bounds import fact_qexp_threshold
 from dpquantiles.errors import InvalidArgumentError
@@ -206,10 +207,71 @@ def oracle_test_sample(shape, n, seed):
     return SortedSample.from_unsorted(x)
 
 
+def full_gap_tables(values, epsilon):
+    # the whole table in two full passes, as it was built before the table
+    # became lazy: the reference every computed entry must equal bit for bit
+    n = values.size
+    x = np.concatenate(([0.0], values, [1.0]))
+    c = min(epsilon / 2.0, quantiles._SATURATED_C)
+    ck = c * np.arange(n + 1)
+    with np.errstate(divide="ignore"):
+        log_gaps = np.log(np.diff(x))
+    A = np.empty(n + 2)
+    A[0] = -np.inf
+    np.logaddexp.accumulate(log_gaps + ck, out=A[1:])
+    B = np.empty(n + 2)
+    B[n + 1] = -np.inf
+    B[: n + 1] = np.logaddexp.accumulate((log_gaps - ck)[::-1])[::-1]
+    return x, c, A, B
+
+
+def assert_matches_full_table(table, values, epsilon):
+    x, c, A, B = full_gap_tables(values, epsilon)
+    lo, hi = table.b_lo, table.a_hi
+    assert table.c == c and table.x.tobytes() == x.tobytes()
+    assert table.A[: hi + 1].tobytes() == A[: hi + 1].tobytes()
+    assert table.B[lo:].tobytes() == B[lo:].tobytes()
+    assert table.neg_B[lo:].tobytes() == (-B[lo:]).tobytes()
+    # the uncomputed entries keep both search arrays sorted
+    assert np.all(table.A[hi + 1 :] == np.inf) and np.all(table.neg_B[:lo] == -np.inf)
+
+
+class RecordedTables(list):
+    """Installs a _GapTable subclass that records every table a draw builds."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        made = self
+
+        class Recording(quantiles._GapTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(quantiles, "_GapTable", Recording)
+
+
+@pytest.fixture
+def recorded_tables(monkeypatch):
+    return RecordedTables(monkeypatch)
+
+
+def with_full_table(monkeypatch, draw):
+    # ``draw()`` on tables computed in full up front, so no search ever
+    # reaches the edge of a computed region
+    class Full(quantiles._GapTable):
+        def __init__(self, values, epsilon, b_lo, a_hi):
+            super().__init__(values, epsilon, 0, values.size + 1)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quantiles, "_GapTable", Full)
+        return draw()
+
+
 class TestQexpDraws:
     @pytest.mark.parametrize("shape", ["beta", "duplicates", "endpoints", "tiny-gaps"])
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 1000, 10000])
-    def test_indexp_equals_the_density_oracle(self, n, shape):
+    def test_indexp_equals_the_density_oracle(self, n, shape, recorded_tables):
         sample = oracle_test_sample(shape, n, seed=n)
         for m in (1, 2, 10, 100):
             orders = centered_grid(m) if m > 2 else (0.01, 0.99)[-m:]
@@ -226,6 +288,7 @@ class TestQexpDraws:
                 eps_call = query.budget.epsilon / m
                 assert ledger.calls == [MechanismCall(j, 1, eps_call, n) for j in range(m)]
                 assert ledger.levels == m and ledger.eps_per_call == eps_call
+                assert_matches_full_table(recorded_tables[-1], sample.values, eps_call)
 
     def test_every_rank_and_zero_budget(self):
         sample = oracle_test_sample("duplicates", 300, seed=4)
@@ -243,7 +306,10 @@ class TestQexpDraws:
             draws = qexp_draws(sample, ranks, epsilon, ScriptedUniforms([0.0, 0.5]))
             expected = density_oracle(sample, ranks, epsilon, ScriptedUniforms([0.0, 0.5]))
             assert np.array_equal(draws, expected) and np.all(draws == 0.125)
-            top = qexp_draws(sample, ranks, epsilon, ScriptedUniforms([1.0 - 2.0**-53, 0.5]))
+            top_cycle = [1.0 - 2.0**-53, 0.5]
+            top = qexp_draws(sample, ranks, epsilon, ScriptedUniforms(top_cycle))
+            expected = density_oracle(sample, ranks, epsilon, ScriptedUniforms(top_cycle))
+            assert np.array_equal(top, expected), epsilon
             assert np.all((top > 0.0) & (top < 1.0))
 
     def test_saturated_budget_matches_the_oracle(self):
@@ -318,7 +384,7 @@ class TestRecexpTable:
         "n,shape",
         [(0, "beta")] + [(n, shape) for n in (1, 2, 3, 5, 50, 10000) for shape in RECEXP_SHAPES],
     )
-    def test_equals_the_per_slice_oracle(self, n, shape):
+    def test_equals_the_per_slice_oracle(self, n, shape, recorded_tables):
         sample = oracle_test_sample(shape, n, seed=n)
         for m in (1, 2, 3, 10, 100):
             # the per-slice oracle is slow at m = 100 and at n = 10000
@@ -333,6 +399,7 @@ class TestRecexpTable:
                 # same stream position and the same ledger records
                 assert rng.random() == oracle_rng.random()
                 assert ledger == oracle_ledger
+                assert_matches_full_table(recorded_tables[-1], sample.values, ledger.eps_per_call)
 
     def test_extreme_uniforms_skip_zero_length_intervals(self):
         # zero-length intervals at both ends and in the middle, and children
@@ -352,14 +419,31 @@ class TestRecexpTable:
                         out = recexp(sample, query, ScriptedUniforms(cycle))
                         expected = per_slice_recexp(sample, query, ScriptedUniforms(cycle))
                         assert np.array_equal(out, expected), (cycle, m, epsilon)
-        # the density sampler's forced final cumulative 1.0 can send the
-        # largest uniform to the zero-length interval at 1; the table cannot
-        # select it
         for m in (1, 3, 7):
             for epsilon in (1e-3, 1.0, 50.0):
                 query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(epsilon, ADD_REMOVE))
                 top = recexp(samples[0], query, ScriptedUniforms([1.0 - 2.0**-53, 0.5]))
                 assert np.all((top > 0.0) & (top < 1.0)), (m, epsilon)
+
+    def test_lowest_uniform_stays_inside_the_slice(self):
+        # on 1e-300 gaps the table entries from the slice start to the rank
+        # round to one value, and the smallest uniform's rounded target can
+        # pass it: the search result must be clipped back into the slice
+        sample = oracle_test_sample("tiny-gaps", 5, seed=5)
+        for m in (3, 7):
+            query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(1e-3, REPLACE))
+            out = recexp(sample, query, ScriptedUniforms([2.0**-53, 0.5]))
+            assert np.all(np.diff(out) >= 0.0) and out[0] >= 0.0 and out[-1] <= 1.0, m
+
+    def test_top_uniform_skips_massless_intervals_in_the_reference(self):
+        # the per-slice reference used to force only its last cumulative to
+        # 1.0, so the largest uniform fell past the rounded total onto the
+        # zero-length interval at 1; the exact law and the table give 0.375
+        sample = SortedSample(np.array([0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0]))
+        query = QuantileQuery((0.01,), PrivacyBudget(50.0, ADD_REMOVE))
+        cycle = [1.0 - 2.0**-53, 0.5]
+        assert per_slice_recexp(sample, query, ScriptedUniforms(cycle))[0] == 0.375
+        assert recexp(sample, query, ScriptedUniforms(cycle))[0] == 0.375
 
     def test_leaves_no_reference_cycles(self):
         # a cycle would keep the O(n) tables alive until the cyclic collector ran
@@ -372,6 +456,79 @@ class TestRecexpTable:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestGapTable:
+    @pytest.mark.parametrize("shape", RECEXP_SHAPES)
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 50, 1000])
+    def test_every_computed_entry_equals_the_full_table(self, n, shape):
+        sample = oracle_test_sample(shape, n, seed=n)
+        steps = np.random.default_rng(n)
+        for epsilon in (0.0, 1e-3, 1.0, 1e3, 1e300):
+            start = sorted(steps.integers(0, n + 1, 2))
+            table = quantiles._GapTable(sample.values, epsilon, start[0], start[1])
+            assert (table.b_lo, table.a_hi) == (start[0], start[1])
+            assert_matches_full_table(table, sample.values, epsilon)
+            # extensions in both directions, some of them no-ops, down to the
+            # whole table
+            for k in list(steps.integers(0, n + 2, 6)) + [n + 1, 0]:
+                table.extend_a(int(k))
+                table.extend_b(int(n + 1 - k))
+                assert table.a_hi == max(table.a_hi, k)
+                assert_matches_full_table(table, sample.values, epsilon)
+            assert (table.b_lo, table.a_hi) == (0, n + 1)
+
+    def test_draws_compute_only_the_entries_they_read(self, recorded_tables):
+        sample = oracle_test_sample("beta", 1000, seed=1)
+        ranks = [250, 400, 600]
+        qexp_draws(sample, ranks, 1.0, RandomSource(3))
+        query = QuantileQuery((0.3, 0.5, 0.7), PrivacyBudget(1.0, REPLACE))
+        recexp(sample, query, RandomSource(3))
+        for table in recorded_tables:
+            assert_matches_full_table(table, sample.values, table.c * 2.0)
+        assert [(t.b_lo, t.a_hi) for t in recorded_tables] == [(250, 600), (300, 700)]
+
+    def test_qexp_b_search_continues_below_the_computed_region(self, recorded_tables):
+        # rank 4 sits on a zero-length interval [0.4, 0.4]; this uniform picks
+        # the side from rank 4 on, but its rounded target exceeds B_4, so the
+        # search must look below the computed region and find [0.2, 0.4]
+        sample = SortedSample(np.array([0.1, 0.2, 0.4, 0.4, 0.5, 0.6]))
+        cycle = [0.39985001249999935, 0.5]
+        out = qexp_draws(sample, [4], 0.001, ScriptedUniforms(cycle))
+        assert 0.2 < out[0] < 0.4
+        assert np.array_equal(out, density_oracle(sample, [4], 0.001, ScriptedUniforms(cycle)))
+        (table,) = recorded_tables
+        assert table.b_lo == 0
+        assert_matches_full_table(table, sample.values, 0.001)
+
+    def test_recexp_b_search_continues_below_the_computed_region(self, recorded_tables):
+        # the same at the recursion root: rank 2 sits on [0.1, 0.1], and the
+        # draw belongs to [0, 0.1]
+        sample = SortedSample(np.array([0.1, 0.1, 0.6, 0.7]))
+        query = QuantileQuery((0.5,), PrivacyBudget(0.001, ADD_REMOVE))
+        cycle = [0.09994500400369535, 0.5]
+        out = recexp(sample, query, ScriptedUniforms(cycle))
+        assert 0.0 < out[0] < 0.1
+        assert np.array_equal(out, per_slice_recexp(sample, query, ScriptedUniforms(cycle)))
+        (table,) = recorded_tables
+        assert table.b_lo == 0
+        assert_matches_full_table(table, sample.values, 0.001)
+
+    def test_recexp_extends_a_beyond_the_largest_rank(self, recorded_tables, monkeypatch):
+        # the root draw lands near 1, so the right child's slice starts
+        # above every target rank and clamps its rank there
+        sample = oracle_test_sample("beta", 50, seed=50)
+        for m in (2, 3, 7):
+            query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(1e-3, ADD_REMOVE))
+            ranks = [target_rank(50, p) for p in query.orders]
+            cycle = [0.999, 0.5]
+            out = recexp(sample, query, ScriptedUniforms(cycle))
+            assert np.array_equal(out, per_slice_recexp(sample, query, ScriptedUniforms(cycle)))
+            full = with_full_table(monkeypatch, lambda: recexp(sample, query, ScriptedUniforms(cycle)))
+            assert np.array_equal(out, full)
+            table = recorded_tables[-1]
+            assert table.a_hi > max(ranks), m
+            assert_matches_full_table(table, sample.values, table.c * 2.0)
 
 
 class TestRecexpDepth:
