@@ -162,9 +162,9 @@ class _GapTable:
     g_j e^{-cj}`` (non-increasing), plus ``neg_B = -B`` for ascending
     searches, for k = 0..n+1. Only ``A[0..a_hi]`` and ``B[b_lo..n+1]`` are
     computed. Above ``a_hi`` A holds +inf and below ``b_lo`` neg_B holds
-    -inf, so both stay sorted and a search over the whole array counts the
-    uncomputed entries as beyond any finite target. Zero-length gaps repeat a
-    table entry.
+    -inf, so both stay sorted, and a search over a whole array treats an
+    uncomputed A entry as above any finite target and an uncomputed B entry
+    as at or above it. Zero-length gaps repeat a table entry.
 
     ``A_k`` depends only on the gaps below k and ``B_k`` only on the gaps
     from k on, and ``np.logaddexp.accumulate`` is a left fold, so extending
@@ -393,6 +393,7 @@ def _slice_draw(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> float:
     if a == b:
         k = a  # no sample point inside: the one interval [lo, hi]
     else:
+        # tested here, not only in the methods, to spare two calls per slice
         if R > table.a_hi:
             table.extend_a(R)
         if R < table.b_lo:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 
 import numpy as np
@@ -236,24 +237,18 @@ def assert_matches_full_table(table, values, epsilon):
     assert np.all(table.A[hi + 1 :] == np.inf) and np.all(table.neg_B[:lo] == -np.inf)
 
 
-class RecordedTables(list):
-    """Installs a _GapTable subclass that records every table a draw builds."""
-
-    def __init__(self, monkeypatch):
-        super().__init__()
-        made = self
-
-        class Recording(quantiles._GapTable):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        monkeypatch.setattr(quantiles, "_GapTable", Recording)
-
-
 @pytest.fixture
 def recorded_tables(monkeypatch):
-    return RecordedTables(monkeypatch)
+    # every _GapTable the draws build, in order
+    made = []
+
+    class Recording(quantiles._GapTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(quantiles, "_GapTable", Recording)
+    return made
 
 
 def with_full_table(monkeypatch, draw):
@@ -474,7 +469,7 @@ class TestGapTable:
             for k in list(steps.integers(0, n + 2, 6)) + [n + 1, 0]:
                 table.extend_a(int(k))
                 table.extend_b(int(n + 1 - k))
-                assert table.a_hi == max(table.a_hi, k)
+                assert table.a_hi >= k and table.b_lo <= n + 1 - k
                 assert_matches_full_table(table, sample.values, epsilon)
             assert (table.b_lo, table.a_hi) == (0, n + 1)
 
@@ -484,14 +479,15 @@ class TestGapTable:
         qexp_draws(sample, ranks, 1.0, RandomSource(3))
         query = QuantileQuery((0.3, 0.5, 0.7), PrivacyBudget(1.0, REPLACE))
         recexp(sample, query, RandomSource(3))
-        for table in recorded_tables:
-            assert_matches_full_table(table, sample.values, table.c * 2.0)
         assert [(t.b_lo, t.a_hi) for t in recorded_tables] == [(250, 600), (300, 700)]
+        for table, epsilon in zip(recorded_tables, (1.0, 0.5 / 2)):
+            assert_matches_full_table(table, sample.values, epsilon)
 
     def test_qexp_b_search_continues_below_the_computed_region(self, recorded_tables):
-        # rank 4 sits on a zero-length interval [0.4, 0.4]; this uniform picks
-        # the side from rank 4 on, but its rounded target exceeds B_4, so the
-        # search must look below the computed region and find [0.2, 0.4]
+        # interval 3, just below rank 4, has zero length ([0.4, 0.4]); this
+        # uniform picks the side from interval 4 on, but its rounded target
+        # exceeds B_4, so the search must look below the computed region and
+        # find [0.2, 0.4]
         sample = SortedSample(np.array([0.1, 0.2, 0.4, 0.4, 0.5, 0.6]))
         cycle = [0.39985001249999935, 0.5]
         out = qexp_draws(sample, [4], 0.001, ScriptedUniforms(cycle))
@@ -502,8 +498,8 @@ class TestGapTable:
         assert_matches_full_table(table, sample.values, 0.001)
 
     def test_recexp_b_search_continues_below_the_computed_region(self, recorded_tables):
-        # the same at the recursion root: rank 2 sits on [0.1, 0.1], and the
-        # draw belongs to [0, 0.1]
+        # the same at the recursion root: interval 1, just below rank 2, is
+        # [0.1, 0.1], and the draw belongs to [0, 0.1]
         sample = SortedSample(np.array([0.1, 0.1, 0.6, 0.7]))
         query = QuantileQuery((0.5,), PrivacyBudget(0.001, ADD_REMOVE))
         cycle = [0.09994500400369535, 0.5]
@@ -515,20 +511,22 @@ class TestGapTable:
         assert_matches_full_table(table, sample.values, 0.001)
 
     def test_recexp_extends_a_beyond_the_largest_rank(self, recorded_tables, monkeypatch):
-        # the root draw lands near 1, so the right child's slice starts
-        # above every target rank and clamps its rank there
+        # at this budget the draws are nearly uniform on their domains, so a
+        # root draw at 0.7 or 0.9 has more of the 50 points below it than the
+        # largest target rank: the right child's slice starts above every
+        # rank and clamps its rank there
         sample = oracle_test_sample("beta", 50, seed=50)
-        for m in (2, 3, 7):
+        for m, u_pick in itertools.product((7, 10), (0.7, 0.9)):
             query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(1e-3, ADD_REMOVE))
             ranks = [target_rank(50, p) for p in query.orders]
-            cycle = [0.999, 0.5]
+            cycle = [u_pick, 0.5]
             out = recexp(sample, query, ScriptedUniforms(cycle))
+            table = recorded_tables[-1]
+            assert table.a_hi > max(ranks), m
+            assert_matches_full_table(table, sample.values, 1e-3 / recexp_depth(m))
             assert np.array_equal(out, per_slice_recexp(sample, query, ScriptedUniforms(cycle)))
             full = with_full_table(monkeypatch, lambda: recexp(sample, query, ScriptedUniforms(cycle)))
             assert np.array_equal(out, full)
-            table = recorded_tables[-1]
-            assert table.a_hi > max(ranks), m
-            assert_matches_full_table(table, sample.values, table.c * 2.0)
 
 
 class TestRecexpDepth:
