@@ -10,9 +10,6 @@ never drift into algorithm code. Guard violations raise
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
-from enum import Enum
 
 from .distributions import DensityEnvelope
 from .errors import BoundPreconditionError, InvalidArgumentError
@@ -233,39 +230,3 @@ def quantile_concentration_buffer(n: int, gamma: float, pi_lower: float) -> int:
     _require(pi_lower > 0.0, f"pi_lower must be positive, got {pi_lower}")
     return int(math.floor(math.nextafter(0.5 * n * gamma * pi_lower, math.inf))) - 1
 
-
-class EstimatorChoice(Enum):
-    RECEXP = "recexp"
-    HISTOGRAM = "histogram"
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs shared by the estimator-selection comparison."""
-
-    n: int
-    m: int
-    epsilon: float
-    gamma: float
-    envelope: DensityEnvelope
-    h: float
-
-
-def choose_estimator(inputs: BoundInputs) -> EstimatorChoice:
-    """Pick the estimator with the smaller tail bound at the given inputs.
-
-    Raw (possibly vacuous) bound values are compared; ties go to the
-    pointwise recursive estimator. If the histogram bound's precondition
-    fails, the recursive estimator is returned with a warning since it is
-    the only evaluable candidate.
-    """
-    recursive = thm_recexp_tail(inputs.n, inputs.m, inputs.gamma, inputs.epsilon, inputs.envelope)
-    try:
-        hist = thm_hist_tail(inputs.n, inputs.gamma, inputs.epsilon, inputs.envelope, inputs.h)
-    except BoundPreconditionError as exc:
-        warnings.warn(
-            f"histogram bound not evaluable ({exc.guard}); defaulting to the recursive estimator",
-            stacklevel=2,
-        )
-        return EstimatorChoice.RECEXP
-    return EstimatorChoice.HISTOGRAM if hist < recursive else EstimatorChoice.RECEXP

@@ -8,6 +8,7 @@ precondition violated.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import math
@@ -53,13 +54,24 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+@contextlib.contextmanager
+def _open_text(path: str):
+    """``path`` opened as UTF-8 text; a byte that does not decode is an
+    input error naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_data_file(path: str) -> SortedSample:
     """Newline-delimited decimal reals in [0, 1]; '#' lines are comments.
 
     Unsorted input is sorted on load. Malformed or out-of-range values are
     reported with their line number.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         # fast path: every line is a number in range (float() ignores the
         # whitespace the loop strips); anything else, comments and blank
         # lines included, takes the line loop, which names the first bad line
@@ -178,7 +190,7 @@ def parse_config_file(path: str) -> ExperimentConfig:
     keys are errors so a typo cannot silently corrupt an experiment.
     """
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

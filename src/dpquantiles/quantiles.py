@@ -10,13 +10,14 @@ Every draw reads one log-space prefix table over the gaps of the whole
 sample (:class:`_GapTable`): :func:`qexp_draws` serves any number of target
 ranks on the full domain (qexp, indexp), and :func:`recexp` serves each
 slice of its recursion, on its own sub-domain, by subtracting the table
-entries outside the slice. The table is computed only where the draws read
+entries outside the slice. A draw searches only the side of its rank that
+its pick uniform chose, so the table is computed only where the draws read
 it: its left half up to the largest target rank and its right half from the
-smallest, each extended when a draw reads further, so one order costs about
-one pass over the sample instead of two. The per-density sampler
-(:func:`qexp_density` with :func:`sample_piecewise`) draws the same law on
-the same uniforms; it stays as the reference the table is tested against,
-and the privacy audits read its densities.
+smallest, each extended when a recursion slice's rank lies beyond it. One
+order costs about one pass over the sample instead of two. The per-density
+sampler (:func:`qexp_density` with :func:`sample_piecewise`) draws the same
+law on the same uniforms; it stays as the reference the table is tested
+against, and the privacy audits read its densities.
 """
 
 from __future__ import annotations
@@ -162,9 +163,9 @@ class _GapTable:
     g_j e^{-cj}`` (non-increasing), plus ``neg_B = -B`` for ascending
     searches, for k = 0..n+1. Only ``A[0..a_hi]`` and ``B[b_lo..n+1]`` are
     computed. Above ``a_hi`` A holds +inf and below ``b_lo`` neg_B holds
-    -inf, so both stay sorted, and a search over a whole array treats an
-    uncomputed A entry as above any finite target and an uncomputed B entry
-    as at or above it. Zero-length gaps repeat a table entry.
+    -inf, so both stay sorted for searches over whole arrays; a draw's
+    search never passes its rank's computed entry. Zero-length gaps repeat a
+    table entry.
 
     ``A_k`` depends only on the gaps below k and ``B_k`` only on the gaps
     from k on, and ``np.logaddexp.accumulate`` is a left fold, so extending
@@ -213,21 +214,6 @@ class _GapTable:
             np.negative(self.B[k:hi], out=self.neg_B[k:hi])
             self.b_lo = k
 
-    def last_b_at_least(self, target: float, floor: int) -> int:
-        """The largest index k with ``B_k >= target``, or ``floor`` if it is
-        below ``floor``.
-
-        B is non-increasing, so when a computed entry reaches the target,
-        every entry below the computed region does too. When none does, the
-        search ends just below ``b_lo``, where the answer may lie lower, and
-        B is extended down to ``floor`` for a second search.
-        """
-        k = int(np.searchsorted(self.neg_B, -target, side="right")) - 1
-        if k < self.b_lo and self.b_lo > floor:
-            self.extend_b(floor)
-            k = int(np.searchsorted(self.neg_B, -target, side="right")) - 1
-        return max(k, floor)
-
 
 def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -> np.ndarray:
     """One exponential-mechanism draw on [0, 1] per target rank, all at ``epsilon``.
@@ -236,15 +222,16 @@ def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -
     RankTarget(ranks[j]), epsilon), rng)`` and consumes the same two
     uniforms in the same order, but every rank is served by one table
     (:class:`_GapTable`) instead of its own density, so m ranks cost O(n +
-    m log n). The table is computed on ``A[0..max r]`` and ``B[min r..n+1]``,
-    and B further down only when a rounded target passes ``B[min r]``.
+    m log n). Only ``A[0..max r]`` and ``B[min r..n+1]`` are computed.
 
     The mass left of interval ``r`` is ``e^{A_r - cr}``, the mass from ``r``
-    on is ``e^{B_r + cr}``, and inverting the CDF is a side choice plus one
-    ``searchsorted``. Zero-length intervals repeat a table entry, so the
-    strict comparisons never select one. The chosen interval equals the
-    density sampler's except when a uniform falls within rounding of an
-    interval boundary of the CDF.
+    on is ``e^{B_r + cr}``. The pick uniform chooses the left side when its
+    target lies below ``A_r`` or the right side has no mass, and one
+    ``searchsorted`` in that side's table, a B target capped at ``B_r``,
+    finds an interval that moves the entry (``A_{k+1} > A_k`` or ``B_k >
+    B_{k+1}``); a zero-length interval repeats an entry and is never chosen.
+    The chosen interval equals the density sampler's except when a uniform
+    falls within rounding of an interval boundary of the CDF.
     """
     if epsilon < 0 or not math.isfinite(epsilon):
         raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {epsilon}")
@@ -255,22 +242,23 @@ def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -
     table = _GapTable(sample.values, epsilon, int(r.min(initial=n + 1)), int(r.max(initial=0)))
     x, c, A, neg_B = table.x, table.c, table.A, table.neg_B
     cr = c * r
-    log_z = np.logaddexp(A[r] - cr, table.B[r] + cr)
+    B_r = table.B[r]
+    log_z = np.logaddexp(A[r] - cr, B_r + cr)
     u_pick, u_pos = rng.random(2 * r.size).reshape(r.size, 2).T
     with np.errstate(divide="ignore"):
         left_target = np.log(u_pick) + log_z + cr
     left = left_target < A[r]
-    right_target = np.log1p(-u_pick) + log_z - cr
-    # the vector form of _GapTable.last_b_at_least, with floor 0
-    k_right = np.searchsorted(neg_B, -right_target, side="right") - 1
-    if table.b_lo > 0 and np.any(~left & (k_right < table.b_lo)):
-        table.extend_b(0)
-        k_right = np.searchsorted(neg_B, -right_target, side="right") - 1
+    right_target = np.minimum(np.log1p(-u_pick) + log_z - cr, B_r)
     k = np.where(
         left,
         np.searchsorted(A[1:], left_target, side="right"),
-        np.maximum(k_right, 0),
+        np.searchsorted(neg_B, -right_target, side="right") - 1,
     )
+    # a u_pick within rounding of 1 can choose the right side where it has
+    # no mass (only zero-length intervals from r on)
+    massless = ~left & (B_r == -np.inf)
+    if massless.any():
+        k[massless] = np.searchsorted(A, A[r[massless]], side="left") - 1
     return x[k] + u_pos * (x[k + 1] - x[k])
 
 
@@ -386,8 +374,10 @@ def _slice_draw(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> float:
     (e^{A_R} - D_A)`` and that of gaps ``R..b`` is ``e^{cR} (e^{B_R} -
     D_B)``; for ``R = a`` the cut gap ``a`` is added to gaps ``a+1..b``
     explicitly. The uniforms are used as in :func:`qexp_draws`: ``u_pick``
-    chooses the side and one ``searchsorted`` in A or B the interval, so a
-    slice costs O(log n) plus the table entries it is the first to read.
+    chooses the side, the left one where only it has mass, and one
+    ``searchsorted`` in A or B the interval, on that side of ``R`` and
+    inside ``a..b``, so a slice costs O(log n) plus the table entries it is
+    the first to read.
     """
     x = table.x
     if a == b:
@@ -412,10 +402,14 @@ def _slice_draw(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> float:
         target = _logaddexp(_log(u_pick) + log_z + cr, log_da)
         if target < A[R]:
             k = int(np.searchsorted(A, target, side="right")) - 1
+        elif log_right == -math.inf and log_left > -math.inf:
+            # rounding chose the side without mass: take the last gap below
+            # R that has some
+            k = int(np.searchsorted(A, A[R], side="left")) - 1
         else:
-            target = _logaddexp(math.log1p(-u_pick) + log_z - cr, log_db)
+            target = min(_logaddexp(math.log1p(-u_pick) + log_z - cr, log_db), B[R])
             # rounding must not leave the slice
-            k = min(table.last_b_at_least(target, a), b)
+            k = min(int(np.searchsorted(table.neg_B, -target, side="right")) - 1, b)
     left = max(x[k], lo)
     right = min(x[k + 1], hi)
     return float(left + u_pos * (right - left))
@@ -440,8 +434,8 @@ def recexp(
     but every slice is read off one table over the whole sample
     (:func:`_slice_draw`), so m orders cost O(n + m log n). The table starts
     on ``A[0..max rank]`` and ``B[min rank..n+1]`` and grows only when a
-    slice's clamped rank, or a rounded search, leaves that region. The tree
-    is walked depth-first, left before right, with an explicit stack.
+    slice's clamped rank leaves that region. The tree is walked depth-first,
+    left before right, with an explicit stack.
     """
     m = query.m
     depth = recexp_depth(m)

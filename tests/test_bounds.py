@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dpquantiles import bounds
-from dpquantiles.bounds import BoundInputs, EstimatorChoice, choose_estimator
 from dpquantiles.distributions import DensityEnvelope
 from dpquantiles.errors import BoundPreconditionError, InvalidArgumentError
 
@@ -217,20 +216,3 @@ class TestPurity:
             12_345, 9, 0.07, 0.9, ENVELOPE
         )
 
-
-class TestChooseEstimator:
-    def test_small_m_prefers_the_recursive_estimator(self):
-        flat = DensityEnvelope(lower=1.0, upper=1.0, lipschitz=0.0)
-        inputs = BoundInputs(n=10_000, m=1, epsilon=5.0, gamma=0.1, envelope=flat, h=0.01)
-        assert choose_estimator(inputs) is EstimatorChoice.RECEXP
-
-    def test_large_m_prefers_the_histogram(self):
-        flat = DensityEnvelope(lower=1.0, upper=1.0, lipschitz=0.0)
-        inputs = BoundInputs(n=10_000, m=10**6, epsilon=5.0, gamma=0.1, envelope=flat, h=0.01)
-        assert choose_estimator(inputs) is EstimatorChoice.HISTOGRAM
-
-    def test_histogram_guard_failure_falls_back_with_warning(self):
-        steep = DensityEnvelope(lower=1.0, upper=2.0, lipschitz=100.0)
-        inputs = BoundInputs(n=10_000, m=64, epsilon=1.0, gamma=0.1, envelope=steep, h=0.01)
-        with pytest.warns(UserWarning):
-            assert choose_estimator(inputs) is EstimatorChoice.RECEXP

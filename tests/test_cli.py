@@ -229,6 +229,13 @@ class TestEstimate:
                 "--epsilon", "1"]
         assert cli.main(argv) == 2
 
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"0.5\n0.25\xff\n")
+        argv = ["estimate", "--data", str(path), "--method", "recexp", "--m", "1", "--epsilon", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
 
 class TestBench:
     def test_single_trial_smoke_run_is_fast(self, tmp_path):
@@ -291,6 +298,13 @@ class TestBench:
         argv = ["bench", "--config", config_file, "--output", str(tmp_path / "o"), "--workers", workers]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: --workers must be at least 1, got {workers}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_config_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(CONFIG.encode() + b"# caf\xe9\n")
+        assert cli.main(["bench", "--config", str(path), "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid continuation byte)\n"
         assert not (tmp_path / "o").exists()
 
     def test_bad_version_exits_2(self, tmp_path):

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -421,14 +422,16 @@ class TestRecexpTable:
                 assert np.all((top > 0.0) & (top < 1.0)), (m, epsilon)
 
     def test_lowest_uniform_stays_inside_the_slice(self):
-        # on 1e-300 gaps the table entries from the slice start to the rank
-        # round to one value, and the smallest uniform's rounded target can
-        # pass it: the search result must be clipped back into the slice
+        # on 1e-300 gaps the slice's mass below the rank is about 1e-299 of
+        # its total, so these pick uniforms choose the B side, whose search
+        # must stay from the rank on and never take [0, 1e-300]
         sample = oracle_test_sample("tiny-gaps", 5, seed=5)
-        for m in (3, 7):
+        for m, u_pick in itertools.product((3, 7), (2.0**-53, 2.0**-52)):
             query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(1e-3, REPLACE))
-            out = recexp(sample, query, ScriptedUniforms([2.0**-53, 0.5]))
-            assert np.all(np.diff(out) >= 0.0) and out[0] >= 0.0 and out[-1] <= 1.0, m
+            out = recexp(sample, query, ScriptedUniforms([u_pick, 0.5]))
+            expected = per_slice_recexp(sample, query, ScriptedUniforms([u_pick, 0.5]))
+            assert np.array_equal(out, expected), (m, u_pick)
+            assert out[0] > 1e-300, (m, u_pick)
 
     def test_top_uniform_skips_massless_intervals_in_the_reference(self):
         # the per-slice reference used to force only its last cumulative to
@@ -485,30 +488,44 @@ class TestGapTable:
 
     def test_qexp_b_search_continues_below_the_computed_region(self, recorded_tables):
         # interval 3, just below rank 4, has zero length ([0.4, 0.4]); this
-        # uniform picks the side from interval 4 on, but its rounded target
-        # exceeds B_4, so the search must look below the computed region and
-        # find [0.2, 0.4]
+        # uniform picks the side from interval 4 on and its rounded target
+        # exceeds B_4, so the capped search must stop at [0.4, 0.5] and leave
+        # B uncomputed below the rank (the density sampler, rounding the other
+        # way at this uniform, takes [0.2, 0.4])
         sample = SortedSample(np.array([0.1, 0.2, 0.4, 0.4, 0.5, 0.6]))
         cycle = [0.39985001249999935, 0.5]
         out = qexp_draws(sample, [4], 0.001, ScriptedUniforms(cycle))
-        assert 0.2 < out[0] < 0.4
-        assert np.array_equal(out, density_oracle(sample, [4], 0.001, ScriptedUniforms(cycle)))
+        assert out[0] == 0.45
         (table,) = recorded_tables
-        assert table.b_lo == 0
+        assert table.b_lo == 4
         assert_matches_full_table(table, sample.values, 0.001)
 
     def test_recexp_b_search_continues_below_the_computed_region(self, recorded_tables):
         # the same at the recursion root: interval 1, just below rank 2, is
-        # [0.1, 0.1], and the draw belongs to [0, 0.1]
+        # [0.1, 0.1], and the draw stays in [0.1, 0.6] (the per-slice sampler
+        # takes [0, 0.1])
         sample = SortedSample(np.array([0.1, 0.1, 0.6, 0.7]))
         query = QuantileQuery((0.5,), PrivacyBudget(0.001, ADD_REMOVE))
         cycle = [0.09994500400369535, 0.5]
         out = recexp(sample, query, ScriptedUniforms(cycle))
-        assert 0.0 < out[0] < 0.1
-        assert np.array_equal(out, per_slice_recexp(sample, query, ScriptedUniforms(cycle)))
+        assert out[0] == 0.35
         (table,) = recorded_tables
-        assert table.b_lo == 0
+        assert table.b_lo == 2
         assert_matches_full_table(table, sample.values, 0.001)
+
+    def test_b_side_draw_skips_a_tie_below_the_rank(self, recorded_tables):
+        # interval 4, just below rank 5, is [0.3, 0.3]; this uniform picks
+        # the side from interval 5 on, so the draw lies in [0.3, 0.7] as the
+        # density sampler's does, not in [0.2, 0.3]
+        sample = SortedSample(np.array([0.0, 0.1, 0.2, 0.3, 0.3, 0.7, 0.7, 0.7, 0.7, 0.9]))
+        cycle = [0.2998799080415821, 0.5]
+        query = QuantileQuery((0.5,), PrivacyBudget(0.001, ADD_REMOVE))
+        out = recexp(sample, query, ScriptedUniforms(cycle))
+        assert np.array_equal(out, per_slice_recexp(sample, query, ScriptedUniforms(cycle)))
+        draws = qexp_draws(sample, [5], 0.001, ScriptedUniforms(cycle))
+        assert np.array_equal(draws, density_oracle(sample, [5], 0.001, ScriptedUniforms(cycle)))
+        assert out[0] == draws[0] == 0.5
+        assert [t.b_lo for t in recorded_tables] == [5, 5]
 
     def test_recexp_extends_a_beyond_the_largest_rank(self, recorded_tables, monkeypatch):
         # at this budget the draws are nearly uniform on their domains, so a
@@ -527,6 +544,94 @@ class TestGapTable:
             assert np.array_equal(out, per_slice_recexp(sample, query, ScriptedUniforms(cycle)))
             full = with_full_table(monkeypatch, lambda: recexp(sample, query, ScriptedUniforms(cycle)))
             assert np.array_equal(out, full)
+
+
+def assert_side_rule(x, A, B, c, slice_, u_pick, q):
+    """The draw ``q``, taken at position uniform 0.5 in the slice ``(a, b,
+    lo, hi, R)`` of the gaps of ``x`` with full table ``A``, ``B``, lies in
+    a gap ``k`` in ``[a, b]`` that moves its side's table entry (``A_{k+1} >
+    A_k`` below ``R``, ``B_k > B_{k+1}`` from ``R`` on), on the side that
+    ``u_pick`` chooses in exact arithmetic unless the masses put that choice
+    within rounding."""
+    a, b, lo, hi, R = slice_
+    ks = np.arange(a, b + 1)
+    with np.errstate(divide="ignore"):
+        log_mass = np.log(np.minimum(x[ks + 1], hi) - np.maximum(x[ks], lo)) - c * np.abs(ks - R)
+        log_table = np.log(np.diff(x)) - c * np.abs(np.arange(x.size - 1) - R)
+
+    def mass(log_terms):
+        return mpmath.exp(np.logaddexp.reduce(log_terms, initial=-np.inf))
+
+    left, right = mass(log_mass[ks < R]), mass(log_mass[ks >= R])
+    if right == 0 or left == 0:
+        chosen_left = right == 0
+    else:
+        # the table's rounding, relative to the table mass its comparison reads
+        slack = 1e-11 * (mass(log_table[:R]) + u_pick * mass(log_table))
+        below = u_pick * (left + right) - left
+        chosen_left = None if abs(below) <= slack else below < 0
+    for k in ks[(np.maximum(x[ks], lo) <= q) & (q <= np.minimum(x[ks + 1], hi))]:
+        moves = A[k + 1] > A[k] if k < R else B[k] > B[k + 1]
+        if moves and chosen_left in (None, k < R):
+            return
+    raise AssertionError(f"{q} breaks the side rule in slice {slice_} at u_pick {u_pick}")
+
+
+SIDE_RULE_SAMPLES = [
+    oracle_test_sample(shape, n, seed=n) for shape in RECEXP_SHAPES for n in (1, 2, 5, 50)
+] + [
+    SortedSample(np.array(values))
+    for values in (
+        [0.0, 0.0, 0.0, 0.25, 0.5, 1.0, 1.0],
+        [0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0],
+        [0.0, 0.1, 0.2, 0.3, 0.3, 0.7, 0.7, 0.7, 0.7, 0.9],
+        [0.1, 0.2, 0.4, 0.4, 0.5, 0.6],
+    )
+]
+SIDE_RULE_EPSILONS = (1e-6, 1e-3, 1.0, 50.0, 1e3, 1e300)
+EXTREME_PICKS = (0.0, 2.0**-53, 2.0**-52, 1.0 - 2.0**-52, 1.0 - 2.0**-53)
+
+
+class TestSideRule:
+    def test_qexp_draws_at_extreme_pick_uniforms(self):
+        for sample, epsilon in itertools.product(SIDE_RULE_SAMPLES, SIDE_RULE_EPSILONS):
+            x, c, A, B = full_gap_tables(sample.values, epsilon)
+            ranks = range(sample.n + 1)
+            for u_pick in EXTREME_PICKS:
+                draws = qexp_draws(sample, ranks, epsilon, ScriptedUniforms([u_pick, 0.5]))
+                for r, q in zip(ranks, draws):
+                    assert_side_rule(x, A, B, c, (0, sample.n, 0.0, 1.0, r), u_pick, q)
+
+    def test_recexp_slices_at_extreme_pick_uniforms(self, monkeypatch):
+        slices, slice_draw = [], quantiles._slice_draw
+
+        def recording(table, a, b, lo, hi, R, u_pick, u_pos):
+            q = slice_draw(table, a, b, lo, hi, R, u_pick, u_pos)
+            slices.append((table.c, (a, b, lo, hi, R), u_pick, q))
+            return q
+
+        monkeypatch.setattr(quantiles, "_slice_draw", recording)
+        for sample, epsilon in itertools.product(SIDE_RULE_SAMPLES, SIDE_RULE_EPSILONS):
+            for m, u_pick in itertools.product((3, 7), EXTREME_PICKS):
+                query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(epsilon, ADD_REMOVE))
+                slices.clear()
+                recexp(sample, query, ScriptedUniforms([u_pick, 0.5]))
+                x, c, A, B = full_gap_tables(sample.values, epsilon / recexp_depth(m))
+                for table_c, slice_, u, q in slices:
+                    assert table_c == c
+                    if slice_[0] < slice_[1]:  # else the slice has one interval
+                        assert_side_rule(x, A, B, c, slice_, u, q)
+
+    def test_slice_without_computed_mass_keeps_its_draw_inside(self):
+        # at this budget both side masses of the slice [2e-300, 3e-300] round
+        # to zero against the table mass outside it; forcing the side below
+        # the rank there would take gap 0, below the slice
+        values = oracle_test_sample("tiny-gaps", 5, seed=5).values
+        table = quantiles._GapTable(values, 1e-6, 0, 6)
+        lo, hi = values[1], values[2]
+        for u_pick in EXTREME_PICKS:
+            q = quantiles._slice_draw(table, 1, 2, lo, hi, 1, u_pick, 0.5)
+            assert lo <= q <= hi, u_pick
 
 
 class TestRecexpDepth:
