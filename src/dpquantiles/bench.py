@@ -90,6 +90,12 @@ class ExperimentConfig:
             object.__setattr__(self, "m_grid", (len(orders),))
         elif not self.m_grid or any(m < 1 for m in self.m_grid):
             raise InvalidArgumentError("m_grid must be a nonempty list of counts >= 1")
+        # a repeat would run its cells twice under indistinguishable labels
+        for key in ("distributions", "estimators", "m_grid"):
+            entries = [getattr(e, "label", e) for e in getattr(self, key)]
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                raise InvalidArgumentError(f"key {key!r}: {repeated[0]} is given twice")
         budget = PrivacyBudget(self.epsilon, self.relation)  # validates epsilon > 0
         if "histogram" in self.estimators and math.isinf(noise_scale(budget)):
             raise InvalidArgumentError(

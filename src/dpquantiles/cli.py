@@ -65,6 +65,25 @@ def _open_text(path: str):
         raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """An OSError inside is an input error naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidArgumentError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _write_text(path, text: str) -> None:
+    """``text`` into the file at ``path`` as UTF-8, or to stdout without
+    a path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with _naming(path):
+        Path(path).write_text(text, encoding="utf-8")
+
+
 def load_data_file(path: str) -> SortedSample:
     """Newline-delimited decimal reals in [0, 1]; '#' lines are comments.
 
@@ -236,8 +255,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def write_experiment_outputs(result: ExperimentResult, outdir: Path) -> list[Path]:
-    """One CSV per distribution plus a JSON summary for exact replay."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    """One CSV per distribution plus a JSON summary for exact replay, in the
+    existing directory ``outdir``."""
     written = []
     cells_by_key: dict[tuple[str, str, int], list[CellResult]] = {}
     for cell in result.cells:
@@ -252,7 +271,7 @@ def write_experiment_outputs(result: ExperimentResult, outdir: Path) -> list[Pat
                         f"{cell.m},{cell.estimator},{cell.mean_error!r},"
                         f"{cell.std_error!r},{cell.trials}"
                     )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
     summary = {
         "config": config_to_dict(result.config),
@@ -274,7 +293,7 @@ def write_experiment_outputs(result: ExperimentResult, outdir: Path) -> list[Pat
         ],
     }
     summary_path = outdir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    _write_text(summary_path, json.dumps(summary, indent=2) + "\n")
     written.append(summary_path)
     return written
 
@@ -329,26 +348,24 @@ def cmd_estimate(args) -> int:
                 f"spent budget: epsilon = {spent} ({relation.value}), {args.bins} bins",
                 file=sys.stderr,
             )
+        lines = ["p,q_hat"] + [f"{float(p)!r},{float(q)!r}" for p, q in zip(orders, estimates)]
+        _write_text(args.output, "\n".join(lines) + "\n")
     except (InvalidArgumentError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
-    lines = ["p,q_hat"] + [f"{float(p)!r},{float(q)!r}" for p, q in zip(orders, estimates)]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     if args.workers < 1:
         return _fail(f"--workers must be at least 1, got {args.workers}", EXIT_INPUT_ERROR)
+    outdir = Path(args.output)
     try:
         config = parse_config_file(args.config)
+        with _naming(outdir):
+            outdir.mkdir(parents=True, exist_ok=True)
+        written = write_experiment_outputs(run_experiment(config, workers=args.workers), outdir)
     except (InvalidArgumentError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
-    result = run_experiment(config, workers=args.workers)
-    written = write_experiment_outputs(result, Path(args.output))
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
@@ -550,10 +567,10 @@ def cmd_verify(args) -> int:
             f"suite {report.name}: {'PASS' if report.passed else 'FAIL'}", file=sys.stderr
         )
     payload = json.dumps({"suites": [r.to_dict() for r in reports]}, indent=2) + "\n"
-    if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+    try:
+        _write_text(args.output, payload)
+    except InvalidArgumentError as exc:
+        return _fail(str(exc), EXIT_INPUT_ERROR)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 

@@ -6,13 +6,14 @@ rank-error utility ``u(q) = -abs(#{X_i < q} - r)``, an independent
 composition over many orders, and a recursive budget-splitting scheme that
 halves the data range at a privately estimated middle quantile.
 
-Every draw reads one log-space prefix table over the gaps of the whole
-sample (:class:`_GapTable`): :func:`qexp_draws` serves any number of target
-ranks on the full domain (qexp, indexp), and :func:`recexp` serves each
-slice of its recursion, on its own sub-domain, by subtracting the table
-entries outside the slice. A draw searches only the side of its rank that
-its pick uniform chose, so the table is computed only where the draws read
-it: its left half up to the largest target rank and its right half from the
+Every draw is made by one function, :func:`_draws`, over slices of the
+sample on sub-domains, all read off one log-space prefix table over the gaps
+of the whole sample (:class:`_GapTable`) by subtracting the table entries
+outside each slice. :func:`qexp_draws` (qexp, indexp) makes one call with
+every slice on the full domain; :func:`recexp` makes one call per level of
+its recursion tree. A draw searches only the side of its rank that its pick
+uniform chose, so the table is computed only where the draws read it: its
+left half up to the largest target rank and its right half from the
 smallest, each extended when a recursion slice's rank lies beyond it. One
 order costs about one pass over the sample instead of two. The per-density
 sampler (:func:`qexp_density` with :func:`sample_piecewise`) draws the same
@@ -215,23 +216,75 @@ class _GapTable:
             self.b_lo = k
 
 
+def _draws(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> np.ndarray:
+    """One exponential-mechanism draw per slice ``values[a:b]`` on ``[lo,
+    hi]`` with global rank ``R`` in ``a..b``, read off the whole sample's
+    :class:`_GapTable`; the slice bounds may be scalars.
+
+    The slice's gaps are ``a..b``, gap ``a`` cut to ``[lo, x[a+1]]`` and gap
+    ``b`` to ``[x[b], hi]``; gap ``k`` has log-weight ``-c * abs(k - R)``.
+    With the table masses outside the slice, ``D_A = e^{A_a} + (lo - x[a])
+    e^{ca}`` and ``D_B = e^{B_{b+1}} + (x[b+1] - hi) e^{-cb}``, gaps
+    ``a..R-1`` hold ``e^{-cR} (e^{A_R} - D_A)`` and gaps ``R..b`` hold
+    ``e^{cR} (e^{B_R} - D_B)``, plus the cut gap ``a`` when ``R = a``. On
+    the full domain both D's are zero and the masses are the table's own.
+
+    ``u_pick`` chooses the side, the left one also where only it has mass,
+    and one ``searchsorted`` in that side's table, a B target capped at
+    ``B_R``, a gap on that side of ``R`` that moves the entry (``A_{k+1} >
+    A_k`` or ``B_k > B_{k+1}``), so a zero-length gap is never chosen. For
+    a slice with a point inside, the table is extended to ``A[0..R]`` and
+    ``B[R..n+1]``, the only entries read. No search returns a gap below
+    ``a``, and capping ``k`` at ``b`` keeps rounding inside the slice; so a
+    slice without a point inside (``a = b``), or of zero length, is drawn
+    on its one interval whatever the table holds. ``u_pos`` places the draw
+    in its gap, cut to ``[lo, hi]``.
+    """
+    x, c, A, B = table.x, table.c, table.A, table.B
+    table.extend_a(int(R.max(where=a < b, initial=0)))
+    table.extend_b(int(R.min(where=a < b, initial=x.size - 1)))
+    cR = c * R
+    A_R = A[R]
+    with np.errstate(all="ignore"):
+        log_da = np.logaddexp(A[a], np.log(lo - x[a]) + c * a)
+        log_db = np.logaddexp(B[b + 1], np.log(x[b + 1] - hi) - c * b)
+        # log(e^x - e^y) is -inf where e^x <= e^y: fmax drops the NaN that
+        # the log of a negative difference gives
+        log_left = np.fmax(A_R + np.log(-np.expm1(log_da - A_R)), -np.inf) - cR
+        a1 = a + 1
+        B_right = B[np.maximum(R, a1)]  # the right side's uncut gaps
+        log_right = np.fmax(B_right + np.log(-np.expm1(log_db - B_right)), -np.inf) + cR
+        # the cut gap a lies on the right side when R = a
+        log_right = np.logaddexp(log_right, np.log((x[a1] - lo) * (R == a)))
+        log_z = np.logaddexp(log_left, log_right)
+        left_target = np.logaddexp(np.log(u_pick) + log_z + cR, log_da)
+        right_target = np.minimum(np.logaddexp(np.log1p(-u_pick) + log_z - cR, log_db), B[R])
+    left = left_target < A_R
+    k = np.where(
+        left,
+        A.searchsorted(left_target, "right"),
+        table.neg_B.searchsorted(-right_target, "right"),
+    ) - 1
+    # a u_pick within rounding of 1 can choose the right side where it has
+    # no mass: take the last gap below R that has some
+    massless = log_right == -np.inf
+    if massless.any():
+        massless &= ~left & (log_left > -np.inf)
+        k[massless] = A.searchsorted(A_R[massless], "left") - 1
+    k = np.minimum(k, b)
+    left_edge = np.maximum(x[k], lo)
+    return left_edge + u_pos * (np.minimum(x[k + 1], hi) - left_edge)
+
+
 def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -> np.ndarray:
     """One exponential-mechanism draw on [0, 1] per target rank, all at ``epsilon``.
 
     Draw ``j`` has the law of ``sample_piecewise(qexp_density(sample,
-    RankTarget(ranks[j]), epsilon), rng)`` and consumes the same two
-    uniforms in the same order, but every rank is served by one table
-    (:class:`_GapTable`) instead of its own density, so m ranks cost O(n +
-    m log n). Only ``A[0..max r]`` and ``B[min r..n+1]`` are computed.
-
-    The mass left of interval ``r`` is ``e^{A_r - cr}``, the mass from ``r``
-    on is ``e^{B_r + cr}``. The pick uniform chooses the left side when its
-    target lies below ``A_r`` or the right side has no mass, and one
-    ``searchsorted`` in that side's table, a B target capped at ``B_r``,
-    finds an interval that moves the entry (``A_{k+1} > A_k`` or ``B_k >
-    B_{k+1}``); a zero-length interval repeats an entry and is never chosen.
-    The chosen interval equals the density sampler's except when a uniform
-    falls within rounding of an interval boundary of the CDF.
+    RankTarget(ranks[j]), epsilon), rng)`` on the same two uniforms, but
+    all ranks are full-domain slices of one :func:`_draws` call on one
+    table, so m ranks cost O(n + m log n). The chosen interval equals the
+    density sampler's except when a uniform falls within rounding of an
+    interval boundary of the CDF.
     """
     if epsilon < 0 or not math.isfinite(epsilon):
         raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {epsilon}")
@@ -240,26 +293,8 @@ def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -
     if r.ndim != 1 or (r.size and (r.min() < 0 or r.max() > n)):
         raise InvalidArgumentError(f"ranks must be a list of integers in [0, {n}]")
     table = _GapTable(sample.values, epsilon, int(r.min(initial=n + 1)), int(r.max(initial=0)))
-    x, c, A, neg_B = table.x, table.c, table.A, table.neg_B
-    cr = c * r
-    B_r = table.B[r]
-    log_z = np.logaddexp(A[r] - cr, B_r + cr)
     u_pick, u_pos = rng.random(2 * r.size).reshape(r.size, 2).T
-    with np.errstate(divide="ignore"):
-        left_target = np.log(u_pick) + log_z + cr
-    left = left_target < A[r]
-    right_target = np.minimum(np.log1p(-u_pick) + log_z - cr, B_r)
-    k = np.where(
-        left,
-        np.searchsorted(A[1:], left_target, side="right"),
-        np.searchsorted(neg_B, -right_target, side="right") - 1,
-    )
-    # a u_pick within rounding of 1 can choose the right side where it has
-    # no mass (only zero-length intervals from r on)
-    massless = ~left & (B_r == -np.inf)
-    if massless.any():
-        k[massless] = np.searchsorted(A, A[r[massless]], side="left") - 1
-    return x[k] + u_pos * (x[k + 1] - x[k])
+    return _draws(table, 0, n, 0.0, 1.0, r, u_pick, u_pos)
 
 
 def qexp(sample: SortedSample, p: float, epsilon: float, rng: RandomSource) -> float:
@@ -341,80 +376,6 @@ def recexp_depth(m: int) -> int:
     return int(m).bit_length()
 
 
-def _log(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
-
-
-def _logaddexp(x: float, y: float) -> float:
-    """Scalar ``np.logaddexp``, with the same formula."""
-    if x < y:
-        x, y = y, x
-    if y == -math.inf:
-        return x
-    return x + math.log1p(math.exp(y - x))
-
-
-def _logsubexp(x: float, y: float) -> float:
-    """``log(e^x - e^y)``, or ``-inf`` where ``e^x <= e^y``."""
-    if x <= y:
-        return -math.inf
-    return x + math.log(-math.expm1(y - x))
-
-
-def _slice_draw(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> float:
-    """One exponential-mechanism draw for the slice ``values[a:b]`` on
-    ``[lo, hi]`` with clamped global rank ``R``, read off the whole sample's
-    :class:`_GapTable`, which it extends to ``A[0..R]`` and ``B[R..n+1]``.
-
-    The slice's intervals are the global gaps ``a..b``, with gap ``a`` cut
-    to ``[lo, x[a+1]]`` and gap ``b`` to ``[x[b], hi]``; gap ``k`` has
-    log-weight ``-c * abs(k - R)``. ``D_A = e^{A_a} + (lo - x[a]) e^{ca}`` is
-    the A-mass below ``lo`` and ``D_B = e^{B_{b+1}} + (x[b+1] - hi) e^{-cb}``
-    the B-mass above ``hi``, so the mass of gaps ``a..R-1`` is ``e^{-cR}
-    (e^{A_R} - D_A)`` and that of gaps ``R..b`` is ``e^{cR} (e^{B_R} -
-    D_B)``; for ``R = a`` the cut gap ``a`` is added to gaps ``a+1..b``
-    explicitly. The uniforms are used as in :func:`qexp_draws`: ``u_pick``
-    chooses the side, the left one where only it has mass, and one
-    ``searchsorted`` in A or B the interval, on that side of ``R`` and
-    inside ``a..b``, so a slice costs O(log n) plus the table entries it is
-    the first to read.
-    """
-    x = table.x
-    if a == b:
-        k = a  # no sample point inside: the one interval [lo, hi]
-    else:
-        # tested here, not only in the methods, to spare two calls per slice
-        if R > table.a_hi:
-            table.extend_a(R)
-        if R < table.b_lo:
-            table.extend_b(R)
-        c, A, B = table.c, table.A, table.B
-        log_da = _logaddexp(A[a], _log(lo - x[a]) + c * a)
-        log_db = _logaddexp(B[b + 1], _log(x[b + 1] - hi) - c * b)
-        cr = c * R
-        if R > a:
-            log_left = _logsubexp(A[R], log_da) - cr
-            log_right = _logsubexp(B[R], log_db) + cr
-        else:
-            log_left = -math.inf
-            log_right = _logaddexp(_log(x[a + 1] - lo), _logsubexp(B[a + 1], log_db) + cr)
-        log_z = _logaddexp(log_left, log_right)
-        target = _logaddexp(_log(u_pick) + log_z + cr, log_da)
-        if target < A[R]:
-            k = int(np.searchsorted(A, target, side="right")) - 1
-        elif log_right == -math.inf and log_left > -math.inf:
-            # rounding chose the side without mass: take the last gap below
-            # R that has some
-            k = int(np.searchsorted(A, A[R], side="left")) - 1
-        else:
-            target = min(_logaddexp(math.log1p(-u_pick) + log_z - cr, log_db), B[R])
-            # rounding must not leave the slice
-            k = min(int(np.searchsorted(table.neg_B, -target, side="right")) - 1, b)
-    left = max(x[k], lo)
-    right = min(x[k + 1], hi)
-    return float(left + u_pos * (right - left))
-
-
 def recexp(
     sample: SortedSample,
     query: QuantileQuery,
@@ -429,13 +390,14 @@ def recexp(
     ``(eps / 2) / depth`` under replacement (a replacement is an addition
     plus a removal). Outputs are nondecreasing because child domains nest.
 
-    Node ``j`` draws from ``qexp_density`` on its slice of the sample and
-    its domain, as :func:`sample_piecewise` would, on the same two uniforms,
-    but every slice is read off one table over the whole sample
-    (:func:`_slice_draw`), so m orders cost O(n + m log n). The table starts
-    on ``A[0..max rank]`` and ``B[min rank..n+1]`` and grows only when a
-    slice's clamped rank leaves that region. The tree is walked depth-first,
-    left before right, with an explicit stack.
+    Every node draws from ``qexp_density`` on its slice and domain, as
+    :func:`sample_piecewise` would on the same two uniforms, but each tree
+    level is one :func:`_draws` call on one table over the whole sample, so
+    m orders cost O(n + m log n); the table grows only where a slice's
+    clamped rank leaves ``[min rank, max rank]``. Node ``i`` in preorder
+    takes uniforms ``2i`` and ``2i + 1`` of one ``rng.random(2 * m)`` and
+    is recorded in that order. A collapsed domain (``lo == hi``) pins its
+    subtree at ``lo``: no call, no record, its uniforms unused.
     """
     m = query.m
     depth = recexp_depth(m)
@@ -447,29 +409,41 @@ def recexp(
 
     values = sample.values
     n = sample.n
-    ranks = [target_rank(n, p) for p in query.orders]
-    table = _GapTable(values, eps_call, min(ranks), max(ranks))
-    out = np.empty(m)
-    # a node holds orders j_lo..j_hi (1-based) of the slice values[a:b] on
-    # [lo, hi]; the right child is pushed first, so the left one runs first
-    stack = [(1, m, 0, n, 0.0, 1.0, 1)]
-    while stack:
-        j_lo, j_hi, a, b, lo, hi, level = stack.pop()
-        if j_lo > j_hi:
-            continue
-        if lo == hi:
-            # a collapsed domain pins every quantile in the subtree; no
-            # mechanism call is made, so no budget is recorded
-            out[j_lo - 1 : j_hi] = lo
-            continue
-        j_mid = (j_lo + j_hi) // 2
-        R = min(max(ranks[j_mid - 1], a), b)
-        u_pick, u_pos = rng.random(2)
-        q = _slice_draw(table, a, b, lo, hi, R, u_pick, u_pos)
+    ranks = np.array([target_rank(n, p) for p in query.orders])
+    table = _GapTable(values, eps_call, int(ranks.min()), int(ranks.max()))
+    u_pick, u_pos = rng.random(2 * m).reshape(m, 2).T
+    # q[j] is the draw of order j and s[j] = #{values < q[j]}, with q = s = 0
+    # at j = 0 and q = 1, s = n at j = m + 1. A node over orders below + 1..
+    # above - 1 draws order (below + above) // 2 on [q[below], q[above]]
+    # from values[s[below]:s[above]]; pre is its preorder index.
+    q = np.empty(m + 2)
+    s = np.empty(m + 2, dtype=np.int64)
+    q[0], q[m + 1], s[0], s[m + 1] = 0.0, 1.0, 0, n
+    below, above, pre = np.array([0]), np.array([m + 1]), np.array([0])
+    records = []
+    for level in range(1, depth + 1):
+        j = (below + above) // 2
+        lo, hi, a, b = q[below], q[above], s[below], s[above]
+        # a collapsed domain is a one-interval slice, which _draws draws at lo
+        R = np.minimum(np.maximum(ranks[j - 1], a), b)
+        drawn = _draws(table, a, b, lo, hi, R, u_pick[pre], u_pos[pre])
+        q[j] = drawn
+        # a draw lies in [lo, hi], so this counts values[:a] and none of values[b:]
+        s[j] = values.searchsorted(drawn, "left")
         if ledger is not None:
-            ledger.record(j_mid - 1, level, eps_call, b - a)
-        out[j_mid - 1] = q
-        s = a + int(np.searchsorted(values[a:b], q, side="left"))
-        stack.append((j_mid + 1, j_hi, s, b, q, hi, level + 1))
-        stack.append((j_lo, j_mid - 1, a, s, lo, q, level + 1))
-    return out
+            live = lo < hi
+            calls = zip(pre[live].tolist(), j[live].tolist(), (b - a)[live].tolist())
+            records += [(node, order - 1, level, size) for node, order, size in calls]
+        # the left child's subtree comes next in preorder, the right one's
+        # after the j - below - 1 nodes of the left
+        below, above, pre = (
+            np.concatenate((below, j)),
+            np.concatenate((j, above)),
+            np.concatenate((pre + 1, pre + j - below)),
+        )
+        has_orders = above - below > 1
+        below, above, pre = below[has_orders], above[has_orders], pre[has_orders]
+    if ledger is not None:
+        for _, order_index, level, size in sorted(records):
+            ledger.record(order_index, level, eps_call, size)
+    return q[1 : m + 1]

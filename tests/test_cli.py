@@ -77,6 +77,19 @@ class TestEstimate:
         assert cli.main(argv) == 0
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize(
+        "target,reason", [("missing/est.csv", "No such file or directory"), (".", "Is a directory")]
+    )
+    def test_unwritable_output_exits_2_naming_it(self, data_file, tmp_path, capsys, target, reason):
+        out = tmp_path / target
+        argv = [
+            "estimate", "--data", data_file, "--method", "indexp", "--m", "2",
+            "--epsilon", "1", "--output", str(out),
+        ]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f"error: {out}: {reason}\n") and captured.out == ""
+
     def test_histogram_zero_noise_hand_value(self, data_file, capsys):
         argv = [
             "estimate", "--data", data_file, "--method", "histogram", "--orders", "0.5",
@@ -334,6 +347,45 @@ class TestBench:
         assert str(path) in err and "orders" in err
         assert not outdir.exists()
 
+    def test_unusable_output_directory_exits_2_before_the_run(
+        self, config_file, tmp_path, capsys, monkeypatch
+    ):
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("the protocol ran")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for outdir, reason in ((taken, "File exists"), (taken / "o", "Not a directory")):
+            assert cli.main(["bench", "--config", config_file, "--output", str(outdir)]) == 2
+            assert capsys.readouterr().err == f"error: {outdir}: {reason}\n"
+
+    def test_unwritable_output_file_exits_2_naming_it(self, config_file, tmp_path, capsys):
+        summary = tmp_path / "o" / "summary.json"
+        summary.mkdir(parents=True)
+        assert cli.main(["bench", "--config", config_file, "--output", str(summary.parent)]) == 2
+        assert capsys.readouterr().err == f"error: {summary}: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "key,value,repeated",
+        [
+            ("distributions", "uniform, beta:2:5, beta:2:5", "beta(2,5)"),
+            ("estimators", "indexp, indexp", "indexp"),
+            ("m_grid", "2, 2", "2"),
+        ],
+    )
+    def test_repeated_entry_exits_2_naming_the_key(self, tmp_path, capsys, key, value, repeated):
+        # a repeat used to run its cells twice, as indistinguishable CSV rows
+        path = tmp_path / "repeats.cfg"
+        path.write_text("".join(
+            f"{key} = {value}\n" if line.startswith(key + " ") else line + "\n"
+            for line in CONFIG.splitlines()
+        ))
+        outdir = tmp_path / "o"
+        assert cli.main(["bench", "--config", str(path), "--output", str(outdir)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: key {key!r}: {repeated} is given twice\n"
+        assert not outdir.exists()
+
 
 # expected values computed independently with 40-digit mpmath arithmetic
 FORMULA_CASES = {
@@ -499,6 +551,21 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "suite dp-ratio: PASS" in err
         assert "relation=add-remove" in err
+
+    @pytest.mark.parametrize("passed", [True, False])
+    def test_unwritable_output_exits_2_naming_it(self, monkeypatch, tmp_path, capsys, passed):
+        def suite(seed, trials):
+            return CheckReport("gap-law", passed, [{
+                "bound": 0.5, "empirical": 0.4, "trials": trials,
+                "ci_low": 0.3, "ci_high": 0.5, "passed": passed,
+            }])
+
+        monkeypatch.setitem(cli._SUITES, "gap-law", suite)
+        out = tmp_path / "missing" / "report.json"
+        assert cli.main(["verify", "gap-law", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f"error: {out}: No such file or directory\n")
+        assert captured.out == ""
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as err:

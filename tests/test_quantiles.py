@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp, kstest
+from scipy.stats import chi2_contingency, ks_2samp, kstest
 
 from dpquantiles import quantiles
 from dpquantiles.bench import centered_grid, max_log_density_ratio, neighboring_sample_pairs
@@ -329,9 +329,11 @@ class TestQexpDraws:
         assert qexp_draws(sample, [], 1.0, RandomSource(0)).shape == (0,)
 
 
-def per_slice_recexp(sample, query, rng, ledger=None):
+def per_slice_recexp(sample, query, rng, ledger=None, skip_pinned=False):
     # the reference recursion: a SortedSample, a qexp_density and a
-    # sample_piecewise draw on every slice
+    # sample_piecewise draw on every slice. Node i in preorder takes
+    # uniforms 2i and 2i + 1; with skip_pinned, the earlier stream rule, a
+    # pinned subtree takes none and later nodes take the next pairs
     m = query.m
     depth = recexp_depth(m)
     eps = query.budget.epsilon
@@ -345,7 +347,10 @@ def per_slice_recexp(sample, query, rng, ledger=None):
         if j_lo > j_hi:
             return
         if lo == hi:
+            # the subtree is pinned at lo and its nodes' uniforms go unused
             out[j_lo - 1 : j_hi] = lo
+            if not skip_pinned:
+                rng.random(2 * (j_hi - j_lo + 1))
             return
         j_mid = (j_lo + j_hi) // 2
         r = min(max(target_rank(n, query.orders[j_mid - 1]) - a, 0), b - a)
@@ -443,6 +448,39 @@ class TestRecexpTable:
         assert per_slice_recexp(sample, query, ScriptedUniforms(cycle))[0] == 0.375
         assert recexp(sample, query, ScriptedUniforms(cycle))[0] == 0.375
 
+    def test_pinned_subtrees_keep_the_law(self):
+        # on six adjacent doubles at this budget many draws land on a sample
+        # point and pin a child's subtree. The earlier stream rule gave the
+        # nodes after a pinned subtree its uniforms; now they go unused. Both
+        # rules feed every drawn node fresh uniforms, so each order's output
+        # frequencies must agree between them
+        sample = oracle_test_sample("ulps", 50, seed=50)
+        query = QuantileQuery(centered_grid(100), PrivacyBudget(1e300, ADD_REMOVE))
+        points = np.unique(sample.values)
+
+        def cells(out):
+            # 2i + 1 on the i-th distinct point, 2i between points i - 1 and i
+            return 2 * np.searchsorted(points, out) + np.isin(out, points)
+
+        new, old, pinned = [], [], 0
+        for seed in range(2000):
+            ledger = BudgetLedger()
+            new.append(cells(recexp(sample, query, RandomSource(seed, (1,)), ledger=ledger)))
+            pinned += len(ledger.calls) < query.m
+            rng = RandomSource(seed, (2,))
+            old.append(cells(per_slice_recexp(sample, query, rng, skip_pinned=True)))
+        assert pinned > 500
+        p_values = []
+        for new_j, old_j in zip(np.array(new).T, np.array(old).T):
+            counts = np.array([np.bincount(new_j, minlength=14), np.bincount(old_j, minlength=14)])
+            # cells seen fewer than 20 times are pooled into one
+            rare = counts.sum(axis=0) < 20
+            counts = np.column_stack([counts[:, ~rare], counts[:, rare].sum(axis=1)])
+            counts = counts[:, counts.sum(axis=0) > 0]
+            if counts.shape[1] > 1:
+                p_values.append(chi2_contingency(counts).pvalue)
+        assert min(p_values) * len(p_values) > 0.01, min(p_values)
+
     def test_leaves_no_reference_cycles(self):
         # a cycle would keep the O(n) tables alive until the cyclic collector ran
         sample = oracle_test_sample("beta", 1000, seed=3)
@@ -485,6 +523,18 @@ class TestGapTable:
         assert [(t.b_lo, t.a_hi) for t in recorded_tables] == [(250, 600), (300, 700)]
         for table, epsilon in zip(recorded_tables, (1.0, 0.5 / 2)):
             assert_matches_full_table(table, sample.values, epsilon)
+
+    def test_slice_without_a_point_extends_nothing(self, recorded_tables):
+        # with every point above 1/2 and this budget the root draw lands in
+        # [0, x_1], so the left child's slice is empty at rank 0; B stays
+        # uncomputed below the smallest target rank
+        sample = SortedSample(0.5 + oracle_test_sample("beta", 1000, seed=1).values / 2)
+        query = QuantileQuery((0.3, 0.5, 0.7), PrivacyBudget(1e-3, ADD_REMOVE))
+        out = recexp(sample, query, ScriptedUniforms([0.2, 0.5]))
+        assert out[0] < out[1] < sample.values[0]
+        (table,) = recorded_tables
+        assert (table.b_lo, table.a_hi) == (300, 700)
+        assert_matches_full_table(table, sample.values, 1e-3 / 2)
 
     def test_qexp_b_search_continues_below_the_computed_region(self, recorded_tables):
         # interval 3, just below rank 4, has zero length ([0.4, 0.4]); this
@@ -603,24 +653,33 @@ class TestSideRule:
                     assert_side_rule(x, A, B, c, (0, sample.n, 0.0, 1.0, r), u_pick, q)
 
     def test_recexp_slices_at_extreme_pick_uniforms(self, monkeypatch):
-        slices, slice_draw = [], quantiles._slice_draw
+        # every slice of every level keeps the side rule, and each level
+        # draws the same on a table whose uncomputed B entries are NaN and on
+        # the full table: no entry that was never computed feeds a draw
+        levels, draws = [], quantiles._draws
 
-        def recording(table, a, b, lo, hi, R, u_pick, u_pos):
-            q = slice_draw(table, a, b, lo, hi, R, u_pick, u_pos)
-            slices.append((table.c, (a, b, lo, hi, R), u_pick, q))
+        def recording(table, *slices):
+            q = draws(table, *slices)
+            levels.append(((table.b_lo, table.a_hi), slices, q))
             return q
 
-        monkeypatch.setattr(quantiles, "_slice_draw", recording)
+        monkeypatch.setattr(quantiles, "_draws", recording)
         for sample, epsilon in itertools.product(SIDE_RULE_SAMPLES, SIDE_RULE_EPSILONS):
             for m, u_pick in itertools.product((3, 7), EXTREME_PICKS):
                 query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(epsilon, ADD_REMOVE))
-                slices.clear()
+                levels.clear()
                 recexp(sample, query, ScriptedUniforms([u_pick, 0.5]))
-                x, c, A, B = full_gap_tables(sample.values, epsilon / recexp_depth(m))
-                for table_c, slice_, u, q in slices:
-                    assert table_c == c
-                    if slice_[0] < slice_[1]:  # else the slice has one interval
-                        assert_side_rule(x, A, B, c, slice_, u, q)
+                eps_call = epsilon / recexp_depth(m)
+                x, c, A, B = full_gap_tables(sample.values, eps_call)
+                for (b_lo, a_hi), slices, q in levels:
+                    poisoned = quantiles._GapTable(sample.values, eps_call, b_lo, a_hi)
+                    poisoned.B[:b_lo] = np.nan
+                    full = quantiles._GapTable(sample.values, eps_call, 0, sample.n + 1)
+                    assert draws(poisoned, *slices).tobytes() == q.tobytes()
+                    assert draws(full, *slices).tobytes() == q.tobytes()
+                    for a, b, lo, hi, R, u, _, q_i in zip(*slices, q):
+                        if a < b and lo < hi:  # else the slice has one interval
+                            assert_side_rule(x, A, B, c, (a, b, lo, hi, R), u, q_i)
 
     def test_slice_without_computed_mass_keeps_its_draw_inside(self):
         # at this budget both side masses of the slice [2e-300, 3e-300] round
@@ -629,9 +688,9 @@ class TestSideRule:
         values = oracle_test_sample("tiny-gaps", 5, seed=5).values
         table = quantiles._GapTable(values, 1e-6, 0, 6)
         lo, hi = values[1], values[2]
-        for u_pick in EXTREME_PICKS:
-            q = quantiles._slice_draw(table, 1, 2, lo, hi, 1, u_pick, 0.5)
-            assert lo <= q <= hi, u_pick
+        u_pick = np.array(EXTREME_PICKS)
+        q = quantiles._draws(table, 1, 2, lo, hi, np.ones(u_pick.size, dtype=np.int64), u_pick, 0.5)
+        assert np.all((lo <= q) & (q <= hi)), q
 
 
 class TestRecexpDepth:
