@@ -117,7 +117,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Aggregated errors of one (distribution, estimator, m) cell."""
+    """Aggregated errors of one (distribution, estimator, m) cell, with its
+    per-trial errors in trial order."""
 
     distribution: str
     estimator: str
@@ -126,7 +127,7 @@ class CellResult:
     std_error: float
     trials: int
     wall_time: float
-    errors: tuple[float, ...] | None = None
+    errors: tuple[float, ...]
 
 
 @dataclass
@@ -205,7 +206,6 @@ def _run_chunk(config: ExperimentConfig, chunk: tuple) -> tuple[list[float], flo
 def run_experiment(
     config: ExperimentConfig,
     workers: int = 1,
-    keep_trial_errors: bool = False,
 ) -> ExperimentResult:
     """Run every (distribution, estimator, m) cell for ``config.trials`` trials.
 
@@ -247,7 +247,7 @@ def run_experiment(
                 std_error=std_error,
                 trials=config.trials,
                 wall_time=cell_walls[d_idx, e_idx, m_idx],
-                errors=tuple(errors) if keep_trial_errors else None,
+                errors=tuple(errors),
             )
         )
     return result
@@ -348,64 +348,31 @@ def neighboring_sample_pairs(
     return sorted(pairs)
 
 
-# Entries allowed in one chunk's log-density table and in each of its
-# per-pair difference arrays. A single pair that needs more gets a chunk of
-# its own, the size of its two densities.
-_TABLE_ENTRIES = 1 << 20
-
-
-def _pair_chunks(pairs):
-    """Split ``pairs`` into consecutive chunks that fit ``_TABLE_ENTRIES``.
-
-    Yields ``(samples, values, ia, ib)``: the distinct samples of the chunk
-    in row order, the set of their values, and each pair's two row indices.
-    A chunk has at most ``2 * len(ia)`` rows and ``len(values) + 3`` grid
-    points: one per cell between 0, the values and 1, plus 0 and 1.
-    """
-    rows: dict[tuple, int] = {}
-    values: set[float] = set()
-    ia: list[int] = []
-    ib: list[int] = []
-    for first, second in pairs:
-        first, second = tuple(first), tuple(second)
-        fresh = {v for key in (first, second) if key not in rows for v in key}
-        fresh.difference_update(values)
-        if ia and 2 * (len(ia) + 1) * (len(values) + len(fresh) + 3) > _TABLE_ENTRIES:
-            yield list(rows), values, ia, ib
-            rows, values, ia, ib = {}, set(), [], []
-            fresh = set(first) | set(second)
-        values |= fresh
-        ia.append(rows.setdefault(first, len(rows)))
-        ib.append(rows.setdefault(second, len(rows)))
-    if ia:
-        yield list(rows), values, ia, ib
-
-
 def max_log_density_ratio(pairs, p: float, epsilon: float) -> np.ndarray:
     """Exact sup over [0, 1] of the absolute log-density difference of the
     single-quantile mechanism of order ``p``, one value per pair of samples.
 
     Each density is piecewise constant between 0, its sample values and 1.
-    One table serves a whole chunk of pairs: a row per distinct sample, each
-    row that sample's log-density at the midpoints of the cells cut by all
-    values of the chunk, plus the endpoints 0 and 1. These cells refine the
-    merged cells of every pair, and a piecewise-constant density takes one
-    value on a cell, so the largest difference between a pair's two rows is
-    the pair's exact sup, the same float as on the pair's own cells.
+    One table serves the whole list: a row per distinct sample, each row that
+    sample's log-density at the midpoints of the cells cut by 0, 1 and every
+    value in the list. These cells refine the merged cells of every pair, and
+    a piecewise-constant density takes one value on a cell, so the largest
+    difference between a pair's two rows is the pair's exact sup, the same
+    float as on the pair's own cells.
     """
-    sups = np.empty(len(pairs))
-    start = 0
-    for samples, values, ia, ib in _pair_chunks(pairs):
-        cuts = np.unique(np.fromiter(values | {0.0, 1.0}, float))
-        points = np.concatenate([(cuts[:-1] + cuts[1:]) / 2.0, [0.0, 1.0]])
-        table = np.empty((len(samples), len(points)))
-        for row, values_of in enumerate(samples):
-            sample = SortedSample(np.asarray(values_of, dtype=float))
-            target = RankTarget(target_rank(sample.n, p))
-            table[row] = log_density_grid(qexp_density(sample, target, epsilon), points)
-        sups[start : start + len(ia)] = np.max(np.abs(table[ia] - table[ib]), axis=1)
-        start += len(ia)
-    return sups
+    rows: dict[tuple, int] = {}
+    index = np.array(
+        [[rows.setdefault(tuple(sample), len(rows)) for sample in pair] for pair in pairs],
+        dtype=int,
+    ).reshape(-1, 2)
+    cuts = np.unique(np.fromiter({0.0, 1.0}.union(*rows), float))
+    points = (cuts[:-1] + cuts[1:]) / 2.0
+    table = np.empty((len(rows), len(points)))
+    for row, values_of in enumerate(rows):
+        sample = SortedSample(np.asarray(values_of, dtype=float))
+        target = RankTarget(target_rank(sample.n, p))
+        table[row] = log_density_grid(qexp_density(sample, target, epsilon), points)
+    return np.max(np.abs(table[index[:, 0]] - table[index[:, 1]]), axis=1)
 
 
 def verify_dp_ratio(

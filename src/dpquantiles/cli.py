@@ -55,23 +55,23 @@ def _fail(message: str, code: int) -> int:
 
 
 @contextlib.contextmanager
-def _open_text(path: str):
-    """``path`` opened as UTF-8 text; a byte that does not decode is an
-    input error naming the path."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            yield handle
-    except UnicodeDecodeError as exc:
-        raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-@contextlib.contextmanager
 def _naming(path):
     """An OSError inside is an input error naming ``path``."""
     try:
         yield
     except OSError as exc:
         raise InvalidArgumentError(f"{path}: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def _open_text(path: str):
+    """``path`` opened as UTF-8 text; a file that cannot be read or a byte
+    that does not decode is an input error naming the path."""
+    try:
+        with _naming(path), open(path, "r", encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _write_text(path, text: str) -> None:

@@ -1,9 +1,9 @@
 """Ground-truth distribution oracles for benchmark error measurement.
 
 Beta distributions on [0, 1] (Uniform is Beta(1, 1)) with an i.i.d. sampler,
-a CDF and true quantile function accurate far below any benchmark error
-scale, and density envelopes (min, max, Lipschitz constant) on restricted
-sub-intervals where the utility bounds need them.
+a density, a CDF and a true quantile function accurate far below any
+benchmark error scale. :class:`DensityEnvelope` is the density bound
+(min, max, Lipschitz constant) that the utility bounds take as input.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import betainc, betaincinv, betaln
 
 from .errors import InvalidArgumentError
@@ -27,7 +26,6 @@ class DensityEnvelope:
     lower: float
     upper: float
     lipschitz: float
-    interval: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
         if self.lower < 0 or (math.isfinite(self.upper) and self.lower > self.upper):
@@ -36,17 +34,18 @@ class DensityEnvelope:
             )
 
 
+def _shape_text(value: float) -> str:
+    """Shortest round-trip text of a shape parameter, without a trailing
+    ``.0``: distinct parameters never share a label or a file name."""
+    return repr(float(value)).removesuffix(".0")
+
+
 @dataclass(frozen=True)
 class DistributionOracle:
-    """Beta(alpha, beta) ground truth on [0, 1]; Beta(1, 1) is Uniform.
-
-    ``cdf_tol`` records the absolute accuracy contract of :meth:`cdf`
-    (the incomplete-beta evaluation is far tighter in practice).
-    """
+    """Beta(alpha, beta) ground truth on [0, 1]; Beta(1, 1) is Uniform."""
 
     alpha: float
     beta: float
-    cdf_tol: float = 1e-12
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
@@ -70,14 +69,14 @@ class DistributionOracle:
     def label(self) -> str:
         if self.is_uniform:
             return "uniform"
-        return f"beta({self.alpha:g},{self.beta:g})"
+        return f"beta({_shape_text(self.alpha)},{_shape_text(self.beta)})"
 
     @property
     def slug(self) -> str:
         """Filesystem-friendly name for per-distribution output files."""
         if self.is_uniform:
             return "uniform"
-        return f"beta-{self.alpha:g}-{self.beta:g}"
+        return f"beta-{_shape_text(self.alpha)}-{_shape_text(self.beta)}"
 
     def sample(self, n: int, rng: RandomSource) -> SortedSample:
         """n i.i.d. draws, sorted. Beta draws use the ratio of two gamma
@@ -139,42 +138,3 @@ class DistributionOracle:
             raise InvalidArgumentError("quantile order must lie strictly in (0, 1)")
         out = betaincinv(self.alpha, self.beta, p)
         return out if out.ndim else float(out)
-
-    def _pdf_derivative(self, x: np.ndarray) -> np.ndarray:
-        # f'(x) = f(x) * ((alpha-1)/x - (beta-1)/(1-x)), finite on (0, 1)
-        return self.pdf(x) * ((self.alpha - 1.0) / x - (self.beta - 1.0) / (1.0 - x))
-
-    def envelope(self, lo: float, hi: float) -> DensityEnvelope:
-        """Density min/max and Lipschitz constant over [lo, hi] inside (0, 1).
-
-        Beta densities have at most one interior critical point, so min/max
-        come from the endpoints plus that point; the derivative extremum is
-        located on a dense grid and polished with a bounded minimizer.
-        """
-        if not (0.0 < lo < hi < 1.0):
-            raise InvalidArgumentError(
-                f"need 0 < lo < hi < 1 for an envelope, got [{lo}, {hi}]"
-            )
-        candidates = [lo, hi]
-        denom = self.alpha + self.beta - 2.0
-        if denom != 0.0:
-            stationary = (self.alpha - 1.0) / denom
-            if lo < stationary < hi:
-                candidates.append(stationary)
-        heights = [float(self.pdf(c)) for c in candidates]
-        lower, upper = min(heights), max(heights)
-
-        xs = np.linspace(lo, hi, 10001)
-        slopes = np.abs(self._pdf_derivative(xs))
-        i = int(np.argmax(slopes))
-        lipschitz = float(slopes[i])
-        left, right = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        if right > left:
-            res = minimize_scalar(
-                lambda t: -abs(float(self._pdf_derivative(np.asarray(t)))),
-                bounds=(left, right),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            lipschitz = max(lipschitz, float(-res.fun))
-        return DensityEnvelope(lower, upper, lipschitz, (lo, hi))

@@ -152,9 +152,9 @@ class TestRunExperiment:
         # 3 trials at 2 workers, and of 3, 3 and 1 at 3 workers
         config = small_config(trials=7, distributions=(UNIFORM,), estimators=("indexp", "histogram"))
         assert [len(bench._trial_chunks(config, w)) for w in (1, 2, 3)] == [4, 8, 12]
-        serial = run_experiment(config, workers=1, keep_trial_errors=True)
+        serial = run_experiment(config, workers=1)
         for workers in (2, 3):
-            parallel = run_experiment(config, workers=workers, keep_trial_errors=True)
+            parallel = run_experiment(config, workers=workers)
             for a, b in zip(serial.cells, parallel.cells, strict=True):
                 assert (a.distribution, a.estimator, a.m) == (b.distribution, b.estimator, b.m)
                 assert a.mean_error == b.mean_error
@@ -164,14 +164,14 @@ class TestRunExperiment:
 
     def test_trial_errors_retained_on_request(self):
         config = small_config(trials=4, estimators=("histogram",), distributions=(UNIFORM,), m_grid=(1,))
-        result = run_experiment(config, keep_trial_errors=True)
+        result = run_experiment(config)
         errors = result.cells[0].errors
         assert len(errors) == 4
         assert result.cells[0].mean_error == pytest.approx(math.fsum(errors) / 4)
 
     def test_trial_errors_keep_trial_order_across_chunks(self, fake_pool):
         config = small_config(trials=10, estimators=("indexp", "histogram"), distributions=(UNIFORM,), m_grid=(2,))
-        result = run_experiment(config, workers=2, keep_trial_errors=True)
+        result = run_experiment(config, workers=2)
         assert fake_pool[0].tasks == 8  # chunks of 3, 3, 3 and 1 trials per cell
         for e_idx, cell in enumerate(result.cells):
             assert cell.errors == tuple(
@@ -181,8 +181,8 @@ class TestRunExperiment:
 
     def test_one_cell_spreads_over_the_workers(self, fake_pool):
         config = small_config(trials=10, estimators=("histogram",), distributions=(UNIFORM,), m_grid=(1,))
-        serial = run_experiment(config, workers=1, keep_trial_errors=True)
-        spread = run_experiment(config, workers=2, keep_trial_errors=True)
+        serial = run_experiment(config, workers=1)
+        spread = run_experiment(config, workers=2)
         (pool,) = fake_pool
         assert pool.max_workers == 2 and pool.tasks == 5
         assert spread.cells[0].errors == serial.cells[0].errors
@@ -326,28 +326,13 @@ class TestMaxLogDensityRatio:
         with pytest.raises(InvalidArgumentError):
             max_log_density_ratio([((0.2,), (0.2, 1.5))], 0.5, 1.0)
 
-    def test_pairs_beyond_the_table_bound_are_chunked(self):
+    def test_large_samples_match_per_pair_reference(self):
         rng = np.random.default_rng(11)
         pairs = []
         for _ in range(80):
             base = tuple(np.sort(rng.random(200)).tolist())
             pairs.append((base, tuple(sorted(base + (float(rng.random()),)))))
-        values = {v for pair in pairs for sample in pair for v in sample}
-        assert 2 * len(pairs) * (len(values) + 3) > bench._TABLE_ENTRIES
-        assert len(list(bench._pair_chunks(pairs))) > 1
         assert_matches_reference(pairs, orders=(0.5,), epsilons=(1.0,))
-
-    def test_tiny_table_bound_gives_the_same_sups(self, monkeypatch):
-        # samples shared across chunk boundaries, and pairs alone over the bound
-        pairs = neighboring_sample_pairs(AUDIT_GRID[:4], 3, NeighboringRelation.REPLACE)
-        pairs += EDGE_PAIRS
-        whole = [max_log_density_ratio(pairs, p, 1.0).tolist() for p in ORDERS]
-        monkeypatch.setattr(bench, "_TABLE_ENTRIES", 16)
-        assert len(list(bench._pair_chunks(pairs))) == len(pairs)
-        assert [max_log_density_ratio(pairs, p, 1.0).tolist() for p in ORDERS] == whole
-        monkeypatch.setattr(bench, "_TABLE_ENTRIES", 200)
-        assert 1 < len(list(bench._pair_chunks(pairs))) < len(pairs)
-        assert [max_log_density_ratio(pairs, p, 1.0).tolist() for p in ORDERS] == whole
 
     def test_verify_counts_every_pair_and_order(self):
         pairs = neighboring_sample_pairs((0.2, 0.5, 0.8), 3, NeighboringRelation.ADD_REMOVE)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,10 +241,16 @@ class TestEstimate:
         # the noiseless test mode draws no noise, so it has no scale to overflow
         assert cli.main(argv + ["--zero-noise"]) == 0
 
-    def test_missing_file_exits_2(self):
-        argv = ["estimate", "--data", "/nonexistent/x.txt", "--method", "recexp", "--m", "1",
-                "--epsilon", "1"]
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.txt"
+        argv = ["estimate", "--data", str(path), "--method", "recexp", "--m", "1", "--epsilon", "1"]
         assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
+
+    def test_directory_as_data_exits_2_naming_it(self, tmp_path, capsys):
+        argv = ["estimate", "--data", str(tmp_path), "--method", "recexp", "--m", "1", "--epsilon", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
     def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys):
         path = tmp_path / "latin1.txt"
@@ -320,6 +330,27 @@ class TestBench:
         assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid continuation byte)\n"
         assert not (tmp_path / "o").exists()
 
+    def test_missing_config_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        assert cli.main(["bench", "--config", str(path), "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_close_shape_parameters_get_their_own_files(self, tmp_path):
+        # rounded to 6 digits, both shapes were labelled beta(2,5)
+        path = tmp_path / "close.cfg"
+        path.write_text(CONFIG.replace("uniform, beta:2:5", "beta:2:5, beta:2.0000001:5"))
+        outdir = tmp_path / "o"
+        assert cli.main(["bench", "--config", str(path), "--output", str(outdir)]) == 0
+        tables = {p.name: p.read_text() for p in outdir.glob("*.csv")}
+        assert set(tables) == {"beta-2-5.csv", "beta-2.0000001-5.csv"}
+        for text in tables.values():
+            assert len(text.splitlines()) == 1 + 3 * 2  # header, estimators x m_grid
+        assert tables["beta-2-5.csv"] != tables["beta-2.0000001-5.csv"]
+        summary = json.loads((outdir / "summary.json").read_text())
+        labels = [d["label"] for d in summary["config"]["distributions"]]
+        assert labels == ["beta(2,5)", "beta(2.0000001,5)"]
+
     def test_bad_version_exits_2(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(CONFIG.replace("config_version = 1", "config_version = 2"))
@@ -370,6 +401,7 @@ class TestBench:
         "key,value,repeated",
         [
             ("distributions", "uniform, beta:2:5, beta:2:5", "beta(2,5)"),
+            ("distributions", "beta:2:5, beta:2.0:5", "beta(2,5)"),
             ("estimators", "indexp, indexp", "indexp"),
             ("m_grid", "2, 2", "2"),
         ],
@@ -571,3 +603,13 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             cli.main(["verify", "mystery"])
         assert err.value.code == 2
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize alone took about a quarter of every command's start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, dpquantiles.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"

@@ -86,35 +86,6 @@ class TestQuantile:
 
 
 class TestEnvelope:
-    def test_uniform_is_flat(self):
-        env = ORACLES["uniform"].envelope(0.1, 0.9)
-        assert env.lower == pytest.approx(1.0, abs=1e-12)
-        assert env.upper == pytest.approx(1.0, abs=1e-12)
-        assert env.lipschitz == pytest.approx(0.0, abs=1e-9)
-
-    def test_beta21_linear_density(self):
-        env = ORACLES["beta(2,1)"].envelope(0.25, 0.75)
-        assert env.lower == pytest.approx(0.5, rel=1e-12)
-        assert env.upper == pytest.approx(1.5, rel=1e-12)
-        assert env.lipschitz == pytest.approx(2.0, rel=1e-9)
-
-    def test_beta22_vertex_inside(self):
-        env = ORACLES["beta(2,2)"].envelope(0.25, 0.75)
-        assert env.upper == pytest.approx(1.5, rel=1e-12)   # 6 * 0.25 at x = 1/2
-        assert env.lower == pytest.approx(1.125, rel=1e-12)  # endpoints
-        assert env.lipschitz == pytest.approx(3.0, rel=1e-9)  # |6 - 12x| at 0.25
-
-    def test_u_shape_minimum_inside(self):
-        env = ORACLES["beta(0.5,0.5)"].envelope(0.2, 0.8)
-        assert env.lower == pytest.approx(2 / math.pi, rel=1e-12)  # at x = 1/2
-        assert env.upper == pytest.approx(float(ORACLES["beta(0.5,0.5)"].pdf(0.2)), rel=1e-12)
-
-    def test_rejects_degenerate_interval(self):
-        with pytest.raises(InvalidArgumentError):
-            ORACLES["uniform"].envelope(0.5, 0.5)
-        with pytest.raises(InvalidArgumentError):
-            ORACLES["uniform"].envelope(0.0, 0.5)
-
     def test_envelope_validation(self):
         with pytest.raises(InvalidArgumentError):
             DensityEnvelope(2.0, 1.0, 0.0)
