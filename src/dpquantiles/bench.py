@@ -9,6 +9,7 @@ across reruns and parallelism degrees.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import time
@@ -31,8 +32,9 @@ from .mechanisms import (
     NeighboringRelation,
     PrivacyBudget,
     RandomSource,
+    check_seed,
     interval_mass,
-    log_density_grid,
+    log_density_grid,  # noqa: F401  (a benchmark trace point)
 )
 from .quantiles import (
     QuantileQuery,
@@ -40,6 +42,7 @@ from .quantiles import (
     SortedSample,
     indexp,
     qexp_density,
+    qexp_log_weights,
     recexp,
     target_rank,
 )
@@ -108,6 +111,10 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"n must be >= 1, got {self.n}")
         if self.histogram_bin_count < 1:
             raise InvalidArgumentError("histogram bin count must be >= 1")
+        try:
+            check_seed(self.base_seed)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"key 'base_seed': {exc}") from None
 
     def orders_for(self, m: int) -> tuple[float, ...]:
         if self.explicit_orders is not None:
@@ -319,92 +326,180 @@ def verify_gap_law(n: int, gammas, trials: int, rng: RandomSource) -> CheckRepor
     return CheckReport("gap-law", all_pass, rows)
 
 
+def _multisets(grid: tuple[float, ...], max_size: int) -> list[tuple[float, ...]]:
+    """Every nondecreasing tuple of at most ``max_size`` values of the sorted,
+    distinct ``grid``, in tuple order: a tuple comes before its extensions,
+    and an extension by a smaller value before one by a larger value."""
+    out = []
+
+    def extend(prefix, start):
+        out.append(prefix)
+        if len(prefix) < max_size:
+            for i in range(start, len(grid)):
+                extend(prefix + (grid[i],), i)
+
+    extend((), 0)
+    return out
+
+
 def neighboring_sample_pairs(
     grid, max_n: int, relation: NeighboringRelation
 ) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-    """Exhaustive unordered neighbor pairs with entries from ``grid``.
+    """Exhaustive unordered neighbor pairs with entries from ``grid``, in
+    sorted order, each pair's smaller sample first.
 
-    Add/remove pairs one sample of size <= max_n - 1 with each one-point
-    extension; replacement pairs samples of equal size <= max_n differing
-    in a single entry.
+    The grid is sorted and its repeats dropped first. Add/remove pairs one
+    sample of size <= max_n - 1 with each one-point extension; replacement
+    pairs samples of equal size <= max_n differing in a single entry. Each
+    pair is made once, in order: an add/remove pair is a base plus one
+    inserted value, and a replacement pair a sample plus, for one of its
+    distinct values ``a``, a partner with one copy of ``a`` replaced by a
+    larger grid value ``b``. Inserting a larger value gives a larger tuple,
+    and so does replacing a smaller ``a``, which changes an earlier entry;
+    so the partners come largest ``a`` first, then smallest ``b`` first.
     """
-    grid = tuple(float(g) for g in grid)
-    pairs = set()
+    grid = tuple(sorted({float(g) for g in grid}))
+    pairs = []
+    if max_n < 1:
+        return pairs
     if relation is NeighboringRelation.ADD_REMOVE:
-        for size in range(max_n):
-            for base in itertools.combinations_with_replacement(grid, size):
-                for value in grid:
-                    bigger = tuple(sorted(base + (value,)))
-                    pairs.add((base, bigger))
-    else:
-        for size in range(1, max_n + 1):
-            for base in itertools.combinations_with_replacement(grid, size):
-                for i in range(size):
-                    for value in grid:
-                        if value == base[i]:
-                            continue
-                        other = tuple(sorted(base[:i] + (value,) + base[i + 1 :]))
-                        pairs.add((min(base, other), max(base, other)))
-    return sorted(pairs)
+        for base in _multisets(grid, max_n - 1):
+            for value in grid:
+                i = bisect.bisect_right(base, value)
+                pairs.append((base, base[:i] + (value,) + base[i:]))
+        return pairs
+    for first in _multisets(grid, max_n)[1:]:  # without the empty sample
+        for j in reversed(range(len(first))):
+            a = first[j]
+            if j + 1 < len(first) and first[j + 1] == a:
+                continue  # replace the last copy of each distinct value
+            rest = first[:j] + first[j + 1 :]
+            for b in grid[bisect.bisect_right(grid, a) :]:
+                i = bisect.bisect_right(rest, b, j)
+                pairs.append((first, rest[:i] + (b,) + rest[i:]))
+    return pairs
 
 
-def max_log_density_ratio(pairs, p: float, epsilon: float) -> np.ndarray:
+def max_log_density_ratio(pairs, p: float, epsilons) -> np.ndarray:
     """Exact sup over [0, 1] of the absolute log-density difference of the
-    single-quantile mechanism of order ``p``, one value per pair of samples.
+    single-quantile mechanism of order ``p``, one value per budget in
+    ``epsilons`` and pair of samples, as an array of shape ``(len(epsilons),
+    len(pairs))``.
 
     Each density is piecewise constant between 0, its sample values and 1.
-    One table serves the whole list: a row per distinct sample, each row that
-    sample's log-density at the midpoints of the cells cut by 0, 1 and every
-    value in the list. These cells refine the merged cells of every pair, and
-    a piecewise-constant density takes one value on a cell, so the largest
-    difference between a pair's two rows is the pair's exact sup, the same
-    float as on the pair's own cells.
+    One table per budget serves the whole list: a row per distinct sample,
+    each row that sample's log-density at the midpoints of the cells cut by
+    0, 1 and every value in the list. These cells refine the merged cells of
+    every pair, and a piecewise-constant density takes one value on a cell,
+    so the largest difference between a pair's two rows is the pair's exact
+    sup, the same float as on the pair's own cells.
+
+    The pair index, the cells, the interval each row's density takes on
+    each cell and the log-lengths of the intervals are built once, for every
+    budget. The samples of one size share their rank and log-weights
+    (:func:`qexp_log_weights`), so each budget evaluates them in one numpy
+    pass, with the arithmetic of ``log_density_grid(qexp_density(...))``:
+    the normaliser is the max-subtracted row sum with ``math.log`` per row,
+    as in :attr:`WeightedIntervalDensity.log_normalizer`, so every sup is
+    the same float as there. Inputs are checked here: sample values in
+    [0, 1] and nondecreasing, ``p`` in [0, 1], each budget finite and >= 0.
     """
-    rows: dict[tuple, int] = {}
-    index = np.array(
-        [[rows.setdefault(tuple(sample), len(rows)) for sample in pair] for pair in pairs],
-        dtype=int,
-    ).reshape(-1, 2)
-    cuts = np.unique(np.fromiter({0.0, 1.0}.union(*rows), float))
+    epsilons = [float(epsilon) for epsilon in epsilons]
+    if not all(math.isfinite(epsilon) and epsilon >= 0 for epsilon in epsilons):
+        raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {epsilons}")
+    if not 0.0 <= p <= 1.0:
+        raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
+    # a row per distinct sample, in first-seen order: each sample is looked
+    # up once, keyed by the position where it first occurs
+    samples = list(map(tuple, itertools.chain.from_iterable(pairs)))
+    first_seen: dict[tuple, int] = {}
+    seen_at = map(first_seen.setdefault, samples, itertools.count())
+    firsts, index = np.unique(np.fromiter(seen_at, int, len(samples)), return_inverse=True)
+    left, right = index.reshape(-1, 2).T.copy()
+    rows_of_size: dict[int, list[int]] = defaultdict(list)
+    for row, first in enumerate(firsts.tolist()):
+        rows_of_size[len(samples[first])].append(row)
+    sizes = []
+    for n, rows in rows_of_size.items():
+        values = np.array([samples[firsts[row]] for row in rows], dtype=float)
+        values = values.reshape(len(rows), n)
+        if np.any(np.isnan(values) | (values < 0.0) | (values > 1.0)):
+            raise InvalidArgumentError("sample values must lie in [0, 1]")
+        if np.any(np.diff(values, axis=1) < 0):
+            raise InvalidArgumentError("sample values must be nondecreasing")
+        sizes.append((n, np.array(rows), values))
+    cuts = np.unique(np.concatenate([[0.0, 1.0], *(values.ravel() for *_, values in sizes)]))
     points = (cuts[:-1] + cuts[1:]) / 2.0
-    table = np.empty((len(rows), len(points)))
-    for row, values_of in enumerate(rows):
-        sample = SortedSample(np.asarray(values_of, dtype=float))
-        target = RankTarget(target_rank(sample.n, p))
-        table[row] = log_density_grid(qexp_density(sample, target, epsilon), points)
-    return np.max(np.abs(table[index[:, 0]] - table[index[:, 1]]), axis=1)
+    # the last cut at or below each point: a sample value lies at or below a
+    # point exactly when its own cut index is at most this one
+    at = cuts.searchsorted(points, "right") - 1
+    groups = []
+    for n, rows, values in sizes:
+        edges = np.ones((len(rows), n + 2))
+        edges[:, 0] = 0.0
+        edges[:, 1:-1] = values
+        lengths = np.diff(edges, axis=1)
+        with np.errstate(divide="ignore"):
+            log_lengths = np.log(lengths)
+        # the values at or below each point, row by row, by one search over
+        # the rows' cut indices laid end to end, row i offset by i * len(cuts)
+        row_index = np.arange(len(rows))[:, None]
+        below = (cuts.searchsorted(values) + row_index * len(cuts)).ravel()
+        counts = below.searchsorted((at + row_index * len(cuts)).ravel(), "right")
+        counts = counts.reshape(len(rows), -1) - row_index * n
+        # as in log_density_grid, the interval to the right of a breakpoint
+        # decides, but none past the last positive-length one (a zero-length
+        # run at 1)
+        last = n - np.argmax(lengths[:, ::-1] > 0, axis=1)
+        intervals = np.minimum(counts, last[:, None])
+        groups.append((n, rows, target_rank(n, p), log_lengths, intervals))
+    table = np.empty((len(firsts), len(points)))
+    sups = np.empty((len(epsilons), len(left)))
+    for e, epsilon in enumerate(epsilons):
+        for n, rows, rank, log_lengths, intervals in groups:
+            log_weights = qexp_log_weights(n, rank, epsilon)
+            log_masses = log_lengths + log_weights
+            top = np.max(log_masses, axis=1)
+            total = np.sum(np.exp(log_masses - top[:, None]), axis=1)
+            log_norm = top + np.array([math.log(t) for t in total.tolist()])
+            table[rows] = log_weights[intervals] - log_norm[:, None]
+        gaps = np.subtract(table.take(left, axis=0), table.take(right, axis=0))
+        np.max(np.abs(gaps, out=gaps), axis=1, out=sups[e])
+    return sups
 
 
-def verify_dp_ratio(
-    pairs, epsilon: float, orders=(0.5,)
-) -> CheckReport:
-    """Analytic privacy check: the worst log-density ratio over all given
-    neighbor pairs and quantile orders must not exceed epsilon (up to 1e-9
-    arithmetic slack).
+def verify_dp_ratio(pairs, epsilons, orders=(0.5,)) -> CheckReport:
+    """Analytic privacy check: at each budget, the worst log-density ratio
+    over all given neighbor pairs and quantile orders must not exceed that
+    budget (up to 1e-9 arithmetic slack). One row per budget, in order.
 
     Each order takes one :func:`max_log_density_ratio` call over the whole
-    pair list, so a distinct sample's density is built once per order, not
-    once per pair it belongs to. ``trials`` counts (pair, order) checks.
+    pair list and every budget, so a pair list's index and cells are built
+    once per order. ``trials`` counts (pair, order) checks per budget.
     """
     pairs = list(pairs)
-    worst = 0.0
+    epsilons = list(epsilons)
+    worst = np.zeros(len(epsilons))
     for p in orders:
-        sups = max_log_density_ratio(pairs, p, epsilon)
-        worst = max(worst, float(np.max(sups, initial=0.0)))
+        sups = max_log_density_ratio(pairs, p, epsilons)
+        worst = np.maximum(worst, np.max(sups, axis=1, initial=0.0))
     count = len(pairs) * len(orders)
-    ok = worst <= epsilon + 1e-9
-    rows = [
-        {
-            "epsilon": epsilon,
-            "bound": epsilon,
-            "empirical": worst,
-            "trials": count,
-            "ci_low": worst,
-            "ci_high": worst,
-            "passed": ok,
-        }
-    ]
-    return CheckReport("dp-ratio", ok, rows)
+    report = CheckReport("dp-ratio", True)
+    for epsilon, empirical in zip(epsilons, worst.tolist()):
+        ok = empirical <= epsilon + 1e-9
+        report.passed &= ok
+        report.rows.append(
+            {
+                "epsilon": epsilon,
+                "bound": epsilon,
+                "empirical": empirical,
+                "trials": count,
+                "ci_low": empirical,
+                "ci_high": empirical,
+                "passed": ok,
+            }
+        )
+    return report
 
 
 def verify_quantile_concentration(

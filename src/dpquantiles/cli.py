@@ -510,11 +510,10 @@ def _suite_dp_ratio(seed: int, trials: int) -> CheckReport:
     parts = []
     for relation in NeighboringRelation:
         pairs = neighboring_sample_pairs(DP_RATIO_GRID, DP_RATIO_MAX_N, relation)
-        for epsilon in DP_RATIO_EPSILONS:
-            part = verify_dp_ratio(pairs, epsilon)
-            for row in part.rows:
-                row["relation"] = relation.value
-            parts.append(part)
+        part = verify_dp_ratio(pairs, DP_RATIO_EPSILONS)
+        for row in part.rows:
+            row["relation"] = relation.value
+        parts.append(part)
     return _combined("dp-ratio", parts)
 
 

@@ -48,9 +48,9 @@ class DistributionOracle:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
+        if not all(0 < shape < math.inf for shape in (self.alpha, self.beta)):
             raise InvalidArgumentError(
-                f"shape parameters must be positive, got ({self.alpha}, {self.beta})"
+                f"shape parameters must be positive and finite, got ({self.alpha}, {self.beta})"
             )
 
     @classmethod

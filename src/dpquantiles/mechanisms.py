@@ -22,6 +22,12 @@ from .errors import DegenerateDensityError, InvalidArgumentError
 _MAX_SEED = 2**64
 
 
+def check_seed(seed) -> None:
+    """A seed must be an integer in [0, 2^64)."""
+    if not (isinstance(seed, int) and 0 <= seed < _MAX_SEED):
+        raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 class NeighboringRelation(enum.Enum):
     """Which dataset pairs count as adjacent for the privacy guarantee."""
 
@@ -54,8 +60,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int, stream: tuple[int, ...] = ()):
-        if not (isinstance(seed, int) and 0 <= seed < _MAX_SEED):
-            raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        check_seed(seed)
         self.seed = seed
         self.stream = tuple(int(s) for s in stream)
         ss = np.random.SeedSequence(entropy=seed, spawn_key=self.stream)

@@ -149,9 +149,14 @@ def qexp_density(sample: SortedSample, target: RankTarget, epsilon: float) -> We
             f"rank {target.rank} exceeds sub-sample size {sample.n}"
         )
     breakpoints = np.concatenate(([target.domain_lo], values, [target.domain_hi]))
-    ranks = np.arange(sample.n + 1)
-    log_weights = -min(epsilon / 2.0, _SATURATED_C) * np.abs(ranks - target.rank)
-    return WeightedIntervalDensity(breakpoints, log_weights)
+    return WeightedIntervalDensity(breakpoints, qexp_log_weights(sample.n, target.rank, epsilon))
+
+
+def qexp_log_weights(n: int, rank: int, epsilon: float) -> np.ndarray:
+    """The log-weights ``-min(epsilon / 2, _SATURATED_C) * abs(k - rank)``
+    of the intervals k = 0..n of :func:`qexp_density`; ``epsilon`` is not
+    validated here."""
+    return -min(epsilon / 2.0, _SATURATED_C) * np.abs(np.arange(n + 1) - rank)
 
 
 class _GapTable:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -78,6 +79,12 @@ class TestConfig:
             small_config(m_grid=())
         with pytest.raises(InvalidArgumentError):
             small_config(epsilon=0.0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_base_seed_range_is_checked_up_front(self, seed):
+        with pytest.raises(InvalidArgumentError, match="key 'base_seed'"):
+            small_config(base_seed=seed)
+        small_config(base_seed=2**64 - 1)
 
     def test_explicit_orders_fix_the_grid(self):
         config = small_config(explicit_orders=(0.2, 0.5, 0.9), m_grid=(7,))
@@ -236,20 +243,85 @@ class TestVerifyGapLaw:
             assert key in row
 
 
+def set_based_neighboring_sample_pairs(grid, max_n, relation):
+    # the earlier enumeration, kept as the reference for sorted grids without
+    # repeats: every pair re-sorted, collected in a set, then sorted
+    grid = tuple(float(g) for g in grid)
+    pairs = set()
+    if relation is NeighboringRelation.ADD_REMOVE:
+        for size in range(max_n):
+            for base in itertools.combinations_with_replacement(grid, size):
+                for value in grid:
+                    pairs.add((base, tuple(sorted(base + (value,)))))
+    else:
+        for size in range(1, max_n + 1):
+            for base in itertools.combinations_with_replacement(grid, size):
+                for i in range(size):
+                    for value in grid:
+                        if value == base[i]:
+                            continue
+                        other = tuple(sorted(base[:i] + (value,) + base[i + 1 :]))
+                        pairs.add((min(base, other), max(base, other)))
+    return sorted(pairs)
+
+
+class TestNeighboringSamplePairs:
+    @pytest.mark.parametrize("relation", list(NeighboringRelation))
+    @pytest.mark.parametrize(
+        "grid", [(), (0.5,), (0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 0.2, 0.5, 0.7, 1.0)]
+    )
+    def test_matches_the_set_based_reference(self, grid, relation):
+        for max_n in range(6):
+            expected = set_based_neighboring_sample_pairs(grid, max_n, relation)
+            assert neighboring_sample_pairs(grid, max_n, relation) == expected, max_n
+
+    @pytest.mark.parametrize("relation", list(NeighboringRelation))
+    def test_audit_grid_matches_the_set_based_reference(self, relation):
+        expected = set_based_neighboring_sample_pairs(AUDIT_GRID, 4, relation)
+        assert neighboring_sample_pairs(AUDIT_GRID, 4, relation) == expected
+
+    @pytest.mark.parametrize("relation", list(NeighboringRelation))
+    def test_unsorted_and_repeated_grids(self, relation):
+        # an unsorted grid used to give unsorted samples, which the audit rejected
+        expected = neighboring_sample_pairs((0.2, 0.5), 3, relation)
+        for grid in [(0.5, 0.2), (0.5, 0.2, 0.5, 0.2)]:
+            pairs = neighboring_sample_pairs(grid, 3, relation)
+            assert pairs == expected, grid
+            assert verify_dp_ratio(pairs, [1.0]).passed
+
+
 class TestVerifyDpRatio:
     def test_identical_pair(self):
-        report = verify_dp_ratio([((0.2, 0.4), (0.2, 0.4))], 1.0)
+        report = verify_dp_ratio([((0.2, 0.4), (0.2, 0.4))], [1.0])
         assert report.passed
         assert report.rows[0]["empirical"] == 0.0
 
     def test_single_point_pair_is_exact(self):
-        report = verify_dp_ratio([((), (0.5,))], 1.0)
+        report = verify_dp_ratio([((), (0.5,))], [1.0])
         assert report.passed
         assert report.rows[0]["empirical"] <= 1.0 + 1e-9
 
     def test_zero_budget_is_uniform(self):
-        report = verify_dp_ratio([((0.2,), (0.2, 0.9))], 0.0)
+        report = verify_dp_ratio([((0.2,), (0.2, 0.9))], [0.0])
         assert report.rows[0]["empirical"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_one_row_per_budget_in_order(self):
+        pairs = neighboring_sample_pairs((0.2, 0.5, 0.8), 3, NeighboringRelation.REPLACE)
+        epsilons = (4.0, 0.5, 1.0)
+        report = verify_dp_ratio(pairs, epsilons)
+        assert [row["epsilon"] for row in report.rows] == list(epsilons)
+        for epsilon, row in zip(epsilons, report.rows):
+            assert row == verify_dp_ratio(pairs, [epsilon]).rows[0]
+        assert report.passed
+
+    def test_one_failing_budget_fails_the_report(self, monkeypatch):
+        sups = np.array([[0.4], [0.6]])
+        monkeypatch.setattr(bench, "max_log_density_ratio", lambda pairs, p, eps: sups)
+        report = verify_dp_ratio([((), (0.5,))], [0.5, 1.0])
+        assert [row["passed"] for row in report.rows] == [True, True]
+        report = verify_dp_ratio([((), (0.5,))], [0.5, 0.5])
+        assert [row["passed"] for row in report.rows] == [True, False]
+        assert not report.passed
 
 
 def per_pair_sup(first, second, p, epsilon):
@@ -269,7 +341,8 @@ def per_pair_sup(first, second, p, epsilon):
 
 
 ORDERS = (0.25, 0.5, 0.75)
-EPSILONS = (0.0, 0.5, 1.0, 4.0)
+# 1e4 is past the cap: epsilon / 2 exceeds quantiles._SATURATED_C
+EPSILONS = (0.0, 0.5, 1.0, 4.0, 1e4)
 AUDIT_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 
 EDGE_PAIRS = [
@@ -285,16 +358,20 @@ EDGE_PAIRS = [
     ((0.1, 0.4), (0.4, 0.7)),  # value sets differ: the batch cuts refine these
     ((0.05,), (0.95,)),
     ((0.2, 0.4), (0.2, 0.4)),
+    ((1e-300,), (1e-300, 2e-300)),  # gaps of 1e-300
+    ((0.0, 1e-300, 2e-300), (1e-300, 2e-300, 3e-300)),
+    ((1e-300, 0.5), (1e-300, 2e-300, 0.5)),
 ]
 
 
 def assert_matches_reference(pairs, orders=ORDERS, epsilons=EPSILONS):
+    # every budget in one call
     for p in orders:
-        for epsilon in epsilons:
-            sups = max_log_density_ratio(pairs, p, epsilon)
+        sups = max_log_density_ratio(pairs, p, epsilons)
+        assert sups.shape == (len(epsilons), len(pairs))
+        for epsilon, row in zip(epsilons, sups):
             expected = [per_pair_sup(a, b, p, epsilon) for a, b in pairs]
-            assert sups.shape == (len(pairs),)
-            assert sups.tolist() == expected, (p, epsilon)
+            assert row.tolist() == expected, (p, epsilon)
 
 
 class TestMaxLogDensityRatio:
@@ -316,15 +393,37 @@ class TestMaxLogDensityRatio:
     def test_orientation_does_not_matter(self):
         flipped = [(b, a) for a, b in EDGE_PAIRS]
         for p in ORDERS:
-            forward = max_log_density_ratio(EDGE_PAIRS, p, 1.0)
-            assert max_log_density_ratio(flipped, p, 1.0).tolist() == forward.tolist()
+            forward = max_log_density_ratio(EDGE_PAIRS, p, [1.0])
+            assert max_log_density_ratio(flipped, p, [1.0]).tolist() == forward.tolist()
 
     def test_empty_pair_list(self):
-        assert max_log_density_ratio([], 0.5, 1.0).shape == (0,)
+        assert max_log_density_ratio([], 0.5, [1.0]).shape == (1, 0)
 
     def test_rejects_values_outside_the_domain(self):
         with pytest.raises(InvalidArgumentError):
-            max_log_density_ratio([((0.2,), (0.2, 1.5))], 0.5, 1.0)
+            max_log_density_ratio([((0.2,), (0.2, 1.5))], 0.5, [1.0])
+
+    @pytest.mark.parametrize(
+        "pair,message",
+        [
+            (((0.2,), (-0.1, 0.2)), "lie in"),
+            (((0.2,), (0.2, math.nan)), "lie in"),
+            (((0.2,), (0.7, 0.2)), "nondecreasing"),
+        ],
+    )
+    def test_rejects_bad_samples(self, pair, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            max_log_density_ratio([((0.1, 0.3), (0.3,)), pair], 0.5, [1.0])
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_budgets(self, epsilon):
+        with pytest.raises(InvalidArgumentError, match="epsilon"):
+            max_log_density_ratio([((0.2,), (0.2, 0.9))], 0.5, [1.0, epsilon])
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_rejects_orders_outside_the_unit_interval(self, p):
+        with pytest.raises(InvalidArgumentError, match="p must lie"):
+            max_log_density_ratio([((0.2,), (0.2, 0.9))], p, [1.0])
 
     def test_large_samples_match_per_pair_reference(self):
         rng = np.random.default_rng(11)
@@ -336,7 +435,7 @@ class TestMaxLogDensityRatio:
 
     def test_verify_counts_every_pair_and_order(self):
         pairs = neighboring_sample_pairs((0.2, 0.5, 0.8), 3, NeighboringRelation.ADD_REMOVE)
-        report = verify_dp_ratio(pairs, 1.0, orders=ORDERS)
+        report = verify_dp_ratio(pairs, [1.0], orders=ORDERS)
         row = report.rows[0]
         assert row["trials"] == len(pairs) * len(ORDERS)
         assert row["empirical"] == max(

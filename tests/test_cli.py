@@ -351,6 +351,30 @@ class TestBench:
         labels = [d["label"] for d in summary["config"]["distributions"]]
         assert labels == ["beta(2,5)", "beta(2.0000001,5)"]
 
+    @pytest.mark.parametrize("entry", ["beta:inf:1", "beta:1:inf", "beta:0:1"])
+    def test_unusable_shape_exits_2_naming_the_key(self, tmp_path, capsys, entry):
+        # an infinite shape used to fail in the first trial, with exit 1
+        path = tmp_path / "shape.cfg"
+        path.write_text(CONFIG.replace("uniform, beta:2:5", f"uniform, {entry}"))
+        outdir = tmp_path / "o"
+        assert cli.main(["bench", "--config", str(path), "--output", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: key 'distributions': shape parameters must be")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_base_seed_exits_2_before_the_run(self, tmp_path, capsys, seed):
+        # such a seed used to fail in the first trial, after the output
+        # directory was made, without naming the config or the key
+        path = tmp_path / "seed.cfg"
+        path.write_text(CONFIG.replace("base_seed = 12", f"base_seed = {seed}"))
+        outdir = tmp_path / "o"
+        assert cli.main(["bench", "--config", str(path), "--output", str(outdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: key 'base_seed': seed must be a 64-bit unsigned integer, got {seed}\n"
+        )
+        assert not outdir.exists()
+
     def test_bad_version_exits_2(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(CONFIG.replace("config_version = 1", "config_version = 2"))

@@ -108,3 +108,9 @@ class TestPdf:
     def test_rejects_invalid_shapes(self):
         with pytest.raises(InvalidArgumentError):
             DistributionOracle.make_beta(0.0, 1.0)
+
+    @pytest.mark.parametrize("shapes", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_rejects_non_finite_shapes(self, shapes):
+        # an infinite shape used to fail only in the sampler, mid-run
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            DistributionOracle.make_beta(*shapes)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2_contingency, ks_2samp, kstest
+from scipy.stats import ks_2samp, kstest
 
 from dpquantiles import quantiles
 from dpquantiles.bench import centered_grid, max_log_density_ratio, neighboring_sample_pairs
@@ -329,11 +329,10 @@ class TestQexpDraws:
         assert qexp_draws(sample, [], 1.0, RandomSource(0)).shape == (0,)
 
 
-def per_slice_recexp(sample, query, rng, ledger=None, skip_pinned=False):
+def per_slice_recexp(sample, query, rng, ledger=None):
     # the reference recursion: a SortedSample, a qexp_density and a
     # sample_piecewise draw on every slice. Node i in preorder takes
-    # uniforms 2i and 2i + 1; with skip_pinned, the earlier stream rule, a
-    # pinned subtree takes none and later nodes take the next pairs
+    # uniforms 2i and 2i + 1
     m = query.m
     depth = recexp_depth(m)
     eps = query.budget.epsilon
@@ -349,8 +348,7 @@ def per_slice_recexp(sample, query, rng, ledger=None, skip_pinned=False):
         if lo == hi:
             # the subtree is pinned at lo and its nodes' uniforms go unused
             out[j_lo - 1 : j_hi] = lo
-            if not skip_pinned:
-                rng.random(2 * (j_hi - j_lo + 1))
+            rng.random(2 * (j_hi - j_lo + 1))
             return
         j_mid = (j_lo + j_hi) // 2
         r = min(max(target_rank(n, query.orders[j_mid - 1]) - a, 0), b - a)
@@ -378,6 +376,41 @@ RECEXP_GRID = (
     (10.0, ADD_REMOVE), (1e3, REPLACE), (1e300, ADD_REMOVE), (1e300, REPLACE),
 )
 RECEXP_SHAPES = ["beta", "duplicates", "endpoints", "tiny-gaps", "ulps"]
+
+
+def scripted_draws(table, a, b, lo, hi, R, u_pick, u_pos):
+    # stands in for quantiles._draws: a pick uniform in the first third draws
+    # lo, in the second hi (each pins a child's subtree), else a point inside
+    # placed by the position uniform
+    return np.select([u_pick < 1 / 3, u_pick < 2 / 3], [lo, hi], lo + u_pos * (hi - lo))
+
+
+def preorder_stream_rule(m, uniforms):
+    # the stream rule written out: the i-th node in preorder, pinned ones
+    # counted, draws with uniforms 2i and 2i + 1; a collapsed domain pins its
+    # subtree at lo. Returns the outputs and the live nodes' (order index,
+    # level) in preorder
+    out, live = [None] * m, []
+
+    def recurse(j_lo, j_hi, lo, hi, level, node):
+        if j_lo > j_hi:
+            return node
+        if lo == hi:
+            out[j_lo - 1 : j_hi] = [lo] * (j_hi - j_lo + 1)
+            return node + j_hi - j_lo + 1
+        j = (j_lo + j_hi) // 2
+        q = float(scripted_draws(None, 0, 0, lo, hi, 0, uniforms[2 * node], uniforms[2 * node + 1]))
+        out[j - 1] = q
+        live.append((j - 1, level))
+        node = recurse(j_lo, j - 1, lo, q, level + 1, node + 1)
+        return recurse(j + 1, j_hi, q, hi, level + 1, node)
+
+    recurse(1, m, 0.0, 1.0, 1, 0)
+    return out, live
+
+
+# every tree of up to three full levels, with all 3^m ways to pin its subtrees
+PINNED_MAX_M = 7
 
 
 class TestRecexpTable:
@@ -448,38 +481,25 @@ class TestRecexpTable:
         assert per_slice_recexp(sample, query, ScriptedUniforms(cycle))[0] == 0.375
         assert recexp(sample, query, ScriptedUniforms(cycle))[0] == 0.375
 
-    def test_pinned_subtrees_keep_the_law(self):
-        # on six adjacent doubles at this budget many draws land on a sample
-        # point and pin a child's subtree. The earlier stream rule gave the
-        # nodes after a pinned subtree its uniforms; now they go unused. Both
-        # rules feed every drawn node fresh uniforms, so each order's output
-        # frequencies must agree between them
-        sample = oracle_test_sample("ulps", 50, seed=50)
-        query = QuantileQuery(centered_grid(100), PrivacyBudget(1e300, ADD_REMOVE))
-        points = np.unique(sample.values)
-
-        def cells(out):
-            # 2i + 1 on the i-th distinct point, 2i between points i - 1 and i
-            return 2 * np.searchsorted(points, out) + np.isin(out, points)
-
-        new, old, pinned = [], [], 0
-        for seed in range(2000):
-            ledger = BudgetLedger()
-            new.append(cells(recexp(sample, query, RandomSource(seed, (1,)), ledger=ledger)))
-            pinned += len(ledger.calls) < query.m
-            rng = RandomSource(seed, (2,))
-            old.append(cells(per_slice_recexp(sample, query, rng, skip_pinned=True)))
-        assert pinned > 500
-        p_values = []
-        for new_j, old_j in zip(np.array(new).T, np.array(old).T):
-            counts = np.array([np.bincount(new_j, minlength=14), np.bincount(old_j, minlength=14)])
-            # cells seen fewer than 20 times are pooled into one
-            rare = counts.sum(axis=0) < 20
-            counts = np.column_stack([counts[:, ~rare], counts[:, rare].sum(axis=1)])
-            counts = counts[:, counts.sum(axis=0) > 0]
-            if counts.shape[1] > 1:
-                p_values.append(chi2_contingency(counts).pvalue)
-        assert min(p_values) * len(p_values) > 0.01, min(p_values)
+    def test_each_node_reads_the_pair_of_its_preorder_position(self, monkeypatch):
+        # every pattern of pinned subtrees for m <= PINNED_MAX_M: node i's
+        # pick uniform chooses its draw (lo, hi, or inside by its position
+        # uniform), so its live nodes and outputs must be those of the
+        # written-out stream rule, which skips a pinned subtree's pairs
+        monkeypatch.setattr(quantiles, "_draws", scripted_draws)
+        sample = evenly_spaced_sample(5)
+        for m in range(1, PINNED_MAX_M + 1):
+            query = QuantileQuery(centered_grid(m), PrivacyBudget(1.0, ADD_REMOVE))
+            for actions in itertools.product(range(3), repeat=m):
+                uniforms = [
+                    u for i, a in enumerate(actions) for u in ((a + 0.5) / 3, (i + 1) / (m + 1))
+                ]
+                stream, ledger = ScriptedUniforms(uniforms), BudgetLedger()
+                out = recexp(sample, query, stream, ledger=ledger)
+                expected, live = preorder_stream_rule(m, uniforms)
+                assert out.tolist() == expected, actions
+                assert [(call.order_index, call.level) for call in ledger.calls] == live, actions
+                assert stream.drawn == 2 * m
 
     def test_leaves_no_reference_cycles(self):
         # a cycle would keep the O(n) tables alive until the cyclic collector ran
@@ -785,15 +805,15 @@ class TestDpRatio:
         epsilon = 1.0
         for relation in (ADD_REMOVE, REPLACE):
             pairs = neighboring_sample_pairs(grid, 5, relation)
-            worst = max(max_log_density_ratio(pairs, 0.5, epsilon))
+            worst = max(max_log_density_ratio(pairs, 0.5, [epsilon])[0])
             assert worst <= epsilon + 1e-9
 
     def test_identical_samples_have_zero_ratio(self):
-        assert max_log_density_ratio([((0.3, 0.6), (0.3, 0.6))], 0.5, 2.0)[0] == 0.0
+        assert max_log_density_ratio([((0.3, 0.6), (0.3, 0.6))], 0.5, [2.0])[0, 0] == 0.0
 
     def test_zero_budget_densities_coincide(self):
-        sups = max_log_density_ratio([((0.2,), (0.2, 0.9))], 0.5, 0.0)
-        assert sups[0] == pytest.approx(0.0, abs=1e-12)
+        sups = max_log_density_ratio([((0.2,), (0.2, 0.9))], 0.5, [0.0])
+        assert sups[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDuplicateValues:
