@@ -416,29 +416,23 @@ def max_log_density_ratio(pairs, p: float, epsilons) -> np.ndarray:
     seen_at = map(first_seen.setdefault, samples, itertools.count())
     firsts, index = np.unique(np.fromiter(seen_at, int, len(samples)), return_inverse=True)
     left, right = index.reshape(-1, 2).T.copy()
-    rows_of_size: dict[int, list[int]] = defaultdict(list)
-    for row, first in enumerate(firsts.tolist()):
-        rows_of_size[len(samples[first])].append(row)
-    sizes = []
-    for n, rows in rows_of_size.items():
-        values = np.array([samples[firsts[row]] for row in rows], dtype=float)
-        values = values.reshape(len(rows), n)
-        if np.any(np.isnan(values) | (values < 0.0) | (values > 1.0)):
-            raise InvalidArgumentError("sample values must lie in [0, 1]")
-        if np.any(np.diff(values, axis=1) < 0):
-            raise InvalidArgumentError("sample values must be nondecreasing")
-        sizes.append((n, np.array(rows), values))
-    cuts = np.unique(np.concatenate([[0.0, 1.0], *(values.ravel() for *_, values in sizes)]))
+    distinct = [samples[first] for first in firsts.tolist()]
+    cuts = np.unique(np.fromiter(itertools.chain((0.0, 1.0), *distinct), float))
     points = (cuts[:-1] + cuts[1:]) / 2.0
     # the last cut at or below each point: a sample value lies at or below a
     # point exactly when its own cut index is at most this one
     at = cuts.searchsorted(points, "right") - 1
+    rows_of_size: dict[int, list[int]] = defaultdict(list)
+    for row, sample in enumerate(distinct):
+        rows_of_size[len(sample)].append(row)
     groups = []
-    for n, rows, values in sizes:
-        edges = np.ones((len(rows), n + 2))
-        edges[:, 0] = 0.0
-        edges[:, 1:-1] = values
-        lengths = np.diff(edges, axis=1)
+    for n, rows in rows_of_size.items():
+        values = np.array([distinct[row] for row in rows], dtype=float).reshape(len(rows), n)
+        if np.any(np.isnan(values) | (values < 0.0) | (values > 1.0)):
+            raise InvalidArgumentError("sample values must lie in [0, 1]")
+        if np.any(np.diff(values, axis=1) < 0):
+            raise InvalidArgumentError("sample values must be nondecreasing")
+        lengths = np.diff(values, axis=1, prepend=0.0, append=1.0)
         with np.errstate(divide="ignore"):
             log_lengths = np.log(lengths)
         # the values at or below each point, row by row, by one search over
