@@ -2,9 +2,11 @@
 
 Experiments measure the expected sup-norm error of each estimator against
 the true quantiles of a ground-truth distribution, averaged over seeded
-independent trials. Seeds derive from ``(base_seed, distribution index,
-estimator index, m index, trial index)``, so results are byte-identical
-across reruns and parallelism degrees.
+independent trials. Trial ``t`` of a distribution draws one sample, from the
+stream ``(base_seed, distribution index, t)``, and every estimator and m runs
+on it with noise from the child stream ``(estimator index, m index)``, so
+the cells are paired trial by trial and results are byte-identical across
+reruns and parallelism degrees.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .bounds import (
 )
 from .distributions import DistributionOracle
 from .errors import InvalidArgumentError
-from .histogram import noise_scale, quantile_from_histogram
+from .histogram import check_bin_count, noise_scale, quantile_from_histogram
 from .mechanisms import (
     NeighboringRelation,
     PrivacyBudget,
@@ -109,8 +111,10 @@ class ExperimentConfig:
             QuantileQuery(self.explicit_orders, budget)  # validates the orders
         if self.n < 1:
             raise InvalidArgumentError(f"n must be >= 1, got {self.n}")
-        if self.histogram_bin_count < 1:
-            raise InvalidArgumentError("histogram bin count must be >= 1")
+        try:
+            check_bin_count(self.histogram_bin_count)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"key 'bins': {exc}") from None
         try:
             check_seed(self.base_seed)
         except InvalidArgumentError as exc:
@@ -125,7 +129,8 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class CellResult:
     """Aggregated errors of one (distribution, estimator, m) cell, with its
-    per-trial errors in trial order."""
+    per-trial errors in trial order. ``wall_time`` sums the seconds of the
+    cell's own trials, without drawing their shared samples."""
 
     distribution: str
     estimator: str
@@ -139,20 +144,24 @@ class CellResult:
 
 @dataclass
 class ExperimentResult:
+    """The cells of one run, in cell order, and the summed seconds spent
+    drawing the trials' samples."""
+
     config: ExperimentConfig
     cells: list[CellResult] = field(default_factory=list)
+    sample_time: float = 0.0
 
 
 def run_trial(
-    oracle: DistributionOracle,
+    sample: SortedSample,
     estimator: str,
-    m: int,
+    orders: tuple[float, ...],
+    truth: np.ndarray,
     config: ExperimentConfig,
     rng: RandomSource,
 ) -> float:
-    """One fresh sample, one estimate, one sup-norm error vs. true quantiles."""
-    orders = config.orders_for(m)
-    sample = oracle.sample(config.n, rng)
+    """One estimate of ``orders`` on ``sample``, with noise from ``rng``, and
+    its sup-norm error against ``truth``, the true quantiles at ``orders``."""
     budget = PrivacyBudget(config.epsilon, config.relation)
     if estimator == "indexp":
         estimate = indexp(sample, QuantileQuery(orders, budget), rng)
@@ -164,50 +173,74 @@ def run_trial(
         )
     else:
         raise InvalidArgumentError(f"unknown estimator id: {estimator!r}")
-    truth = oracle.quantile(np.asarray(orders))
     return float(np.max(np.abs(estimate - truth)))
 
 
-def _trial_chunks(config: ExperimentConfig, workers: int) -> list[tuple]:
-    """Every cell's trials as ``((d_idx, e_idx, m_idx), start, stop)`` ranges,
-    in cell order and then trial order; a chunk never spans two cells.
+def _trial_chunks(config: ExperimentConfig, workers: int) -> list[tuple[int, int, int]]:
+    """Every distribution's trials as ``(d_idx, start, stop)`` ranges, in
+    distribution order and then trial order; a chunk never spans two
+    distributions, and it runs every (estimator, m) cell of its trials.
 
-    A chunk holds ``min(trials, ceil(total trials / (4 workers)))`` trials, so
-    each worker gets about four chunks to balance the load with, and a
-    config with few cells still spreads over every worker.
+    A chunk holds ``min(trials, ceil(distributions * trials / (4 workers)))``
+    trials, so each worker gets about four chunks to balance the load with,
+    and a config with few distributions still spreads over every worker.
     """
-    cells = list(
-        itertools.product(
-            range(len(config.distributions)),
-            range(len(config.estimators)),
-            range(len(config.m_grid)),
-        )
+    size = min(
+        config.trials, math.ceil(len(config.distributions) * config.trials / (4 * workers))
     )
-    size = min(config.trials, math.ceil(len(cells) * config.trials / (4 * workers)))
     return [
-        (cell, start, min(start + size, config.trials))
-        for cell in cells
+        (d_idx, start, min(start + size, config.trials))
+        for d_idx in range(len(config.distributions))
         for start in range(0, config.trials, size)
     ]
 
 
-def _run_chunk(config: ExperimentConfig, chunk: tuple) -> tuple[list[float], float]:
-    """The errors of one chunk's trials, in trial order, and the seconds they took."""
-    (d_idx, e_idx, m_idx), start, stop = chunk
+def _cells(config: ExperimentConfig) -> list[tuple[int, int]]:
+    """The ``(e_idx, m_idx)`` cells of one distribution, in cell order."""
+    return list(itertools.product(range(len(config.estimators)), range(len(config.m_grid))))
+
+
+def _run_chunk(
+    config: ExperimentConfig, chunk: tuple[int, int, int]
+) -> tuple[list[list[float]], list[float], float]:
+    """Run one chunk: each trial draws one sample and runs every cell on it.
+
+    Returns, per cell of :func:`_cells`, the errors in trial order and the
+    seconds its :func:`run_trial` calls took, then the seconds the samples
+    took. Trial ``t`` draws its sample from ``RandomSource(base_seed,
+    (d_idx, t))``, and cell ``(e_idx, m_idx)`` its noise from that source's
+    ``child(e_idx, m_idx)``. The true quantiles are computed once per m.
+    """
+    d_idx, start, stop = chunk
     oracle = config.distributions[d_idx]
-    estimator = config.estimators[e_idx]
-    m = config.m_grid[m_idx]
-    began = time.perf_counter()
-    errors = []
+    grids = []
+    for m in config.m_grid:
+        orders = config.orders_for(m)
+        grids.append((m, orders, oracle.quantile(np.asarray(orders))))
+    cells = _cells(config)
+    errors: list[list[float]] = [[] for _ in cells]
+    walls = [0.0] * len(cells)
+    sample_time = 0.0
     for t in range(start, stop):
-        rng = RandomSource(config.base_seed, (d_idx, e_idx, m_idx, t))
-        try:
-            errors.append(run_trial(oracle, estimator, m, config, rng))
-        except Exception as exc:
-            raise RuntimeError(
-                f"trial {t} of cell ({oracle.label}, {estimator}, m={m}) failed"
-            ) from exc
-    return errors, time.perf_counter() - began
+        began = time.perf_counter()
+        source = RandomSource(config.base_seed, (d_idx, t))
+        sample = oracle.sample(config.n, source)
+        sample_time += time.perf_counter() - began
+        for i, (e_idx, m_idx) in enumerate(cells):
+            estimator = config.estimators[e_idx]
+            m, orders, truth = grids[m_idx]
+            began = time.perf_counter()
+            try:
+                error = run_trial(
+                    sample, estimator, orders, truth, config, source.child(e_idx, m_idx)
+                )
+            except Exception as exc:
+                raise RuntimeError(
+                    f"trial {t} of cell ({oracle.label}, {estimator}, m={m}) failed"
+                ) from exc
+            walls[i] += time.perf_counter() - began
+            errors[i].append(error)
+    return errors, walls, sample_time
 
 
 def run_experiment(
@@ -216,13 +249,17 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every (distribution, estimator, m) cell for ``config.trials`` trials.
 
-    Trials are embarrassingly parallel; each owns a child random source
-    keyed by its indices, and aggregation is an ordered reduction, so the
-    result does not depend on ``workers``. The trials are cut into chunks
-    (:func:`_trial_chunks`) that run in this process at one worker, or in
-    one ``map`` over a pool of ``min(workers, chunks)`` processes, with no
-    barrier between cells. A cell's ``wall_time`` is the summed time of its
-    chunks in the processes that ran them.
+    Trial ``t`` of a distribution draws one sample, which every (estimator,
+    m) cell of that trial shares, each with its own noise stream
+    (:func:`_run_chunk`). A cell's trials are still independent draws of
+    sample and noise; only cells of the same distribution and trial are
+    paired. Every stream is keyed by its indices and aggregation is an
+    ordered reduction, so the result does not depend on ``workers``. The
+    trials are cut into chunks (:func:`_trial_chunks`) that run in this
+    process at one worker, or in one ``map`` over a pool of ``min(workers,
+    chunks)`` processes. A cell's ``wall_time`` is the summed time of its own
+    :func:`run_trial` calls, and the result's ``sample_time`` the summed time
+    of drawing the samples.
     """
     if workers < 1:
         raise InvalidArgumentError(f"workers must be at least 1, got {workers}")
@@ -232,12 +269,15 @@ def run_experiment(
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             outputs = list(pool.map(_run_chunk, itertools.repeat(config), chunks))
+    cells = _cells(config)
     cell_errors: dict[tuple, list[float]] = defaultdict(list)
     cell_walls: dict[tuple, float] = defaultdict(float)
-    for (cell, _, _), (errors, seconds) in zip(chunks, outputs):
-        cell_errors[cell] += errors
-        cell_walls[cell] += seconds
     result = ExperimentResult(config)
+    for (d_idx, _, _), (errors, walls, sample_time) in zip(chunks, outputs):
+        for cell, cell_trials, seconds in zip(cells, errors, walls):
+            cell_errors[(d_idx, *cell)] += cell_trials
+            cell_walls[(d_idx, *cell)] += seconds
+        result.sample_time += sample_time
     for (d_idx, e_idx, m_idx), errors in cell_errors.items():
         mean = math.fsum(errors) / config.trials
         if config.trials > 1:

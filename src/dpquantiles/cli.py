@@ -33,8 +33,8 @@ from .bench import (
 )
 from .distributions import DensityEnvelope, DistributionOracle
 from .errors import BoundPreconditionError, InvalidArgumentError
-from .histogram import noise_scale, quantile_from_histogram
-from .mechanisms import NeighboringRelation, PrivacyBudget, RandomSource
+from .histogram import check_bin_count, noise_scale, quantile_from_histogram
+from .mechanisms import NeighboringRelation, PrivacyBudget, RandomSource, check_seed
 from .quantiles import BudgetLedger, QuantileQuery, SortedSample, indexp, recexp
 
 EXIT_OK = 0
@@ -276,9 +276,12 @@ def write_experiment_outputs(result: ExperimentResult, outdir: Path) -> list[Pat
     summary = {
         "config": config_to_dict(result.config),
         "seed_derivation": (
-            "RandomSource(base_seed, stream=(distribution_index, estimator_index, "
-            "m_index, trial_index)) via numpy SeedSequence spawn keys"
+            "trial t of a distribution draws its sample from RandomSource(base_seed, "
+            "stream=(distribution_index, trial_index)); every (estimator, m) cell runs "
+            "on that sample with noise from its child stream (distribution_index, "
+            "trial_index, estimator_index, m_index), via numpy SeedSequence spawn keys"
         ),
+        "sample_time_s": result.sample_time,
         "cells": [
             {
                 "distribution": c.distribution,
@@ -320,6 +323,11 @@ def cmd_estimate(args) -> int:
         else:
             orders = centered_grid(args.m)
         budget = PrivacyBudget(args.epsilon, relation)
+        if args.method == "histogram":
+            try:
+                check_bin_count(args.bins)
+            except InvalidArgumentError as exc:
+                raise InvalidArgumentError(f"--bins: {exc}") from None
         if args.method == "histogram" and not args.zero_noise and math.isinf(noise_scale(budget)):
             raise InvalidArgumentError(
                 f"--epsilon {args.epsilon!r} is too small: the histogram's Laplace "
@@ -546,6 +554,10 @@ _SUITES = {
 def cmd_verify(args) -> int:
     if args.trials < 1:
         return _fail(f"--trials must be at least 1, got {args.trials}", EXIT_INPUT_ERROR)
+    try:
+        check_seed(args.seed)
+    except InvalidArgumentError as exc:
+        return _fail(f"--seed: {exc}", EXIT_INPUT_ERROR)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     try:
         reports = [_SUITES[name](args.seed, args.trials) for name in names]

@@ -54,10 +54,24 @@ class HistogramEstimate:
         return math.fsum(self.values) * self.h
 
 
+# A release keeps a few arrays of one float per bin alive at once (edges,
+# counts, noise, heights, running integral), about 50 bytes a bin, so this
+# cap keeps one histogram under about half a gigabyte.
+MAX_BIN_COUNT = 10**7
+
+
+def check_bin_count(bin_count: int) -> None:
+    """The one rule for a bin count, checked where one enters the program:
+    at least 1 and at most ``MAX_BIN_COUNT``."""
+    if not 1 <= bin_count <= MAX_BIN_COUNT:
+        raise InvalidArgumentError(
+            f"bin count must be between 1 and {MAX_BIN_COUNT}, got {bin_count}"
+        )
+
+
 def bin_counts(sample: SortedSample, bin_count: int) -> np.ndarray:
     """Raw per-bin counts; the last bin is closed at 1."""
-    if bin_count < 1:
-        raise InvalidArgumentError(f"bin count must be >= 1, got {bin_count}")
+    check_bin_count(bin_count)
     edges = np.linspace(0.0, 1.0, bin_count + 1)
     counts, _ = np.histogram(sample.values, bins=edges)
     return counts

@@ -40,12 +40,18 @@ from .mechanisms import (
 
 @dataclass(frozen=True)
 class SortedSample:
-    """Nondecreasing vector of reals in [0, 1]."""
+    """Nondecreasing vector of reals in [0, 1].
+
+    ``values`` is a read-only view: one sample may feed many estimates (the
+    benchmark runs every estimator and m of a trial on one sample), so none
+    of them may write to it. The caller's own array stays writeable.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.asarray(self.values, dtype=float).view()
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if v.ndim != 1:
             raise InvalidArgumentError("sample must be one-dimensional")

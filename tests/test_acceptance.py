@@ -159,12 +159,13 @@ class TestCriterion1FigureReproduction:
         # position remains, rho = sqrt(2 B x) (1 / eps) / sqrt(n / 4), which
         # is 2.06 for beta(2,5) (median 0.264) and 2.83 for beta(0.5,0.5)
         # (median 0.5). The measured m = 1 error ratios at 300 trials per
-        # cell with the fixture's seed are 1.92 and 2.61. The crossovers
-        # follow: on the finer grid m in {2..8, 10, 12, 14, 20} at 300
-        # trials, m* = 4 for beta(2,5) (bootstrap 4-6) and m* = 8 for
-        # beta(0.5,0.5) (bootstrap 7-8), and over 13 base seeds at the
-        # fixture's 50 trials m*(beta(0.5,0.5)) >= m*(beta(2,5)) every
-        # time (3 ties). The direction is derived from the oracles, not
+        # cell with the fixture's seed are 1.85 and 2.66, with the cells of
+        # a trial sharing its sample. The crossovers follow: on the finer
+        # grid m in {2..8, 10, 12, 14, 20} at 300 trials, m* = 4 for
+        # beta(2,5) (paired bootstrap over trials, 95 %: 4-5) and m* = 8 for
+        # beta(0.5,0.5) (8-8), and over the 13 base seeds 20260809-20260821
+        # at the fixture's 50 trials m*(beta(0.5,0.5)) >= m*(beta(2,5))
+        # every time (3 ties). The direction is derived from the oracles, not
         # fixed, so a change of shapes moves it with the noise law.
         assert ok_c_order, "crossover ordering contradicts the histogram noise law"
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from dpquantiles import bench
 from dpquantiles.bench import (
@@ -92,18 +93,38 @@ class TestConfig:
         assert config.orders_for(3) == (0.2, 0.5, 0.9)
 
 
+def trial_inputs(oracle, m, config, source):
+    """The sample that ``source`` draws and the orders and true quantiles of
+    the grid of ``m``: the shared inputs of one trial's run_trial calls."""
+    orders = config.orders_for(m)
+    return oracle.sample(config.n, source), orders, oracle.quantile(np.asarray(orders))
+
+
+def direct_trial(config, d_idx, e_idx, m_idx, t):
+    """Cell (e_idx, m_idx)'s error in trial t of distribution d_idx, from
+    run_trial on the trial's sample with the cell's child noise stream."""
+    source = RandomSource(config.base_seed, (d_idx, t))
+    sample, orders, truth = trial_inputs(
+        config.distributions[d_idx], config.m_grid[m_idx], config, source
+    )
+    estimator = config.estimators[e_idx]
+    return run_trial(sample, estimator, orders, truth, config, source.child(e_idx, m_idx))
+
+
 class TestRunTrial:
     def test_determinism(self):
         config = small_config()
-        a = run_trial(UNIFORM, "recexp", 3, config, RandomSource(5))
-        b = run_trial(UNIFORM, "recexp", 3, config, RandomSource(5))
+        sample, orders, truth = trial_inputs(UNIFORM, 3, config, RandomSource(4))
+        a = run_trial(sample, "recexp", orders, truth, config, RandomSource(5))
+        b = run_trial(sample, "recexp", orders, truth, config, RandomSource(5))
         assert a == b
 
     def test_huge_budget_recovers_empirical_quantiles(self):
         # the estimator collapses onto the empirical quantiles, whose
         # deviation from the truth at n = 1e4 stays below 0.02
         config = small_config(n=10_000, epsilon=1e6)
-        error = run_trial(UNIFORM, "recexp", 3, config, RandomSource(17))
+        sample, orders, truth = trial_inputs(UNIFORM, 3, config, RandomSource(16))
+        error = run_trial(sample, "recexp", orders, truth, config, RandomSource(17))
         assert error <= 0.02
 
     def test_zero_epsilon_rejected_by_budget_validation(self):
@@ -111,8 +132,10 @@ class TestRunTrial:
             PrivacyBudget(0.0, NeighboringRelation.ADD_REMOVE)
 
     def test_unknown_estimator(self):
+        config = small_config()
+        sample, orders, truth = trial_inputs(UNIFORM, 2, config, RandomSource(1))
         with pytest.raises(InvalidArgumentError):
-            run_trial(UNIFORM, "mystery", 2, small_config(), RandomSource(0))
+            run_trial(sample, "mystery", orders, truth, config, RandomSource(0))
 
 
 class FakePool:
@@ -150,15 +173,18 @@ class TestRunExperiment:
     def test_single_trial_equals_run_trial(self):
         config = small_config(trials=1, m_grid=(2,), estimators=("recexp",), distributions=(UNIFORM,))
         result = run_experiment(config)
-        direct = run_trial(UNIFORM, "recexp", 2, config, RandomSource(99, (0, 0, 0, 0)))
+        source = RandomSource(99, (0, 0))
+        sample, orders, truth = trial_inputs(UNIFORM, 2, config, source)
+        direct = run_trial(sample, "recexp", orders, truth, config, source.child(0, 0))
         assert result.cells[0].mean_error == direct
         assert result.cells[0].std_error == 0.0
 
     def test_parallelism_does_not_change_results(self):
-        # 4 cells of 7 trials: whole-cell chunks at 1 worker, chunks of 4 and
-        # 3 trials at 2 workers, and of 3, 3 and 1 at 3 workers
-        config = small_config(trials=7, distributions=(UNIFORM,), estimators=("indexp", "histogram"))
-        assert [len(bench._trial_chunks(config, w)) for w in (1, 2, 3)] == [4, 8, 12]
+        # 4 cells of 25 trials on one distribution: chunks of 7 trials at 1
+        # worker (7, 7, 7, 4), of 4 at 2 workers (6 x 4, 1) and of 3 at 3
+        # workers (8 x 3, 1)
+        config = small_config(trials=25, distributions=(UNIFORM,), estimators=("indexp", "histogram"))
+        assert [len(bench._trial_chunks(config, w)) for w in (1, 2, 3)] == [4, 7, 9]
         serial = run_experiment(config, workers=1)
         for workers in (2, 3):
             parallel = run_experiment(config, workers=workers)
@@ -177,14 +203,15 @@ class TestRunExperiment:
         assert result.cells[0].mean_error == pytest.approx(math.fsum(errors) / 4)
 
     def test_trial_errors_keep_trial_order_across_chunks(self, fake_pool):
-        config = small_config(trials=10, estimators=("indexp", "histogram"), distributions=(UNIFORM,), m_grid=(2,))
+        config = small_config(trials=10, estimators=("indexp", "histogram"), m_grid=(2,))
         result = run_experiment(config, workers=2)
-        assert fake_pool[0].tasks == 8  # chunks of 3, 3, 3 and 1 trials per cell
-        for e_idx, cell in enumerate(result.cells):
-            assert cell.errors == tuple(
-                run_trial(UNIFORM, cell.estimator, 2, config, RandomSource(99, (0, e_idx, 0, t)))
-                for t in range(10)
+        assert fake_pool[0].tasks == 8  # chunks of 3, 3, 3 and 1 trials per distribution
+        cells = itertools.product(range(2), range(2))  # (d_idx, e_idx)
+        for (d_idx, e_idx), cell in zip(cells, result.cells, strict=True):
+            assert (cell.distribution, cell.estimator) == (
+                config.distributions[d_idx].label, config.estimators[e_idx]
             )
+            assert cell.errors == tuple(direct_trial(config, d_idx, e_idx, 0, t) for t in range(10))
 
     def test_one_cell_spreads_over_the_workers(self, fake_pool):
         config = small_config(trials=10, estimators=("histogram",), distributions=(UNIFORM,), m_grid=(1,))
@@ -216,6 +243,62 @@ class TestRunExperiment:
     def test_zero_n_rejected_upfront(self):
         with pytest.raises(InvalidArgumentError):
             small_config(n=0)
+
+
+class TestSharedSample:
+    """Each trial of a distribution draws one sample, shared by every
+    (estimator, m) cell, each with its own child noise stream."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_sample_per_distribution_and_trial(self, workers, fake_pool, monkeypatch):
+        # chunks of 3 and 2 trials at 1 worker, 2, 2 and 1 at 2 workers and
+        # single trials at 3 workers, per distribution
+        config = small_config(trials=5)
+        draws = []
+        original = DistributionOracle.sample
+
+        def counting(oracle, n, rng):
+            draws.append((oracle.label, rng.stream))
+            return original(oracle, n, rng)
+
+        monkeypatch.setattr(DistributionOracle, "sample", counting)
+        result = run_experiment(config, workers=workers)
+        monkeypatch.setattr(DistributionOracle, "sample", original)
+        assert sorted(draws) == sorted(
+            (oracle.label, (d_idx, t))
+            for d_idx, oracle in enumerate(config.distributions)
+            for t in range(config.trials)
+        )
+        indices = itertools.product(range(2), range(3), range(2))
+        for (d_idx, e_idx, m_idx), cell in zip(indices, result.cells, strict=True):
+            assert (cell.distribution, cell.estimator, cell.m) == (
+                config.distributions[d_idx].label,
+                config.estimators[e_idx],
+                config.m_grid[m_idx],
+            )
+            assert cell.errors == tuple(
+                direct_trial(config, d_idx, e_idx, m_idx, t) for t in range(config.trials)
+            )
+
+    def test_cell_laws_match_fresh_samples(self):
+        # the previous protocol, kept as the law oracle: every trial of every
+        # cell drew its own sample, and its noise continued the sample's
+        # stream. Each cell's trials are i.i.d. in both, so a two-sample KS
+        # test per cell should pass (12 cells, Bonferroni at about 0.012).
+        config = small_config(n=200, trials=150, histogram_bin_count=10, m_grid=(1, 4))
+        result = run_experiment(config)
+        indices = itertools.product(range(2), range(3), range(2))
+        for (d_idx, e_idx, m_idx), cell in zip(indices, result.cells, strict=True):
+            oracle = config.distributions[d_idx]
+            orders = config.orders_for(config.m_grid[m_idx])
+            truth = oracle.quantile(np.asarray(orders))
+            fresh = []
+            for t in range(config.trials):
+                rng = RandomSource(4711, (d_idx, e_idx, m_idx, t))
+                sample = oracle.sample(config.n, rng)
+                fresh.append(run_trial(sample, cell.estimator, orders, truth, config, rng))
+            p_value = ks_2samp(cell.errors, fresh).pvalue
+            assert p_value > 0.001, (cell.distribution, cell.estimator, cell.m, p_value)
 
 
 class TestVerifyGapLaw:

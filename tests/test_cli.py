@@ -11,6 +11,7 @@ import pytest
 from dpquantiles import cli
 from dpquantiles.bench import CheckReport
 from dpquantiles.errors import InvalidArgumentError
+from dpquantiles.histogram import MAX_BIN_COUNT
 
 DATA = "0.2\n0.5\n0.8\n"
 
@@ -106,6 +107,24 @@ class TestEstimate:
         # counts (1, 2) on two bins: density (2/3, 4/3), integral at 0.5 is
         # 1/3, so the median crossing sits at 0.5 + (1/6) / (4/3) = 0.625
         assert q == pytest.approx(0.625, abs=1e-12)
+
+    @pytest.mark.parametrize("bins", ["0", "100000000000"])
+    def test_unusable_bin_count_exits_2_naming_it(self, data_file, monkeypatch, capsys, bins):
+        # 1e11 bins used to end in a numpy memory error (745 GiB), exit 1
+        def no_release(*args, **kwargs):
+            raise AssertionError("histogram built for a rejected bin count")
+
+        monkeypatch.setattr(cli, "quantile_from_histogram", no_release)
+        argv = [
+            "estimate", "--data", data_file, "--method", "histogram", "--m", "3",
+            "--epsilon", "1", "--bins", bins,
+        ]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --bins: bin count must be between 1 and {MAX_BIN_COUNT}, got {bins}\n"
+        )
+        assert captured.out == ""
 
     def test_zero_noise_rejected_for_exponential_mechanisms(self, data_file):
         argv = [
@@ -375,6 +394,32 @@ class TestBench:
         )
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("bins", ["0", "100000000000"])
+    def test_unusable_bin_count_exits_2_before_the_run(self, tmp_path, monkeypatch, capsys, bins):
+        # 1e11 bins used to fail in the first trial, exit 1, after the
+        # output directory was made
+        def no_run(*args, **kwargs):
+            raise AssertionError("experiment run for a rejected bin count")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        path = tmp_path / "bins.cfg"
+        path.write_text(CONFIG.replace("bins = 16", f"bins = {bins}"))
+        outdir = tmp_path / "o"
+        assert cli.main(["bench", "--config", str(path), "--output", str(outdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: key 'bins': bin count must be between 1 and {MAX_BIN_COUNT}, "
+            f"got {bins}\n"
+        )
+        assert not outdir.exists()
+
+    def test_summary_reports_sample_time_and_stream_layout(self, config_file, tmp_path):
+        outdir = tmp_path / "out"
+        assert cli.main(["bench", "--config", config_file, "--output", str(outdir)]) == 0
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["sample_time_s"] > 0.0
+        assert all(cell["wall_time_s"] > 0.0 for cell in summary["cells"])
+        assert "stream=(distribution_index, trial_index)" in summary["seed_derivation"]
+
     def test_bad_version_exits_2(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(CONFIG.replace("config_version = 1", "config_version = 2"))
@@ -597,6 +642,20 @@ class TestVerify:
         assert cli.main(["verify", "gap-law", "--seed", "-1", "--trials", "10"]) == 2
         captured = capsys.readouterr()
         assert "seed" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("suite", ["gap-law", "dp-ratio", "lower-bound", "quantile-concentration", "all"])
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    def test_bad_seed_exits_2_before_any_suite_runs(self, monkeypatch, capsys, suite, seed):
+        # dp-ratio and lower-bound draw nothing, and used to ignore the seed
+        def no_suite(seed, trials):
+            raise AssertionError("a suite ran with a rejected seed")
+
+        for name in cli._SUITES:
+            monkeypatch.setitem(cli._SUITES, name, no_suite)
+        assert cli.main(["verify", suite, "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --seed: seed must be a 64-bit unsigned integer, got {seed}\n"
+        assert captured.out == ""
 
     def test_quantile_concentration_suite_passes(self, capsys):
         assert cli.main(["verify", "quantile-concentration", "--trials", "2000"]) == 0

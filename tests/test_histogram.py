@@ -6,8 +6,10 @@ import pytest
 from dpquantiles import histogram as histogram_module
 from dpquantiles.errors import InvalidArgumentError
 from dpquantiles.histogram import (
+    MAX_BIN_COUNT,
     HistogramEstimate,
     bin_counts,
+    check_bin_count,
     generalized_quantile,
     generalized_quantiles,
     private_histogram,
@@ -113,6 +115,21 @@ def scan_quantiles(values, ps):
             running += v * h
             b += 1
     return out
+
+
+class TestBinCountRule:
+    def test_bounds_are_inclusive(self):
+        check_bin_count(1)
+        check_bin_count(MAX_BIN_COUNT)
+
+    @pytest.mark.parametrize("bins", [0, -3, MAX_BIN_COUNT + 1, 100_000_000_000])
+    def test_rejected_before_any_allocation(self, bins, monkeypatch):
+        def no_edges(*args, **kwargs):
+            raise AssertionError("bin edges allocated for a rejected bin count")
+
+        monkeypatch.setattr(histogram_module.np, "linspace", no_edges)
+        with pytest.raises(InvalidArgumentError, match=f"bin count must be between 1 and {MAX_BIN_COUNT}"):
+            bin_counts(SortedSample(np.array([0.5])), bins)
 
 
 class TestGeneralizedQuantile:

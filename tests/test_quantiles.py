@@ -56,6 +56,21 @@ class TestSortedSample:
         assert np.array_equal(sample.values, [0.1, 0.5, 0.9])
         assert sample.n == 3
 
+    def test_values_are_read_only(self):
+        # one sample feeds every estimator and m of a benchmark trial
+        sample = SortedSample(np.array([0.1, 0.5, 0.9]))
+        with pytest.raises(ValueError, match="read-only"):
+            sample.values[0] = 0.2
+        with pytest.raises(ValueError, match="read-only"):
+            sample.values.sort()
+
+    def test_the_callers_array_stays_writeable(self):
+        raw = np.array([0.1, 0.5, 0.9])
+        SortedSample(raw)
+        assert raw.flags.writeable
+        raw[0] = 0.2
+        assert raw[0] == 0.2
+
 
 class TestTargetRank:
     @pytest.mark.parametrize(
