@@ -12,12 +12,15 @@ of the whole sample (:class:`_GapTable`) by subtracting the table entries
 outside each slice. :func:`qexp_draws` (qexp, indexp) makes one call with
 every slice on the full domain; :func:`recexp` makes one call per level of
 its recursion tree. A draw searches only the side of its rank that its pick
-uniform chose, so the table is computed only where the draws read it: its
-left half up to the largest target rank and its right half from the
-smallest, each extended when a recursion slice's rank lies beyond it. One
-order costs about one pass over the sample instead of two. The per-density
-sampler (:func:`qexp_density` with :func:`sample_piecewise`) draws the same
-law on the same uniforms; it stays as the reference the table is tested
+uniform chose, so the table is computed only where the draws read it, in
+whole blocks: its left half up to the largest target rank and its right
+half from the smallest, each extended when a recursion slice's rank lies
+beyond it. The table is built from blocked float prefix sums, one ``log``
+per entry and one ``logaddexp`` per block, and every entry lies within a
+stated bound of its exact value. The per-density sampler
+(:func:`qexp_density` with :func:`sample_piecewise`) draws the same law on
+the same uniforms, and picks the same interval except within rounding of a
+boundary of the CDF; it stays as the reference the draws are tested
 against, and the privacy audits read its densities.
 """
 
@@ -165,31 +168,75 @@ def qexp_log_weights(n: int, rank: int, epsilon: float) -> np.ndarray:
     return -min(epsilon / 2.0, _SATURATED_C) * np.abs(np.arange(n + 1) - rank)
 
 
+# The gap table sums at most _BLOCK gaps per block in doubles, and fewer
+# where c is large, so that no in-block weight e^{c i} exceeds
+# e^_BLOCK_LOG_SPAN and no block sum can overflow.
+_BLOCK = 256
+_BLOCK_LOG_SPAN = 500.0
+# Only a gap between two points below 2^-969 can be subnormal, and its
+# product with an in-block weight would lose bits: a table with such a point
+# lifts its weights by 2^64. So every positive gap times its weight, and
+# every positive block sum, is at least 2^-1022.
+_TINY = 2.0**-969
+_TINY_SCALE_BITS = 64
+
+
 class _GapTable:
     """The log-space prefix table every exponential-mechanism draw reads,
     computed only where the draws read it.
 
-    With breakpoints ``x = [0, x_1, ..., x_n, 1]``, gaps ``g_k = x[k+1] -
-    x[k]`` and ``c = min(epsilon / 2, _SATURATED_C)``, the table holds ``A_k
-    = log sum_{j<k} g_j e^{cj}`` (non-decreasing) and ``B_k = log sum_{j>=k}
-    g_j e^{-cj}`` (non-increasing), plus ``neg_B = -B`` for ascending
-    searches, for k = 0..n+1. Only ``A[0..a_hi]`` and ``B[b_lo..n+1]`` are
-    computed. Above ``a_hi`` A holds +inf and below ``b_lo`` neg_B holds
-    -inf, so both stay sorted for searches over whole arrays; a draw's
-    search never passes its rank's computed entry. Zero-length gaps repeat a
-    table entry.
+    With breakpoints ``x = [lo, x_1, ..., x_n, hi]`` (``lo = 0`` and ``hi =
+    1`` unless given), gaps ``g_k = x[k+1] - x[k]`` and ``c = min(epsilon /
+    2, _SATURATED_C)``, the table holds ``A_k = log sum_{j<k} g_j e^{cj}``
+    (non-decreasing) and ``B_k = log sum_{j>=k} g_j e^{-cj}``
+    (non-increasing), plus ``neg_B = -B`` for ascending searches, for k =
+    0..n+1. Only ``A[0..a_hi]`` and ``B[b_lo..n+1]`` are computed. Above
+    ``a_hi`` A holds +inf and below ``b_lo`` neg_B holds -inf, so both stay
+    sorted for searches over whole arrays; a draw's search never passes its
+    rank's computed entry. Zero-length gaps repeat a table entry exactly.
 
-    ``A_k`` depends only on the gaps below k and ``B_k`` only on the gaps
-    from k on, and ``np.logaddexp.accumulate`` is a left fold, so extending
-    a table from its last computed entry gives the bits of the full pass.
+    A is built in blocks of ``L = min(_BLOCK, floor(_BLOCK_LOG_SPAN / c))``
+    gaps (at least 1) on a grid fixed from gap 0, B the same way on the
+    reversed gaps from gap n down, so that every in-block weight is at least
+    1 and at most e^500. A block starting at gap j0 takes the double
+    ``cumsum`` ``S`` of ``g_j e^{c (j - j0)}``, and its entries are ``c j0 +
+    log(S + e^{C - c j0})``, where the carry ``C`` is the log-mass of the
+    gaps before the block, chained over the block totals by one
+    ``np.logaddexp.accumulate``. A positive ``S`` is a normal double (see
+    ``_TINY``), so ``e^{C - c j0}`` rounds or underflows by less than one
+    rounding of ``S``. Entries whose block sum is still zero are -inf, and a
+    running maximum, taken where an entry falls below the one before it,
+    makes them repeat the entry before the block and keeps A and B monotone
+    across block edges. Each entry thus depends only on the entries before
+    it, its own block and the carry into that block; extensions compute
+    whole blocks of the grid from the stored carry, so a table extended in
+    steps holds the bits of one computed in full.
+
+    Error bound: a computed ``A_k`` is within ``ceil(k / L) (M + 1000)
+    2^-50`` of its exact value for the gaps of ``x`` and this ``c``, and a
+    computed ``B_k`` within ``ceil((n + 1 - k) / L) (M + 1000) 2^-50``,
+    where ``M`` is the largest of ``c (n + 1)`` and the magnitudes of that
+    side's finite exact entries; an entry of exact value -inf is -inf. Each
+    block's sums, weights and ``log`` contribute at most ``(L + 510)
+    2^-53``, and each link of the chain and each offset a few roundings of
+    numbers below ``M + 800`` (the logs of the gaps lie above -745).
     """
 
-    __slots__ = ("x", "c", "A", "B", "neg_B", "a_hi", "b_lo")
+    __slots__ = (
+        "x", "c", "A", "B", "neg_B", "a_hi", "b_lo", "_weights", "_log_scale", "_a_carry", "_b_carry"
+    )
 
-    def __init__(self, values: np.ndarray, epsilon: float, b_lo: int, a_hi: int):
+    def __init__(
+        self, values: np.ndarray, epsilon: float, b_lo: int, a_hi: int, lo: float = 0.0, hi: float = 1.0
+    ):
         n = values.size
-        self.x = np.concatenate(([0.0], values, [1.0]))
-        self.c = min(epsilon / 2.0, _SATURATED_C)
+        self.x = np.concatenate(([lo], values, [hi]))
+        self.c = c = min(epsilon / 2.0, _SATURATED_C)
+        block = _BLOCK if c * _BLOCK <= _BLOCK_LOG_SPAN else max(1, int(_BLOCK_LOG_SPAN / c))
+        tiny = self.x.searchsorted(_TINY) > self.x.searchsorted(0.0, "right")
+        scale_bits = _TINY_SCALE_BITS if tiny else 0
+        self._weights = np.ldexp(np.exp(c * np.arange(block)), scale_bits)
+        self._log_scale = scale_bits * math.log(2.0)
         self.A = np.full(n + 2, np.inf)
         self.B = np.empty(n + 2)
         self.neg_B = np.full(n + 2, -np.inf)
@@ -198,33 +245,74 @@ class _GapTable:
         self.neg_B[n + 1] = np.inf
         self.a_hi = 0
         self.b_lo = n + 1
+        self._a_carry = self._b_carry = -np.inf
         self.extend_a(a_hi)
         self.extend_b(b_lo)
 
-    def _log_gaps(self, lo: int, hi: int):
-        """``log g_j`` and ``c * j`` for j = lo..hi-1."""
+    def _blocks(self, lower, upper, start: int, carry: float, out: np.ndarray) -> float:
+        """Write ``out[i + 1] = log(e^carry + sum_{j<=i} g_j e^{c (start +
+        j)})``, with gaps ``g = upper - lower`` in whole blocks that start on
+        the grid and ``out[0]`` the entry before them; returns the carry after
+        them."""
+        weights, count = self._weights, lower.size
+        size = weights.size
+        S = np.zeros((-(-count // size), size))
+        np.subtract(upper, lower, out=S.reshape(-1)[:count])
+        S *= weights
+        np.cumsum(S, axis=1, out=S)
+        offsets = self.c * np.arange(start, start + S.size, size) - self._log_scale
         with np.errstate(divide="ignore"):
-            log_gaps = np.log(np.diff(self.x[lo : hi + 1]))
-        return log_gaps, self.c * np.arange(lo, hi)
+            chain = np.logaddexp.accumulate(np.concatenate(([carry], offsets + np.log(S[:, -1]))))
+            # e^t can underflow, but what it loses, at most 2^-1075, is
+            # below one rounding of any positive S, which is at least 2^-1022
+            t = chain[:-1] - offsets
+            # a block's leading zero-length gaps get -inf, which the running
+            # maximum below turns into the entry before the block
+            empty = S[:, 0] == 0.0
+            any_empty = empty.any()
+            if any_empty:
+                empty_at = S[empty] == 0.0
+            S += np.exp(t)[:, None]
+            np.log(S, out=S)
+        S += offsets[:, None]
+        if any_empty:
+            S[empty] = np.where(empty_at, -np.inf, S[empty])
+        out[1:] = S.reshape(-1)[:count]
+        # rounding can also put an entry below the one before it, mostly at a
+        # block edge
+        if (out[1:] < out[:-1]).any():
+            np.maximum.accumulate(out, out=out)
+        return chain[-1]
+
+    @property
+    def block(self) -> int:
+        """The block length L."""
+        return self._weights.size
+
+    def _grid_end(self, k: int) -> int:
+        """The first block edge from 0 at or above k, capped at n + 1."""
+        return min(-(-k // self.block) * self.block, self.x.size - 1)
 
     def extend_a(self, k: int) -> None:
-        """Compute A up to index k."""
+        """Compute A up to index k, in whole blocks."""
         lo = self.a_hi
         if k > lo:
-            log_gaps, ck = self._log_gaps(lo, k)
-            terms = np.concatenate(([self.A[lo]], log_gaps + ck))
-            self.A[lo : k + 1] = np.logaddexp.accumulate(terms)
-            self.a_hi = k
+            hi = self._grid_end(k)
+            x = self.x
+            self._a_carry = self._blocks(x[lo:hi], x[lo + 1 : hi + 1], lo, self._a_carry, self.A[lo : hi + 1])
+            self.a_hi = hi
 
     def extend_b(self, k: int) -> None:
-        """Compute B and neg_B down to index k."""
+        """Compute B and neg_B down to index k, in whole blocks from n + 1."""
+        top = self.x.size - 1
         hi = self.b_lo
         if k < hi:
-            log_gaps, ck = self._log_gaps(k, hi)
-            terms = np.concatenate(([self.B[hi]], (log_gaps - ck)[::-1]))
-            self.B[k : hi + 1] = np.logaddexp.accumulate(terms)[::-1]
-            np.negative(self.B[k:hi], out=self.neg_B[k:hi])
-            self.b_lo = k
+            lo = top - self._grid_end(top - k)
+            # reversed, gap hi - 1 comes first and weighs e^{-c (hi - 1)}
+            x, out = self.x, self.B[lo : hi + 1][::-1]
+            self._b_carry = self._blocks(x[lo:hi][::-1], x[lo + 1 : hi + 1][::-1], 1 - hi, self._b_carry, out)
+            np.negative(self.B[lo:hi], out=self.neg_B[lo:hi])
+            self.b_lo = lo
 
 
 def _draws(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> np.ndarray:
@@ -245,11 +333,17 @@ def _draws(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> np.ndarray:
     ``B_R``, a gap on that side of ``R`` that moves the entry (``A_{k+1} >
     A_k`` or ``B_k > B_{k+1}``), so a zero-length gap is never chosen. For
     a slice with a point inside, the table is extended to ``A[0..R]`` and
-    ``B[R..n+1]``, the only entries read. No search returns a gap below
-    ``a``, and capping ``k`` at ``b`` keeps rounding inside the slice; so a
-    slice without a point inside (``a = b``), or of zero length, is drawn
-    on its one interval whatever the table holds. ``u_pos`` places the draw
-    in its gap, cut to ``[lo, hi]``.
+    ``B[R..n+1]``, the only entries read, rounded out to whole blocks of the
+    table's grid. No search returns a gap below ``a``, and capping ``k`` at
+    ``b`` keeps rounding inside the slice; so a slice without a point inside
+    (``a = b``), or of zero length, is drawn on its one interval whatever
+    the table holds. ``u_pos`` places the draw in its gap, cut to ``[lo,
+    hi]``.
+
+    On gaps far smaller than the table mass outside a slice of positive
+    length, both side masses can round to zero; such a slice is drawn again,
+    by this function, on a :class:`_GapTable` of its own gaps with edges
+    ``lo`` and ``hi``, where both D's are zero.
     """
     x, c, A, B = table.x, table.c, table.A, table.B
     table.extend_a(int(R.max(where=a < b, initial=0)))
@@ -284,7 +378,19 @@ def _draws(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> np.ndarray:
         k[massless] = A.searchsorted(A_R[massless], "left") - 1
     k = np.minimum(k, b)
     left_edge = np.maximum(x[k], lo)
-    return left_edge + u_pos * (np.minimum(x[k + 1], hi) - left_edge)
+    q = left_edge + u_pos * (np.minimum(x[k + 1], hi) - left_edge)
+    # both side masses of a slice of tiny gaps can round to zero against the
+    # table mass outside it: such a slice is drawn on a table of its own gaps,
+    # at the same c
+    lost = (log_z == -np.inf) & (lo < hi)
+    if lost.any():
+        a, b, lo, hi, R, u_pick, u_pos = np.broadcast_arrays(a, b, lo, hi, R, u_pick, u_pos)
+        for i in np.flatnonzero(lost):
+            own = _GapTable(x[a[i] + 1 : b[i] + 1], 2.0 * c, R[i] - a[i], R[i] - a[i], lo[i], hi[i])
+            one = slice(i, i + 1)
+            slice_ = (0, b[one] - a[one], lo[one], hi[one], R[one] - a[one], u_pick[one], u_pos[one])
+            q[i] = _draws(own, *slice_)[0]
+    return q
 
 
 def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -> np.ndarray:

@@ -133,8 +133,12 @@ class TestQexpDensity:
 
 class TestQexp:
     def test_empty_sample_is_uniform(self):
+        # one qexp_draws call with the rank repeated takes the draws of as
+        # many qexp calls on the same stream
+        empty = SortedSample(np.empty(0))
+        draws = qexp_draws(empty, [0] * 20_000, 1.0, RandomSource(21))
         rng = RandomSource(21)
-        draws = np.array([qexp(SortedSample(np.empty(0)), 0.5, 1.0, rng) for _ in range(20_000)])
+        assert [qexp(empty, 0.5, 1.0, rng) for _ in range(5)] == draws[:5].tolist()
         assert kstest(draws, "uniform").statistic < 0.015
 
     def test_determinism(self):
@@ -224,33 +228,71 @@ def oracle_test_sample(shape, n, seed):
     return SortedSample.from_unsorted(x)
 
 
-def full_gap_tables(values, epsilon):
-    # the whole table in two full passes, as it was built before the table
-    # became lazy: the reference every computed entry must equal bit for bit
-    n = values.size
-    x = np.concatenate(([0.0], values, [1.0]))
-    c = min(epsilon / 2.0, quantiles._SATURATED_C)
-    ck = c * np.arange(n + 1)
-    with np.errstate(divide="ignore"):
-        log_gaps = np.log(np.diff(x))
-    A = np.empty(n + 2)
-    A[0] = -np.inf
-    np.logaddexp.accumulate(log_gaps + ck, out=A[1:])
-    B = np.empty(n + 2)
-    B[n + 1] = -np.inf
-    B[: n + 1] = np.logaddexp.accumulate((log_gaps - ck)[::-1])[::-1]
-    return x, c, A, B
+def exact_gap_tables(x, c):
+    # A_k = log sum_{j<k} g_j e^{cj} and B_k = log sum_{j>=k} g_j e^{-cj} of
+    # the gaps of x, in 160-bit arithmetic: the reference of _GapTable's bound
+    with mpmath.workprec(160):
+        gaps = [mpmath.mpf(float(hi)) - mpmath.mpf(float(lo)) for lo, hi in zip(x[:-1], x[1:])]
+        growth, weight, total = mpmath.exp(mpmath.mpf(float(c))), mpmath.mpf(1), mpmath.mpf(0)
+        A = [mpmath.mpf("-inf")]
+        for g in gaps:
+            total += g * weight
+            weight *= growth
+            A.append(mpmath.log(total) if total else mpmath.mpf("-inf"))
+        B, total = [mpmath.mpf("-inf")], mpmath.mpf(0)
+        for g in reversed(gaps):
+            weight /= growth
+            total += g / weight
+            B.append(mpmath.log(total) if total else mpmath.mpf("-inf"))
+        return A, B[::-1]
 
 
-def assert_matches_full_table(table, values, epsilon):
-    x, c, A, B = full_gap_tables(values, epsilon)
+def assert_within_bound(table, exact):
+    # every computed entry within the bound of the _GapTable docstring:
+    # ceil(k / L) (M + 1000) 2^-50 from the exact A_k, and the same for B_k
+    # with ceil((n + 1 - k) / L)
+    A, B = exact
+    n, c, L = table.x.size - 2, table.c, table.block
+    # both sides are monotone, and a zero-length gap k repeats its entry
+    zero = np.diff(table.x) == 0.0
+    a, b = table.A[: table.a_hi + 1], table.B[table.b_lo :]
+    assert np.all(a[1:] >= a[:-1]) and np.all(b[1:] <= b[:-1])
+    assert np.array_equal(a[1:][zero[: table.a_hi]], a[:-1][zero[: table.a_hi]])
+    assert np.array_equal(b[1:][zero[table.b_lo :]], b[:-1][zero[table.b_lo :]])
+    k = np.arange(n + 2)
+    for computed, side, ks, blocks in (
+        (table.A, A, k[: table.a_hi + 1], -(-k // L)),
+        (table.B, B, k[table.b_lo :], -(-(n + 1 - k) // L)),
+    ):
+        # the reference rounded to doubles, off by at most half an ulp
+        side = np.array([float(e) for e in side])
+        M = max(c * (n + 1), np.abs(side[np.isfinite(side)]).max(initial=0.0))
+        bound = blocks * (M + 1000) * 2.0**-50 - np.abs(side) * 2.0**-53
+        assert np.array_equal(computed[ks] == -np.inf, side[ks] == -np.inf)
+        finite = ks[side[ks] > -np.inf]
+        error = np.abs(computed[finite] - side[finite])
+        assert np.all(error <= bound[finite]), (finite[error > bound[finite]], error.max())
+
+
+def assert_equals_full_table(table, values, epsilon):
+    # the computed entries of a lazily extended table hold the bits of the
+    # same table computed in full, and the uncomputed ones keep both search
+    # arrays sorted
+    full = quantiles._GapTable(values, epsilon, 0, values.size + 1, table.x[0], table.x[-1])
     lo, hi = table.b_lo, table.a_hi
-    assert table.c == c and table.x.tobytes() == x.tobytes()
-    assert table.A[: hi + 1].tobytes() == A[: hi + 1].tobytes()
-    assert table.B[lo:].tobytes() == B[lo:].tobytes()
-    assert table.neg_B[lo:].tobytes() == (-B[lo:]).tobytes()
-    # the uncomputed entries keep both search arrays sorted
+    assert table.c == full.c and table.x.tobytes() == full.x.tobytes()
+    assert table.A[: hi + 1].tobytes() == full.A[: hi + 1].tobytes()
+    assert table.B[lo:].tobytes() == full.B[lo:].tobytes()
+    assert table.neg_B[lo:].tobytes() == (-full.B[lo:]).tobytes()
     assert np.all(table.A[hi + 1 :] == np.inf) and np.all(table.neg_B[:lo] == -np.inf)
+
+
+def assert_extent(table, b_lo, a_hi):
+    # the computed region covers A[0..a_hi] and B[b_lo..n+1] in whole blocks
+    # of the grids from 0 and from n + 1, and no block more
+    top, L = table.x.size - 1, table.block
+    assert table.a_hi == min(-(-a_hi // L) * L, top), (table.a_hi, a_hi, L)
+    assert top - table.b_lo == min(-(-(top - b_lo) // L) * L, top), (table.b_lo, b_lo, L)
 
 
 @pytest.fixture
@@ -299,7 +341,7 @@ class TestQexpDraws:
                 eps_call = query.budget.epsilon / m
                 assert ledger.calls == [MechanismCall(j, 1, eps_call, n) for j in range(m)]
                 assert ledger.levels == m and ledger.eps_per_call == eps_call
-                assert_matches_full_table(recorded_tables[-1], sample.values, eps_call)
+                assert_equals_full_table(recorded_tables[-1], sample.values, eps_call)
 
     def test_every_rank_and_zero_budget(self):
         sample = oracle_test_sample("duplicates", 300, seed=4)
@@ -448,7 +490,7 @@ class TestRecexpTable:
                 # same stream position and the same ledger records
                 assert rng.random() == oracle_rng.random()
                 assert ledger == oracle_ledger
-                assert_matches_full_table(recorded_tables[-1], sample.values, ledger.eps_per_call)
+                assert_equals_full_table(recorded_tables[-1], sample.values, ledger.eps_per_call)
 
     def test_extreme_uniforms_skip_zero_length_intervals(self):
         # zero-length intervals at both ends and in the middle, and children
@@ -529,6 +571,15 @@ class TestRecexpTable:
             gc.enable()
 
 
+def draw_without_b_below_the_rank(values, epsilon, R, cycle):
+    # the full-domain draw at rank R on a table whose B entries below R hold
+    # NaN, and neg_B -inf as if never computed
+    table = quantiles._GapTable(values, epsilon, R, R)
+    table.B[:R], table.neg_B[:R] = np.nan, -np.inf
+    u_pick, u_pos = cycle
+    return quantiles._draws(table, 0, values.size, 0.0, 1.0, np.array([R]), np.array([u_pick]), u_pos)[0]
+
+
 class TestGapTable:
     @pytest.mark.parametrize("shape", RECEXP_SHAPES)
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 50, 1000])
@@ -538,16 +589,60 @@ class TestGapTable:
         for epsilon in (0.0, 1e-3, 1.0, 1e3, 1e300):
             start = sorted(steps.integers(0, n + 1, 2))
             table = quantiles._GapTable(sample.values, epsilon, start[0], start[1])
-            assert (table.b_lo, table.a_hi) == (start[0], start[1])
-            assert_matches_full_table(table, sample.values, epsilon)
+            assert_extent(table, start[0], start[1])
+            assert_equals_full_table(table, sample.values, epsilon)
             # extensions in both directions, some of them no-ops, down to the
             # whole table
             for k in list(steps.integers(0, n + 2, 6)) + [n + 1, 0]:
                 table.extend_a(int(k))
                 table.extend_b(int(n + 1 - k))
                 assert table.a_hi >= k and table.b_lo <= n + 1 - k
-                assert_matches_full_table(table, sample.values, epsilon)
+                assert_equals_full_table(table, sample.values, epsilon)
             assert (table.b_lo, table.a_hi) == (0, n + 1)
+            assert_within_bound(table, exact_gap_tables(table.x, table.c))
+
+    @pytest.mark.parametrize(
+        "epsilon,block",
+        # c = 1500 (saturated) and c = 300 give L = 1, c = 200 gives L = 2
+        [(3000.0, 1), (1e300, 1), (600.0, 1), (400.0, 2), (1.0, 256)],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 300])
+    def test_short_blocks_and_partial_last_blocks(self, n, epsilon, block):
+        # n + 1 gaps: a multiple of L, one more or one fewer, or no whole block
+        sample = oracle_test_sample("duplicates", n, seed=n)
+        table = quantiles._GapTable(sample.values, epsilon, n + 1, 0)
+        assert table.block == block
+        for k in sorted({min(k, n + 1) for k in (1, 2, 3, n // 2, n + 1)}):
+            table.extend_a(k)
+            table.extend_b(n + 1 - k)
+            assert_extent(table, n + 1 - k, k)
+            assert_equals_full_table(table, sample.values, epsilon)
+        assert_within_bound(table, exact_gap_tables(table.x, table.c))
+
+    def test_block_opening_with_zero_gaps_after_tiny_gaps(self):
+        # at c = 100 (L = 5) the carry into the second block, over five 1e-300
+        # gaps, is about e^-746 of that block's scale, so e^t underflows;
+        # the block opens with three zero-length gaps, whose entries must
+        # repeat the entry before the block, and then holds positive gaps
+        values = np.array([1, 2, 3, 4, 5, 5, 5, 5, 6, 7] + [3e299, 6e299]) * 1e-300
+        for epsilon in (200.0, 2.0):
+            table = quantiles._GapTable(values, epsilon, 0, values.size + 1)
+            assert table.block == (5 if epsilon == 200.0 else 256)
+            assert np.all(table.A[6:9] == table.A[5]) and np.all(table.B[5:8] == table.B[8])
+            assert np.all(table.A[9:] > table.A[8]) and np.all(np.isfinite(table.A[1:]))
+            assert_within_bound(table, exact_gap_tables(table.x, table.c))
+            for k in range(values.size + 2):
+                lazy = quantiles._GapTable(values, epsilon, k, k)
+                assert_equals_full_table(lazy, values, epsilon)
+
+    def test_subnormal_gaps_keep_the_bound(self):
+        # gaps of a few 5e-324 between points below 2^-969: unscaled, their
+        # products with the in-block weights would round to multiples of
+        # 5e-324
+        values = np.array([0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 8.0, 13.0]) * 5e-324
+        for epsilon in (1e-3, 0.3, 1.0, 7.0):
+            table = quantiles._GapTable(np.append(values, 0.5), epsilon, 0, values.size + 2)
+            assert_within_bound(table, exact_gap_tables(table.x, table.c))
 
     def test_draws_compute_only_the_entries_they_read(self, recorded_tables):
         sample = oracle_test_sample("beta", 1000, seed=1)
@@ -555,35 +650,37 @@ class TestGapTable:
         qexp_draws(sample, ranks, 1.0, RandomSource(3))
         query = QuantileQuery((0.3, 0.5, 0.7), PrivacyBudget(1.0, REPLACE))
         recexp(sample, query, RandomSource(3))
-        assert [(t.b_lo, t.a_hi) for t in recorded_tables] == [(250, 600), (300, 700)]
+        assert len(recorded_tables) == 2
+        assert_extent(recorded_tables[0], 250, 600)
+        assert_extent(recorded_tables[1], 300, 700)
         for table, epsilon in zip(recorded_tables, (1.0, 0.5 / 2)):
-            assert_matches_full_table(table, sample.values, epsilon)
+            assert_equals_full_table(table, sample.values, epsilon)
 
     def test_slice_without_a_point_extends_nothing(self, recorded_tables):
         # with every point above 1/2 and this budget the root draw lands in
         # [0, x_1], so the left child's slice is empty at rank 0; B stays
-        # uncomputed below the smallest target rank
+        # uncomputed below the block of the smallest target rank
         sample = SortedSample(0.5 + oracle_test_sample("beta", 1000, seed=1).values / 2)
         query = QuantileQuery((0.3, 0.5, 0.7), PrivacyBudget(1e-3, ADD_REMOVE))
         out = recexp(sample, query, ScriptedUniforms([0.2, 0.5]))
         assert out[0] < out[1] < sample.values[0]
         (table,) = recorded_tables
-        assert (table.b_lo, table.a_hi) == (300, 700)
-        assert_matches_full_table(table, sample.values, 1e-3 / 2)
+        assert_extent(table, 300, 700)
+        assert_equals_full_table(table, sample.values, 1e-3 / 2)
 
     def test_qexp_b_search_continues_below_the_computed_region(self, recorded_tables):
         # interval 3, just below rank 4, has zero length ([0.4, 0.4]); this
         # uniform picks the side from interval 4 on and its rounded target
-        # exceeds B_4, so the capped search must stop at [0.4, 0.5] and leave
-        # B uncomputed below the rank (the density sampler, rounding the other
-        # way at this uniform, takes [0.2, 0.4])
+        # exceeds B_4, so the capped search must stop at [0.4, 0.5] and read
+        # nothing of B below the rank
         sample = SortedSample(np.array([0.1, 0.2, 0.4, 0.4, 0.5, 0.6]))
-        cycle = [0.39985001249999935, 0.5]
-        out = qexp_draws(sample, [4], 0.001, ScriptedUniforms(cycle))
+        cycle = [0.3955112494629539, 0.5]
+        out = qexp_draws(sample, [4], 0.03, ScriptedUniforms(cycle))
         assert out[0] == 0.45
         (table,) = recorded_tables
-        assert table.b_lo == 4
-        assert_matches_full_table(table, sample.values, 0.001)
+        assert_extent(table, 4, 4)
+        assert_equals_full_table(table, sample.values, 0.03)
+        assert draw_without_b_below_the_rank(sample.values, 0.03, 4, cycle) == out[0]
 
     def test_recexp_b_search_continues_below_the_computed_region(self, recorded_tables):
         # the same at the recursion root: interval 1, just below rank 2, is
@@ -595,8 +692,9 @@ class TestGapTable:
         out = recexp(sample, query, ScriptedUniforms(cycle))
         assert out[0] == 0.35
         (table,) = recorded_tables
-        assert table.b_lo == 2
-        assert_matches_full_table(table, sample.values, 0.001)
+        assert_extent(table, 2, 2)
+        assert_equals_full_table(table, sample.values, 0.001)
+        assert draw_without_b_below_the_rank(sample.values, 0.001, 2, cycle) == out[0]
 
     def test_b_side_draw_skips_a_tie_below_the_rank(self, recorded_tables):
         # interval 4, just below rank 5, is [0.3, 0.3]; this uniform picks
@@ -610,22 +708,25 @@ class TestGapTable:
         draws = qexp_draws(sample, [5], 0.001, ScriptedUniforms(cycle))
         assert np.array_equal(draws, density_oracle(sample, [5], 0.001, ScriptedUniforms(cycle)))
         assert out[0] == draws[0] == 0.5
-        assert [t.b_lo for t in recorded_tables] == [5, 5]
+        for table in recorded_tables:
+            assert_extent(table, 5, 5)
+        assert draw_without_b_below_the_rank(sample.values, 0.001, 5, cycle) == out[0]
 
     def test_recexp_extends_a_beyond_the_largest_rank(self, recorded_tables, monkeypatch):
         # at this budget the draws are nearly uniform on their domains, so a
-        # root draw at 0.7 or 0.9 has more of the 50 points below it than the
-        # largest target rank: the right child's slice starts above every
-        # rank and clamps its rank there
-        sample = oracle_test_sample("beta", 50, seed=50)
-        for m, u_pick in itertools.product((7, 10), (0.7, 0.9)):
-            query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(1e-3, ADD_REMOVE))
-            ranks = [target_rank(50, p) for p in query.orders]
+        # root draw near 0.5 or 0.7 has more of the 1000 points below it than
+        # the largest target rank, and more than the block that holds it: the
+        # right child's slice starts above every rank and clamps its rank there
+        sample = oracle_test_sample("beta", 1000, seed=50)
+        for m, u_pick in itertools.product((3, 7), (0.5, 0.7)):
+            orders = tuple((i + 1) / 50 for i in range(m))
+            query = QuantileQuery(orders, PrivacyBudget(1e-3, ADD_REMOVE))
+            top_rank = target_rank(1000, orders[-1])
             cycle = [u_pick, 0.5]
             out = recexp(sample, query, ScriptedUniforms(cycle))
             table = recorded_tables[-1]
-            assert table.a_hi > max(ranks), m
-            assert_matches_full_table(table, sample.values, 1e-3 / recexp_depth(m))
+            assert table.a_hi > -(-top_rank // table.block) * table.block, m
+            assert_equals_full_table(table, sample.values, 1e-3 / recexp_depth(m))
             assert np.array_equal(out, per_slice_recexp(sample, query, ScriptedUniforms(cycle)))
             full = with_full_table(monkeypatch, lambda: recexp(sample, query, ScriptedUniforms(cycle)))
             assert np.array_equal(out, full)
@@ -680,7 +781,8 @@ EXTREME_PICKS = (0.0, 2.0**-53, 2.0**-52, 1.0 - 2.0**-52, 1.0 - 2.0**-53)
 class TestSideRule:
     def test_qexp_draws_at_extreme_pick_uniforms(self):
         for sample, epsilon in itertools.product(SIDE_RULE_SAMPLES, SIDE_RULE_EPSILONS):
-            x, c, A, B = full_gap_tables(sample.values, epsilon)
+            full = quantiles._GapTable(sample.values, epsilon, 0, sample.n + 1)
+            x, c, A, B = full.x, full.c, full.A, full.B
             ranks = range(sample.n + 1)
             for u_pick in EXTREME_PICKS:
                 draws = qexp_draws(sample, ranks, epsilon, ScriptedUniforms([u_pick, 0.5]))
@@ -688,33 +790,52 @@ class TestSideRule:
                     assert_side_rule(x, A, B, c, (0, sample.n, 0.0, 1.0, r), u_pick, q)
 
     def test_recexp_slices_at_extreme_pick_uniforms(self, monkeypatch):
-        # every slice of every level keeps the side rule, and each level
-        # draws the same on a table whose uncomputed B entries are NaN and on
-        # the full table: no entry that was never computed feeds a draw
-        levels, draws = [], quantiles._draws
+        # every slice of every level, and every slice redrawn on a table of
+        # its own, keeps the side rule, and each call draws the same on a
+        # table whose uncomputed B entries are NaN and on the full table: no
+        # entry that was never computed feeds a draw
+        calls, draws = [], quantiles._draws
 
         def recording(table, *slices):
             q = draws(table, *slices)
-            levels.append(((table.b_lo, table.a_hi), slices, q))
+            calls.append((table.x, table.b_lo, table.a_hi, slices, q))
             return q
 
-        monkeypatch.setattr(quantiles, "_draws", recording)
         for sample, epsilon in itertools.product(SIDE_RULE_SAMPLES, SIDE_RULE_EPSILONS):
             for m, u_pick in itertools.product((3, 7), EXTREME_PICKS):
                 query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(epsilon, ADD_REMOVE))
-                levels.clear()
-                recexp(sample, query, ScriptedUniforms([u_pick, 0.5]))
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(quantiles, "_draws", recording)
+                    recexp(sample, query, ScriptedUniforms([u_pick, 0.5]))
                 eps_call = epsilon / recexp_depth(m)
-                x, c, A, B = full_gap_tables(sample.values, eps_call)
-                for (b_lo, a_hi), slices, q in levels:
-                    poisoned = quantiles._GapTable(sample.values, eps_call, b_lo, a_hi)
-                    poisoned.B[:b_lo] = np.nan
-                    full = quantiles._GapTable(sample.values, eps_call, 0, sample.n + 1)
+                tables = {}
+                for x, b_lo, a_hi, slices, q in calls:
+                    values, edges, key = x[1:-1], (x[0], x[-1]), (x.tobytes(), b_lo, a_hi)
+                    if key not in tables:
+                        poisoned = quantiles._GapTable(values, eps_call, b_lo, a_hi, *edges)
+                        poisoned.B[:b_lo] = np.nan
+                        full = quantiles._GapTable(values, eps_call, 0, values.size + 1, *edges)
+                        tables[key] = poisoned, full
+                    poisoned, full = tables[key]
                     assert draws(poisoned, *slices).tobytes() == q.tobytes()
                     assert draws(full, *slices).tobytes() == q.tobytes()
-                    for a, b, lo, hi, R, u, _, q_i in zip(*slices, q):
+                    for a, b, lo, hi, R, u, _, q_i in zip(*np.broadcast_arrays(*slices), q):
                         if a < b and lo < hi:  # else the slice has one interval
-                            assert_side_rule(x, A, B, c, (a, b, lo, hi, R), u, q_i)
+                            slice_ = (a, b, lo, hi, R)
+                            assert_side_rule(full.x, full.A, full.B, full.c, slice_, u, q_i)
+
+    def test_slice_whose_side_masses_round_to_zero_draws_inside(self):
+        # at this budget both side masses of the slice of gaps 1..3 on
+        # [2e-300, 3e-300] round to zero against the table mass outside it;
+        # its cut gaps 1 and 3 have zero length, so the draw must fall in gap
+        # 2 for every pick uniform, not on the slice's edge 3e-300
+        values = oracle_test_sample("tiny-gaps", 5, seed=5).values
+        table = quantiles._GapTable(values, 1e-6, 0, 6)
+        u_pick = np.array(EXTREME_PICKS + (0.5,))
+        ones = np.ones(u_pick.size, dtype=np.int64)
+        q = quantiles._draws(table, ones, 3 * ones, values[1], values[2], 2 * ones, u_pick, 0.5)
+        assert np.all(q == values[1] + 0.5 * (values[2] - values[1])), q
 
     def test_slice_without_computed_mass_keeps_its_draw_inside(self):
         # at this budget both side masses of the slice [2e-300, 3e-300] round
@@ -752,7 +873,9 @@ class TestRecexp:
         query = QuantileQuery((0.5,), PrivacyBudget(0.5, ADD_REMOVE))
         rng_a, rng_b = RandomSource(1000), RandomSource(2000)
         rec = np.array([recexp(sample, query, rng_a)[0] for _ in range(10_000)])
-        direct = np.array([qexp(sample, 0.5, 0.5, rng_b) for _ in range(10_000)])
+        direct = qexp_draws(sample, [target_rank(999, 0.5)] * 10_000, 0.5, rng_b)
+        rng = RandomSource(2000)
+        assert [qexp(sample, 0.5, 0.5, rng) for _ in range(5)] == direct[:5].tolist()
         assert ks_2samp(rec, direct).statistic < 0.03
 
     def test_budget_ledger_m4(self):
