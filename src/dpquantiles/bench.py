@@ -201,7 +201,7 @@ def _cells(config: ExperimentConfig) -> list[tuple[int, int]]:
 
 
 def _run_chunk(
-    config: ExperimentConfig, chunk: tuple[int, int, int]
+    config: ExperimentConfig, chunk: tuple[int, int, int], truths: list[np.ndarray]
 ) -> tuple[list[list[float]], list[float], float]:
     """Run one chunk: each trial draws one sample and runs every cell on it.
 
@@ -209,14 +209,12 @@ def _run_chunk(
     seconds its :func:`run_trial` calls took, then the seconds the samples
     took. Trial ``t`` draws its sample from ``RandomSource(base_seed,
     (d_idx, t))``, and cell ``(e_idx, m_idx)`` its noise from that source's
-    ``child(e_idx, m_idx)``. The true quantiles are computed once per m.
+    ``child(e_idx, m_idx)``. ``truths`` holds the distribution's true
+    quantiles, one array per m of the grid.
     """
     d_idx, start, stop = chunk
     oracle = config.distributions[d_idx]
-    grids = []
-    for m in config.m_grid:
-        orders = config.orders_for(m)
-        grids.append((m, orders, oracle.quantile(np.asarray(orders))))
+    grids = [(m, config.orders_for(m), truth) for m, truth in zip(config.m_grid, truths)]
     cells = _cells(config)
     errors: list[list[float]] = [[] for _ in cells]
     walls = [0.0] * len(cells)
@@ -257,18 +255,25 @@ def run_experiment(
     ordered reduction, so the result does not depend on ``workers``. The
     trials are cut into chunks (:func:`_trial_chunks`) that run in this
     process at one worker, or in one ``map`` over a pool of ``min(workers,
-    chunks)`` processes. A cell's ``wall_time`` is the summed time of its own
-    :func:`run_trial` calls, and the result's ``sample_time`` the summed time
-    of drawing the samples.
+    chunks)`` processes. The true quantiles are computed once per
+    (distribution, m) in this process, before any worker starts, so no worker
+    imports the truth oracle's scipy.special itself. A cell's ``wall_time``
+    is the summed time of its own :func:`run_trial` calls, and the result's
+    ``sample_time`` the summed time of drawing the samples.
     """
     if workers < 1:
         raise InvalidArgumentError(f"workers must be at least 1, got {workers}")
     chunks = _trial_chunks(config, workers)
+    truths = [
+        [oracle.quantile(np.asarray(config.orders_for(m))) for m in config.m_grid]
+        for oracle in config.distributions
+    ]
     if workers == 1:
-        outputs = [_run_chunk(config, chunk) for chunk in chunks]
+        outputs = [_run_chunk(config, chunk, truths[chunk[0]]) for chunk in chunks]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            outputs = list(pool.map(_run_chunk, itertools.repeat(config), chunks))
+            outputs = list(pool.map(_run_chunk, itertools.repeat(config), chunks,
+                                    [truths[d_idx] for d_idx, _, _ in chunks]))
     cells = _cells(config)
     cell_errors: dict[tuple, list[float]] = defaultdict(list)
     cell_walls: dict[tuple, float] = defaultdict(float)

@@ -228,6 +228,23 @@ class TestRunExperiment:
         assert pool.max_workers == 3 and pool.tasks == 3
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_truth_oracle_runs_once_per_cell_before_dispatch(self, workers, fake_pool, monkeypatch):
+        # so that no worker imports scipy.special for the oracle again
+        config = small_config(trials=5)
+        calls = []
+        original = DistributionOracle.quantile
+
+        def counting(oracle, p):
+            calls.append((oracle.label, len(p), len(fake_pool)))
+            return original(oracle, p)
+
+        monkeypatch.setattr(DistributionOracle, "quantile", counting)
+        run_experiment(config, workers=workers)
+        assert sorted(calls) == sorted(
+            (oracle.label, m, 0) for oracle in config.distributions for m in config.m_grid
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_trial_names_its_trial_and_cell(self, workers):
         config = small_config(trials=3, estimators=("histogram",), distributions=(UNIFORM,), m_grid=(1,))
         object.__setattr__(config, "estimators", ("histogram", "mystery"))  # past validation

@@ -688,11 +688,26 @@ class TestVerify:
         assert err.value.code == 2
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize alone took about a quarter of every command's start-up
+def test_estimate_and_dp_ratio_load_no_scipy(tmp_path):
+    # only the Beta truth oracle needs scipy, whose import was about two thirds
+    # of every command's start-up
+    data = tmp_path / "data.txt"
+    data.write_text(DATA)
+    code = f"""
+import contextlib, io, sys
+from dpquantiles import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for method in ("indexp", "recexp", "histogram"):
+        assert cli.main(["estimate", "--data", {str(data)!r}, "--method", method,
+                         "--m", "3", "--epsilon", "1", "--seed", "1"]) == 0
+    assert cli.main(["verify", "dp-ratio"]) == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+import scipy.special
+from dpquantiles.distributions import DistributionOracle
+print(DistributionOracle(2.0, 5.0).quantile(0.5).hex() == scipy.special.betaincinv(2.0, 5.0, 0.5).hex())
+"""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, dpquantiles.cli; print('scipy.optimize' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "False\n"
+    assert run.stdout == "[]\nTrue\n"

@@ -114,3 +114,11 @@ class TestPdf:
         # an infinite shape used to fail only in the sampler, mid-run
         with pytest.raises(InvalidArgumentError, match="positive and finite"):
             DistributionOracle.make_beta(*shapes)
+
+
+@pytest.mark.parametrize("method", ["pdf", "cdf", "quantile"])
+@pytest.mark.parametrize("arg", [math.nan, [0.25, math.nan, 0.75]], ids=["scalar", "element"])
+def test_nan_is_rejected(method, arg):
+    # NaN fails every comparison, so range checks of the form any(x < lo) let it through
+    with pytest.raises(InvalidArgumentError):
+        getattr(ORACLES["beta(2,5)"], method)(arg)
