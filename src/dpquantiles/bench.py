@@ -11,11 +11,11 @@ reruns and parallelism degrees.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import time
 from collections import defaultdict
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -387,9 +387,52 @@ def _multisets(grid: tuple[float, ...], max_size: int) -> list[tuple[float, ...]
     return out
 
 
-def neighboring_sample_pairs(
-    grid, max_n: int, relation: NeighboringRelation
-) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+@dataclass(frozen=True, eq=False)
+class SamplePairs(Sequence):
+    """A list of sample pairs as two row-index arrays into one tuple of
+    distinct samples: pair ``k`` is ``(samples[left[k]], samples[right[k]])``.
+
+    A read-only sequence of ``(tuple, tuple)`` pairs; a slice is a
+    ``SamplePairs`` over the same samples. :func:`max_log_density_ratio`
+    reads the indices directly, so an audit builds no tuple per pair.
+    """
+
+    samples: tuple[tuple[float, ...], ...]
+    left: np.ndarray
+    right: np.ndarray
+
+    def __post_init__(self):
+        for name in ("left", "right"):
+            rows = np.asarray(getattr(self, name), dtype=np.int64).view()
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
+
+    @classmethod
+    def of(cls, pairs) -> SamplePairs:
+        """``pairs`` as they are if already indexed; otherwise one row per
+        distinct sample, in first-seen order, each sample hashed once."""
+        if isinstance(pairs, cls):
+            return pairs
+        rows: dict[tuple[float, ...], int] = {}
+        index = [rows.setdefault(tuple(sample), len(rows)) for pair in pairs for sample in pair]
+        left, right = np.array(index, dtype=np.int64).reshape(-1, 2).T
+        return cls(tuple(rows), left, right)
+
+    def __len__(self) -> int:
+        return len(self.left)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return SamplePairs(self.samples, self.left[k], self.right[k])
+        return self.samples[self.left[k]], self.samples[self.right[k]]
+
+    def __iter__(self):
+        samples = self.samples
+        for i, j in zip(self.left.tolist(), self.right.tolist()):
+            yield samples[i], samples[j]
+
+
+def neighboring_sample_pairs(grid, max_n: int, relation: NeighboringRelation) -> SamplePairs:
     """Exhaustive unordered neighbor pairs with entries from ``grid``, in
     sorted order, each pair's smaller sample first.
 
@@ -402,27 +445,43 @@ def neighboring_sample_pairs(
     larger grid value ``b``. Inserting a larger value gives a larger tuple,
     and so does replacing a smaller ``a``, which changes an earlier entry;
     so the partners come largest ``a`` first, then smallest ``b`` first.
+
+    The samples are those of :func:`_multisets` (without the empty one under
+    replacement), each held as a vector of per-value counts. A partner adds
+    a unit vector to its sample's counts (add/remove) or moves one count to
+    a larger value (replacement), and every partner's row is found by one
+    ``searchsorted`` over the rows' counts read as byte strings.
     """
     grid = tuple(sorted({float(g) for g in grid}))
-    pairs = []
-    if max_n < 1:
-        return pairs
+    if max_n < 1 or not grid:
+        return SamplePairs((), [], [])
+    samples = _multisets(grid, max_n)
+    if relation is NeighboringRelation.REPLACE:
+        samples = samples[1:]  # without the empty sample
+    sizes = np.fromiter(map(len, samples), np.int64, len(samples))
+    values = np.fromiter(itertools.chain.from_iterable(samples), float, int(sizes.sum()))
+    cells = np.repeat(np.arange(len(samples)) * len(grid), sizes) + np.searchsorted(grid, values)
+    counts = np.bincount(cells, minlength=len(samples) * len(grid))
+    counts = counts.reshape(len(samples), len(grid)).astype(np.min_scalar_type(max_n))
     if relation is NeighboringRelation.ADD_REMOVE:
-        for base in _multisets(grid, max_n - 1):
-            for value in grid:
-                i = bisect.bisect_right(base, value)
-                pairs.append((base, base[:i] + (value,) + base[i:]))
-        return pairs
-    for first in _multisets(grid, max_n)[1:]:  # without the empty sample
-        for j in reversed(range(len(first))):
-            a = first[j]
-            if j + 1 < len(first) and first[j + 1] == a:
-                continue  # replace the last copy of each distinct value
-            rest = first[:j] + first[j + 1 :]
-            for b in grid[bisect.bisect_right(grid, a) :]:
-                i = bisect.bisect_right(rest, b, j)
-                pairs.append((first, rest[:i] + (b,) + rest[i:]))
-    return pairs
+        left = np.repeat(np.flatnonzero(sizes < max_n), len(grid))
+        added = np.tile(np.arange(len(grid)), len(left) // len(grid))
+        partners = counts[left]
+        partners[np.arange(len(left)), added] += 1
+    else:
+        # the moves a -> b with a < b, largest a first, then smallest b first
+        a, b = np.triu_indices(len(grid), 1)
+        by_a = np.argsort(-a, kind="stable")
+        a, b = a[by_a], b[by_a]
+        left, move = np.nonzero(counts[:, a] > 0)
+        partners, at = counts[left], np.arange(len(left))
+        partners[at, a[move]] -= 1
+        partners[at, b[move]] += 1
+    key = np.dtype((np.void, counts.shape[1] * counts.itemsize))
+    keys = counts.view(key).ravel()
+    by_key = np.argsort(keys)
+    right = by_key[keys[by_key].searchsorted(partners.view(key).ravel())]
+    return SamplePairs(tuple(samples), left, right)
 
 
 def max_log_density_ratio(pairs, p: float, epsilons) -> np.ndarray:
@@ -432,14 +491,16 @@ def max_log_density_ratio(pairs, p: float, epsilons) -> np.ndarray:
     len(pairs))``.
 
     Each density is piecewise constant between 0, its sample values and 1.
-    One table per budget serves the whole list: a row per distinct sample,
-    each row that sample's log-density at the midpoints of the cells cut by
+    One table per budget serves the whole list: a row per distinct sample
+    (``pairs`` as a :class:`SamplePairs`, whose rows are read as they are;
+    any other list of pairs is indexed by :meth:`SamplePairs.of`), each row
+    that sample's log-density at the midpoints of the cells cut by
     0, 1 and every value in the list. These cells refine the merged cells of
     every pair, and a piecewise-constant density takes one value on a cell,
     so the largest difference between a pair's two rows is the pair's exact
     sup, the same float as on the pair's own cells.
 
-    The pair index, the cells, the interval each row's density takes on
+    The cells, the interval each row's density takes on
     each cell and the log-lengths of the intervals are built once, for every
     budget. The samples of one size share their rank and log-weights
     (:func:`qexp_log_weights`), so each budget evaluates them in one numpy
@@ -454,14 +515,8 @@ def max_log_density_ratio(pairs, p: float, epsilons) -> np.ndarray:
         raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {epsilons}")
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
-    # a row per distinct sample, in first-seen order: each sample is looked
-    # up once, keyed by the position where it first occurs
-    samples = list(map(tuple, itertools.chain.from_iterable(pairs)))
-    first_seen: dict[tuple, int] = {}
-    seen_at = map(first_seen.setdefault, samples, itertools.count())
-    firsts, index = np.unique(np.fromiter(seen_at, int, len(samples)), return_inverse=True)
-    left, right = index.reshape(-1, 2).T.copy()
-    distinct = [samples[first] for first in firsts.tolist()]
+    pairs = SamplePairs.of(pairs)
+    distinct, left, right = pairs.samples, pairs.left, pairs.right
     cuts = np.unique(np.fromiter(itertools.chain((0.0, 1.0), *distinct), float))
     points = (cuts[:-1] + cuts[1:]) / 2.0
     # the last cut at or below each point: a sample value lies at or below a
@@ -492,7 +547,7 @@ def max_log_density_ratio(pairs, p: float, epsilons) -> np.ndarray:
         last = n - np.argmax(lengths[:, ::-1] > 0, axis=1)
         intervals = np.minimum(counts, last[:, None])
         groups.append((n, rows, target_rank(n, p), log_lengths, intervals))
-    table = np.empty((len(firsts), len(points)))
+    table = np.empty((len(distinct), len(points)))
     sups = np.empty((len(epsilons), len(left)))
     for e, epsilon in enumerate(epsilons):
         for n, rows, rank, log_lengths, intervals in groups:
@@ -512,11 +567,12 @@ def verify_dp_ratio(pairs, epsilons, orders=(0.5,)) -> CheckReport:
     over all given neighbor pairs and quantile orders must not exceed that
     budget (up to 1e-9 arithmetic slack). One row per budget, in order.
 
-    Each order takes one :func:`max_log_density_ratio` call over the whole
-    pair list and every budget, so a pair list's index and cells are built
-    once per order. ``trials`` counts (pair, order) checks per budget.
+    The pair list is indexed once (:meth:`SamplePairs.of`), and each order
+    takes one :func:`max_log_density_ratio` call over the whole list and
+    every budget, so the cells are built once per order. ``trials`` counts
+    (pair, order) checks per budget.
     """
-    pairs = list(pairs)
+    pairs = SamplePairs.of(pairs)
     epsilons = list(epsilons)
     worst = np.zeros(len(epsilons))
     for p in orders:

@@ -70,11 +70,16 @@ def check_bin_count(bin_count: int) -> None:
 
 
 def bin_counts(sample: SortedSample, bin_count: int) -> np.ndarray:
-    """Raw per-bin counts; the last bin is closed at 1."""
+    """Raw per-bin counts; the last bin is closed at 1.
+
+    The sample is sorted and lies in [0, 1], so the values below each inner
+    edge are one ``searchsorted`` away, and bin ``b`` counts those below
+    edge ``b + 1`` but not below edge ``b``.
+    """
     check_bin_count(bin_count)
-    edges = np.linspace(0.0, 1.0, bin_count + 1)
-    counts, _ = np.histogram(sample.values, bins=edges)
-    return counts
+    inner = np.linspace(0.0, 1.0, bin_count + 1)[1:-1]
+    below = sample.values.searchsorted(inner, "left")
+    return np.diff(below, prepend=0, append=sample.n)
 
 
 def noise_scale(budget: PrivacyBudget) -> float:
@@ -142,9 +147,10 @@ def generalized_quantiles(values: np.ndarray, ps) -> np.ndarray:
     if values.ndim != 1 or values.size < 1:
         raise InvalidArgumentError("need a one-dimensional vector of bin values")
     ps = np.asarray(ps, dtype=float)
-    if np.any(ps < 0.0) or np.any(ps > 1.0):
+    # written as "not all valid" so that a NaN order fails both checks
+    if not np.all((ps >= 0.0) & (ps <= 1.0)):
         raise InvalidArgumentError("quantile orders must lie in [0, 1]")
-    if np.any(np.diff(ps) < 0):
+    if not np.all(np.diff(ps) >= 0):
         raise InvalidArgumentError("quantile orders must be nondecreasing")
 
     h = 1.0 / values.size

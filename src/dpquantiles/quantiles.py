@@ -113,12 +113,14 @@ class RankTarget:
             )
 
 
-def target_rank(n: int, p: float) -> int:
+def target_rank(n: int, p):
     """floor(n * p), nudged one ulp up first so exact integer boundaries
-    are not lost to floating-point rounding."""
+    are not lost to floating-point rounding: an int for one order ``p``,
+    an int64 array for an array of orders, each by the same arithmetic."""
     if n < 0:
         raise InvalidArgumentError(f"n must be nonnegative, got {n}")
-    return int(math.floor(math.nextafter(n * p, math.inf)))
+    ranks = np.floor(np.nextafter(n * np.asarray(p, dtype=float), np.inf)).astype(np.int64)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def empirical_error(sample: SortedSample, q: float, r: int) -> int:
@@ -481,8 +483,7 @@ def indexp(
         ledger.allocate(query.budget.epsilon, query.budget.epsilon, query.m)
         for j in range(query.m):
             ledger.record(j, 1, eps_each, sample.n)
-    ranks = [target_rank(sample.n, p) for p in query.orders]
-    return qexp_draws(sample, ranks, eps_each, rng)
+    return qexp_draws(sample, target_rank(sample.n, query.orders), eps_each, rng)
 
 
 def recexp_depth(m: int) -> int:
@@ -526,7 +527,7 @@ def recexp(
 
     values = sample.values
     n = sample.n
-    ranks = np.array([target_rank(n, p) for p in query.orders])
+    ranks = target_rank(n, query.orders)
     table = _GapTable(values, eps_call, int(ranks.min()), int(ranks.max()))
     u_pick, u_pos = rng.random(2 * m).reshape(m, 2).T
     # q[j] is the draw of order j and s[j] = #{values < q[j]}, with q = s = 0

@@ -8,6 +8,7 @@ from scipy.stats import ks_2samp
 from dpquantiles import bench
 from dpquantiles.bench import (
     ExperimentConfig,
+    SamplePairs,
     centered_grid,
     max_log_density_ratio,
     neighboring_sample_pairs,
@@ -373,21 +374,75 @@ class TestNeighboringSamplePairs:
     def test_matches_the_set_based_reference(self, grid, relation):
         for max_n in range(6):
             expected = set_based_neighboring_sample_pairs(grid, max_n, relation)
-            assert neighboring_sample_pairs(grid, max_n, relation) == expected, max_n
+            assert list(neighboring_sample_pairs(grid, max_n, relation)) == expected, max_n
 
     @pytest.mark.parametrize("relation", list(NeighboringRelation))
     def test_audit_grid_matches_the_set_based_reference(self, relation):
         expected = set_based_neighboring_sample_pairs(AUDIT_GRID, 4, relation)
-        assert neighboring_sample_pairs(AUDIT_GRID, 4, relation) == expected
+        assert list(neighboring_sample_pairs(AUDIT_GRID, 4, relation)) == expected
 
     @pytest.mark.parametrize("relation", list(NeighboringRelation))
     def test_unsorted_and_repeated_grids(self, relation):
         # an unsorted grid used to give unsorted samples, which the audit rejected
-        expected = neighboring_sample_pairs((0.2, 0.5), 3, relation)
-        for grid in [(0.5, 0.2), (0.5, 0.2, 0.5, 0.2)]:
-            pairs = neighboring_sample_pairs(grid, 3, relation)
-            assert pairs == expected, grid
+        for grid in [(0.5, 0.2), (0.5, 0.2, 0.5, 0.2), (1.0, 0.0, 0.7, 0.0)]:
+            for max_n in range(6):
+                expected = set_based_neighboring_sample_pairs(sorted(set(grid)), max_n, relation)
+                pairs = neighboring_sample_pairs(grid, max_n, relation)
+                assert list(pairs) == expected, (grid, max_n)
             assert verify_dp_ratio(pairs, [1.0]).passed
+
+    def test_is_a_read_only_sequence_of_tuple_pairs(self):
+        pairs = neighboring_sample_pairs((0.2, 0.5, 0.8), 3, NeighboringRelation.REPLACE)
+        listed = list(pairs)
+        assert len(pairs) == len(listed) > 0
+        assert [pairs[k] for k in range(len(pairs))] == listed
+        assert pairs[-1] == listed[-1]
+        with pytest.raises(IndexError):
+            pairs[len(pairs)]
+        assert len(set(pairs.samples)) == len(pairs.samples)
+        assert not pairs.left.flags.writeable and not pairs.right.flags.writeable
+
+    def test_slices_are_pair_lists_over_the_same_samples(self):
+        pairs = neighboring_sample_pairs((0.2, 0.5, 0.8), 3, NeighboringRelation.ADD_REMOVE)
+        listed = list(pairs)
+        for part, expected in [
+            (pairs[:0], []),
+            (pairs[:7], listed[:7]),
+            (pairs[:300], listed[:300]),
+            (pairs[5:20:3], listed[5:20:3]),
+            (pairs[-4:], listed[-4:]),
+        ]:
+            assert isinstance(part, SamplePairs)
+            assert part.samples is pairs.samples
+            assert list(part) == expected
+
+    @pytest.mark.parametrize("relation", list(NeighboringRelation))
+    def test_slice_audits_like_its_list(self, relation):
+        pairs = neighboring_sample_pairs(AUDIT_GRID, 4, relation)
+        for k in (1, 300):
+            for p in ORDERS:
+                sliced = max_log_density_ratio(pairs[:k], p, EPSILONS)
+                listed = max_log_density_ratio(list(pairs)[:k], p, EPSILONS)
+                assert sliced.tobytes() == listed.tobytes(), (k, p)
+
+
+class TestSamplePairs:
+    def test_of_indexes_samples_in_first_seen_order(self):
+        pairs = SamplePairs.of([((0.2,), (0.2, 0.9)), ([0.2, 0.9], ()), ((), (0.2,))])
+        assert pairs.samples == ((0.2,), (0.2, 0.9), ())
+        assert pairs.left.tolist() == [0, 1, 2]
+        assert pairs.right.tolist() == [1, 2, 0]
+        assert SamplePairs.of(pairs) is pairs
+
+    @pytest.mark.parametrize("relation", list(NeighboringRelation))
+    def test_indexed_and_tuple_pairs_audit_alike(self, relation):
+        # the enumerator's rows come in multiset order, the tuple list's in
+        # first-seen order; every sup is the same float either way
+        pairs = neighboring_sample_pairs(AUDIT_GRID, 4, relation)
+        for p in ORDERS:
+            indexed = max_log_density_ratio(pairs, p, EPSILONS)
+            listed = max_log_density_ratio(list(pairs), p, EPSILONS)
+            assert indexed.tobytes() == listed.tobytes(), p
 
 
 class TestVerifyDpRatio:
@@ -413,6 +468,21 @@ class TestVerifyDpRatio:
         for epsilon, row in zip(epsilons, report.rows):
             assert row == verify_dp_ratio(pairs, [epsilon]).rows[0]
         assert report.passed
+
+    def test_pair_list_is_indexed_once(self, monkeypatch):
+        seen = []
+        audit = bench.max_log_density_ratio
+
+        def recording(pairs, p, epsilons):
+            seen.append(pairs)
+            return audit(pairs, p, epsilons)
+
+        monkeypatch.setattr(bench, "max_log_density_ratio", recording)
+        report = verify_dp_ratio(iter([((), (0.5,)), ((0.2,), (0.2, 0.9))]), [1.0], orders=ORDERS)
+        assert report.rows[0]["trials"] == 2 * len(ORDERS)
+        assert len(seen) == len(ORDERS)
+        assert isinstance(seen[0], SamplePairs)
+        assert all(pairs is seen[0] for pairs in seen)
 
     def test_one_failing_budget_fails_the_report(self, monkeypatch):
         sups = np.array([[0.4], [0.6]])

@@ -667,6 +667,19 @@ class TestVerify:
         assert "suite dp-ratio: PASS" in err
         assert "relation=add-remove" in err
 
+    def test_dp_ratio_report_is_pinned(self, capsys):
+        # the exact sups of the audit grid, as the tuple-pair audit gave them
+        assert cli.main(["verify", "dp-ratio"]) == 0
+        rows = json.loads(capsys.readouterr().out)["suites"][0]["rows"]
+        assert [(row["relation"], row["epsilon"], repr(row["empirical"])) for row in rows] == [
+            ("add-remove", 0.5, "0.44040532864419124"),
+            ("add-remove", 1.0, "0.9049816739135957"),
+            ("add-remove", 4.0, "3.8718601077843102"),
+            ("replace", 0.5, "0.41963879469544374"),
+            ("replace", 1.0, "0.8716909507169753"),
+            ("replace", 4.0, "3.8410134710966126"),
+        ]
+
     @pytest.mark.parametrize("passed", [True, False])
     def test_unwritable_output_exits_2_naming_it(self, monkeypatch, tmp_path, capsys, passed):
         def suite(seed, trials):

@@ -132,6 +132,23 @@ class TestBinCountRule:
             bin_counts(SortedSample(np.array([0.5])), bins)
 
 
+class TestBinCounts:
+    """bin_counts against np.histogram over the same edges, its former rule."""
+
+    @pytest.mark.parametrize("bins", [1, 2, 3, 10, 200, 100_000])
+    def test_matches_np_histogram(self, bins):
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        # values at 0 and 1, on every edge and one ulp either side, each twice
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        uniform = np.random.default_rng(bins).random(1000)
+        values = np.sort(np.concatenate([[0.0, 0.0, 1.0, 1.0], near, near, uniform]))
+        for sample in (values, values[::97], np.empty(0)):
+            counts = bin_counts(SortedSample(np.sort(sample)), bins)
+            expected, _ = np.histogram(sample, bins=edges)
+            assert counts.dtype == expected.dtype
+            assert np.array_equal(counts, expected)
+
+
 class TestGeneralizedQuantile:
     def test_matches_scan_reference(self):
         # negative and zero bins, p in {0, 1}, and up to 200 bins and 40 orders
@@ -172,6 +189,13 @@ class TestGeneralizedQuantile:
             generalized_quantile(np.array([3.0, -1.0]), 1.45)
         with pytest.raises(InvalidArgumentError):
             generalized_quantile(np.ones(4), -0.2)
+
+    @pytest.mark.parametrize("ps", [[np.nan], [np.nan, 0.2], [0.2, np.nan]])
+    def test_nan_order_rejected(self, ps):
+        with pytest.raises(InvalidArgumentError, match="quantile orders"):
+            generalized_quantiles(np.ones(4), ps)
+        with pytest.raises(InvalidArgumentError, match="quantile orders"):
+            generalized_quantile(np.ones(4), ps[0] if np.isnan(ps[0]) else ps[-1])
 
     def test_no_crossing_returns_one(self):
         assert generalized_quantile(np.array([0.5, 0.2]), 0.9) == 1.0

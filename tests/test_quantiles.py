@@ -91,6 +91,25 @@ class TestTargetRank:
     def test_rejects_negative_n(self):
         with pytest.raises(InvalidArgumentError):
             target_rank(-1, 0.5)
+        with pytest.raises(InvalidArgumentError):
+            target_rank(-1, np.array([0.5]))
+
+    def test_orders_as_an_array_follow_the_scalar_rule(self):
+        def scalar_rank(n, p):  # the rule as first written, on Python floats
+            return int(math.floor(math.nextafter(n * p, math.inf)))
+
+        rng = np.random.default_rng(8)
+        for n in [0, 1, 2, 3, 7, 10, 99, 1000, 9999, 10_000, 10**6, 2**40 + 1]:
+            ks = np.unique(np.concatenate([np.arange(min(n, 1000) + 1), rng.integers(0, n + 1, 300)]))
+            ps = np.concatenate([ks / max(n, 1), rng.random(300), centered_grid(100), [1 / 3, 0.7]])
+            ranks = target_rank(n, ps)
+            assert ranks.dtype == np.int64
+            expected = [scalar_rank(n, p) for p in ps.tolist()]
+            assert ranks.tolist() == expected, n
+            scalars = [target_rank(n, p) for p in ps.tolist()]
+            assert all(type(rank) is int for rank in scalars)
+            assert scalars == expected, n
+        assert target_rank(10, (0.5, 0.7)).tolist() == [5, 7]
 
 
 class TestEmpiricalError:
