@@ -6,17 +6,18 @@ independent trials. Trial ``t`` of a distribution draws one sample, from the
 stream ``(base_seed, distribution index, t)``, and every estimator and m runs
 on it with noise from the child stream ``(estimator index, m index)``, so
 the cells are paired trial by trial and results are byte-identical across
-reruns and parallelism degrees.
+reruns and parallelism degrees. Each cell runs once per chunk of trials, over
+all of the chunk's samples as the rows of one estimator call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from collections import defaultdict
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ from .quantiles import (
     QuantileQuery,
     RankTarget,
     SortedSample,
+    check_order_count,
     indexp,
     qexp_density,
     qexp_log_weights,
@@ -56,10 +58,9 @@ def centered_grid(m: int) -> tuple[float, ...]:
     """Benchmark quantile grid p_j = 1/4 + j / (2 (m + 1)), j = 1..m.
 
     The orders stay inside (1/4, 3/4), away from regions where the target
-    densities get small.
+    densities get small. ``m`` is checked before the grid is built.
     """
-    if m < 1:
-        raise InvalidArgumentError(f"m must be at least 1, got {m}")
+    check_order_count(m)
     return tuple(0.25 + j / (2.0 * (m + 1)) for j in range(1, m + 1))
 
 
@@ -93,8 +94,14 @@ class ExperimentConfig:
             orders = tuple(float(p) for p in self.explicit_orders)
             object.__setattr__(self, "explicit_orders", orders)
             object.__setattr__(self, "m_grid", (len(orders),))
-        elif not self.m_grid or any(m < 1 for m in self.m_grid):
+        elif not self.m_grid:
             raise InvalidArgumentError("m_grid must be a nonempty list of counts >= 1")
+        for m in self.m_grid:  # before any grid is built
+            try:
+                check_order_count(m)
+            except InvalidArgumentError as exc:
+                key = "m_grid" if self.explicit_orders is None else "orders"
+                raise InvalidArgumentError(f"key {key!r}: {exc}") from None
         # a repeat would run its cells twice under indistinguishable labels
         for key in ("distributions", "estimators", "m_grid"):
             entries = [getattr(e, "label", e) for e in getattr(self, key)]
@@ -153,27 +160,32 @@ class ExperimentResult:
 
 
 def run_trial(
-    sample: SortedSample,
+    sample: SortedSample | Sequence[SortedSample],
     estimator: str,
     orders: tuple[float, ...],
     truth: np.ndarray,
     config: ExperimentConfig,
-    rng: RandomSource,
-) -> float:
+    rng: RandomSource | Sequence[RandomSource],
+) -> float | list[float]:
     """One estimate of ``orders`` on ``sample``, with noise from ``rng``, and
-    its sup-norm error against ``truth``, the true quantiles at ``orders``."""
+    its sup-norm error against ``truth``, the true quantiles at ``orders``.
+    Samples of one size with a source each are the rows of one estimator
+    call (the histogram loops over them), giving their one-sample errors."""
     budget = PrivacyBudget(config.epsilon, config.relation)
     if estimator == "indexp":
         estimate = indexp(sample, QuantileQuery(orders, budget), rng)
     elif estimator == "recexp":
         estimate = recexp(sample, QuantileQuery(orders, budget), rng)
     elif estimator == "histogram":
-        estimate = quantile_from_histogram(
-            sample, config.histogram_bin_count, budget, orders, rng
-        )
+        bins = config.histogram_bin_count
+        if isinstance(sample, SortedSample):
+            estimate = quantile_from_histogram(sample, bins, budget, orders, rng)
+        else:
+            rows = zip(sample, rng)
+            estimate = np.array([quantile_from_histogram(s, bins, budget, orders, r) for s, r in rows])
     else:
         raise InvalidArgumentError(f"unknown estimator id: {estimator!r}")
-    return float(np.max(np.abs(estimate - truth)))
+    return np.max(np.abs(estimate - truth), axis=-1).tolist()
 
 
 def _trial_chunks(config: ExperimentConfig, workers: int) -> list[tuple[int, int, int]]:
@@ -203,42 +215,51 @@ def _cells(config: ExperimentConfig) -> list[tuple[int, int]]:
 def _run_chunk(
     config: ExperimentConfig, chunk: tuple[int, int, int], truths: list[np.ndarray]
 ) -> tuple[list[list[float]], list[float], float]:
-    """Run one chunk: each trial draws one sample and runs every cell on it.
+    """Run one chunk: draw every trial's sample, then run each cell once over
+    all of them.
 
     Returns, per cell of :func:`_cells`, the errors in trial order and the
-    seconds its :func:`run_trial` calls took, then the seconds the samples
+    seconds its :func:`run_trial` call took, then the seconds the samples
     took. Trial ``t`` draws its sample from ``RandomSource(base_seed,
     (d_idx, t))``, and cell ``(e_idx, m_idx)`` its noise from that source's
-    ``child(e_idx, m_idx)``. ``truths`` holds the distribution's true
-    quantiles, one array per m of the grid.
+    ``child(e_idx, m_idx)``; one :func:`run_trial` call takes the chunk's
+    samples as rows, each with its own trial's stream, so each error is the
+    one a call on that trial alone gives. ``truths`` holds the
+    distribution's true quantiles, one array per m of the grid.
     """
     d_idx, start, stop = chunk
     oracle = config.distributions[d_idx]
     grids = [(m, config.orders_for(m), truth) for m, truth in zip(config.m_grid, truths)]
-    cells = _cells(config)
-    errors: list[list[float]] = [[] for _ in cells]
-    walls = [0.0] * len(cells)
-    sample_time = 0.0
-    for t in range(start, stop):
+    began = time.perf_counter()
+    sources = [RandomSource(config.base_seed, (d_idx, t)) for t in range(start, stop)]
+    samples = [oracle.sample(config.n, source) for source in sources]
+    sample_time = time.perf_counter() - began
+    errors, walls = [], []
+    for e_idx, m_idx in _cells(config):
+        estimator = config.estimators[e_idx]
+        m, orders, truth = grids[m_idx]
         began = time.perf_counter()
-        source = RandomSource(config.base_seed, (d_idx, t))
-        sample = oracle.sample(config.n, source)
-        sample_time += time.perf_counter() - began
-        for i, (e_idx, m_idx) in enumerate(cells):
-            estimator = config.estimators[e_idx]
-            m, orders, truth = grids[m_idx]
-            began = time.perf_counter()
-            try:
-                error = run_trial(
-                    sample, estimator, orders, truth, config, source.child(e_idx, m_idx)
-                )
-            except Exception as exc:
-                raise RuntimeError(
-                    f"trial {t} of cell ({oracle.label}, {estimator}, m={m}) failed"
-                ) from exc
-            walls[i] += time.perf_counter() - began
-            errors[i].append(error)
+        rngs = [source.child(e_idx, m_idx) for source in sources]
+        try:
+            errors.append(run_trial(samples, estimator, orders, truth, config, rngs))
+        except Exception as exc:
+            raise RuntimeError(
+                f"trials {start}-{stop - 1} of cell ({oracle.label}, {estimator}, m={m}) failed"
+            ) from exc
+        walls.append(time.perf_counter() - began)
     return errors, walls, sample_time
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes; a run without one loads no multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def run_experiment(
@@ -255,7 +276,8 @@ def run_experiment(
     ordered reduction, so the result does not depend on ``workers``. The
     trials are cut into chunks (:func:`_trial_chunks`) that run in this
     process at one worker, or in one ``map`` over a pool of ``min(workers,
-    chunks)`` processes. The true quantiles are computed once per
+    chunks, usable CPUs)`` processes; the chunks, not the pool, follow
+    ``workers``. The true quantiles are computed once per
     (distribution, m) in this process, before any worker starts, so no worker
     imports the truth oracle's scipy.special itself. A cell's ``wall_time``
     is the summed time of its own :func:`run_trial` calls, and the result's
@@ -271,7 +293,7 @@ def run_experiment(
     if workers == 1:
         outputs = [_run_chunk(config, chunk, truths[chunk[0]]) for chunk in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        with _process_pool(min(workers, len(chunks), _usable_cpus())) as pool:
             outputs = list(pool.map(_run_chunk, itertools.repeat(config), chunks,
                                     [truths[d_idx] for d_idx, _, _ in chunks]))
     cells = _cells(config)

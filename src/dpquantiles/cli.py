@@ -321,7 +321,10 @@ def cmd_estimate(args) -> int:
             except ValueError:
                 raise InvalidArgumentError(f"--orders: not a list of numbers: {args.orders!r}")
         else:
-            orders = centered_grid(args.m)
+            try:
+                orders = centered_grid(args.m)
+            except InvalidArgumentError as exc:
+                raise InvalidArgumentError(f"--m: {exc}") from None
         budget = PrivacyBudget(args.epsilon, relation)
         if args.method == "histogram":
             try:

@@ -22,11 +22,18 @@ stated bound of its exact value. The per-density sampler
 the same uniforms, and picks the same interval except within rounding of a
 boundary of the CDF; it stays as the reference the draws are tested
 against, and the privacy audits read its densities.
+
+The core has a leading row axis: :func:`qexp_draws`, :func:`indexp` and
+:func:`recexp` take one sample and its :class:`RandomSource` (one row), or
+samples of one size with a source each, and draw all rows in each call, on
+one table with a row per sample. A row's uniforms and arithmetic are those
+of its own call, so it holds that call's bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +79,18 @@ class SortedSample:
         return int(self.values.size)
 
 
+# A release keeps a few arrays and tuples of one number per order, about 100
+# bytes an order, so this cap keeps its orders under about a gigabyte.
+MAX_ORDER_COUNT = 10**7
+
+
+def check_order_count(m: int) -> None:
+    """The one rule for a number of orders, checked where one enters the
+    program, before any per-order allocation: 1 to ``MAX_ORDER_COUNT``."""
+    if not 1 <= m <= MAX_ORDER_COUNT:
+        raise InvalidArgumentError(f"order count must be between 1 and {MAX_ORDER_COUNT}, got {m}")
+
+
 @dataclass(frozen=True)
 class QuantileQuery:
     """Strictly increasing orders in (0, 1) plus the total privacy budget."""
@@ -82,8 +101,7 @@ class QuantileQuery:
     def __post_init__(self):
         orders = tuple(float(p) for p in self.orders)
         object.__setattr__(self, "orders", orders)
-        if len(orders) < 1:
-            raise InvalidArgumentError("need at least one order")
+        check_order_count(len(orders))
         if not all(math.isfinite(p) for p in orders):
             raise InvalidArgumentError("orders must be finite numbers")
         if orders[0] <= 0.0 or orders[-1] >= 1.0:
@@ -197,6 +215,10 @@ class _GapTable:
     sorted for searches over whole arrays; a draw's search never passes its
     rank's computed entry. Zero-length gaps repeat a table entry exactly.
 
+    ``values`` is a sequence of equal-length rows, and ``x``, ``A``, ``B``
+    and ``neg_B`` hold one row each, all computed over the same index range
+    and each with its own ``_TINY`` lift, so a row holds its one-row bits.
+
     A is built in blocks of ``L = min(_BLOCK, floor(_BLOCK_LOG_SPAN / c))``
     gaps (at least 1) on a grid fixed from gap 0, B the same way on the
     reversed gaps from gap n down, so that every in-block weight is at least
@@ -228,72 +250,73 @@ class _GapTable:
         "x", "c", "A", "B", "neg_B", "a_hi", "b_lo", "_weights", "_log_scale", "_a_carry", "_b_carry"
     )
 
-    def __init__(
-        self, values: np.ndarray, epsilon: float, b_lo: int, a_hi: int, lo: float = 0.0, hi: float = 1.0
-    ):
-        n = values.size
-        self.x = np.concatenate(([lo], values, [hi]))
+    def __init__(self, values, epsilon: float, b_lo: int, a_hi: int, lo: float = 0.0, hi: float = 1.0):
+        rows, n = len(values), len(values[0])
+        # one allocation for the four arrays: glibc's malloc gives freed heap
+        # back beyond twice the largest block it has unmapped, and with four
+        # smaller blocks every table would fault its pages in again
+        self.x, self.A, self.B, self.neg_B = np.empty((4, rows, n + 2))
+        self.x[:, 0], self.x[:, n + 1] = lo, hi
+        for row, v in zip(self.x, values):
+            row[1 : n + 1] = v
         self.c = c = min(epsilon / 2.0, _SATURATED_C)
         block = _BLOCK if c * _BLOCK <= _BLOCK_LOG_SPAN else max(1, int(_BLOCK_LOG_SPAN / c))
-        tiny = self.x.searchsorted(_TINY) > self.x.searchsorted(0.0, "right")
-        scale_bits = _TINY_SCALE_BITS if tiny else 0
-        self._weights = np.ldexp(np.exp(c * np.arange(block)), scale_bits)
+        tiny = [row.searchsorted(_TINY) > row.searchsorted(0.0, "right") for row in self.x]
+        scale_bits = np.where(tiny, _TINY_SCALE_BITS, 0)
+        self._weights = np.ldexp(np.exp(c * np.arange(block)), scale_bits[:, None])
         self._log_scale = scale_bits * math.log(2.0)
-        self.A = np.full(n + 2, np.inf)
-        self.B = np.empty(n + 2)
-        self.neg_B = np.full(n + 2, -np.inf)
-        self.A[0] = -np.inf
-        self.B[n + 1] = -np.inf
-        self.neg_B[n + 1] = np.inf
+        self.A[:], self.neg_B[:] = np.inf, -np.inf
+        self.A[:, 0], self.B[:, n + 1], self.neg_B[:, n + 1] = -np.inf, -np.inf, np.inf
         self.a_hi = 0
         self.b_lo = n + 1
-        self._a_carry = self._b_carry = -np.inf
+        self._a_carry = self._b_carry = np.full(rows, -np.inf)
         self.extend_a(a_hi)
         self.extend_b(b_lo)
 
-    def _blocks(self, lower, upper, start: int, carry: float, out: np.ndarray) -> float:
-        """Write ``out[i + 1] = log(e^carry + sum_{j<=i} g_j e^{c (start +
-        j)})``, with gaps ``g = upper - lower`` in whole blocks that start on
-        the grid and ``out[0]`` the entry before them; returns the carry after
-        them."""
-        weights, count = self._weights, lower.size
-        size = weights.size
-        S = np.zeros((-(-count // size), size))
-        np.subtract(upper, lower, out=S.reshape(-1)[:count])
-        S *= weights
-        np.cumsum(S, axis=1, out=S)
-        offsets = self.c * np.arange(start, start + S.size, size) - self._log_scale
+    def _blocks(self, lower, upper, start: int, carry: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write ``out[:, i + 1] = log(e^carry + sum_{j<=i} g_j e^{c (start
+        + j)})`` per row, with gaps ``g = upper - lower`` in whole blocks that
+        start on the grid and ``out[:, 0]`` the entry before them; returns
+        the carries after them."""
+        weights = self._weights
+        (rows, count), size = lower.shape, weights.shape[1]
+        S = np.zeros((rows, -(-count // size), size))
+        np.subtract(upper, lower, out=S.reshape(rows, -1)[:, :count])
+        S *= weights[:, None]
+        np.cumsum(S, axis=2, out=S)
+        offsets = self.c * np.arange(start, start + S.shape[1] * size, size) - self._log_scale[:, None]
         with np.errstate(divide="ignore"):
-            chain = np.logaddexp.accumulate(np.concatenate(([carry], offsets + np.log(S[:, -1]))))
+            chain = np.concatenate((carry[:, None], offsets + np.log(S[:, :, -1])), axis=1)
+            chain = np.logaddexp.accumulate(chain, axis=1)
             # e^t can underflow, but what it loses, at most 2^-1075, is
             # below one rounding of any positive S, which is at least 2^-1022
-            t = chain[:-1] - offsets
+            t = chain[:, :-1] - offsets
             # a block's leading zero-length gaps get -inf, which the running
             # maximum below turns into the entry before the block
-            empty = S[:, 0] == 0.0
+            empty = S[:, :, 0] == 0.0
             any_empty = empty.any()
             if any_empty:
                 empty_at = S[empty] == 0.0
-            S += np.exp(t)[:, None]
+            S += np.exp(t)[:, :, None]
             np.log(S, out=S)
-        S += offsets[:, None]
+        S += offsets[:, :, None]
         if any_empty:
             S[empty] = np.where(empty_at, -np.inf, S[empty])
-        out[1:] = S.reshape(-1)[:count]
+        out[:, 1:] = S.reshape(rows, -1)[:, :count]
         # rounding can also put an entry below the one before it, mostly at a
         # block edge
-        if (out[1:] < out[:-1]).any():
-            np.maximum.accumulate(out, out=out)
-        return chain[-1]
+        if (out[:, 1:] < out[:, :-1]).any():
+            np.maximum.accumulate(out, axis=1, out=out)
+        return chain[:, -1]
 
     @property
     def block(self) -> int:
         """The block length L."""
-        return self._weights.size
+        return self._weights.shape[1]
 
     def _grid_end(self, k: int) -> int:
         """The first block edge from 0 at or above k, capped at n + 1."""
-        return min(-(-k // self.block) * self.block, self.x.size - 1)
+        return min(-(-k // self.block) * self.block, self.x.shape[1] - 1)
 
     def extend_a(self, k: int) -> None:
         """Compute A up to index k, in whole blocks."""
@@ -301,26 +324,30 @@ class _GapTable:
         if k > lo:
             hi = self._grid_end(k)
             x = self.x
-            self._a_carry = self._blocks(x[lo:hi], x[lo + 1 : hi + 1], lo, self._a_carry, self.A[lo : hi + 1])
+            lower, upper, out = x[:, lo:hi], x[:, lo + 1 : hi + 1], self.A[:, lo : hi + 1]
+            self._a_carry = self._blocks(lower, upper, lo, self._a_carry, out)
             self.a_hi = hi
 
     def extend_b(self, k: int) -> None:
         """Compute B and neg_B down to index k, in whole blocks from n + 1."""
-        top = self.x.size - 1
+        top = self.x.shape[1] - 1
         hi = self.b_lo
         if k < hi:
             lo = top - self._grid_end(top - k)
             # reversed, gap hi - 1 comes first and weighs e^{-c (hi - 1)}
-            x, out = self.x, self.B[lo : hi + 1][::-1]
-            self._b_carry = self._blocks(x[lo:hi][::-1], x[lo + 1 : hi + 1][::-1], 1 - hi, self._b_carry, out)
-            np.negative(self.B[lo:hi], out=self.neg_B[lo:hi])
+            x, out = self.x, self.B[:, lo : hi + 1][:, ::-1]
+            lower, upper = x[:, lo:hi][:, ::-1], x[:, lo + 1 : hi + 1][:, ::-1]
+            self._b_carry = self._blocks(lower, upper, 1 - hi, self._b_carry, out)
+            np.negative(self.B[:, lo:hi], out=self.neg_B[:, lo:hi])
             self.b_lo = lo
 
 
 def _draws(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> np.ndarray:
     """One exponential-mechanism draw per slice ``values[a:b]`` on ``[lo,
     hi]`` with global rank ``R`` in ``a..b``, read off the whole sample's
-    :class:`_GapTable`; the slice bounds may be scalars.
+    :class:`_GapTable`. The slice arrays have the table's rows as leading
+    axis, slice ``[i, j]`` lying in row ``i``; the slice bounds may be
+    scalars, shared by every slice.
 
     The slice's gaps are ``a..b``, gap ``a`` cut to ``[lo, x[a+1]]`` and gap
     ``b`` to ``[x[b], hi]``; gap ``k`` has log-weight ``-c * abs(k - R)``.
@@ -345,57 +372,80 @@ def _draws(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> np.ndarray:
     On gaps far smaller than the table mass outside a slice of positive
     length, both side masses can round to zero; such a slice is drawn again,
     by this function, on a :class:`_GapTable` of its own gaps with edges
-    ``lo`` and ``hi``, where both D's are zero.
+    ``lo`` and ``hi``, where both D's are zero. The searches, and such
+    redraws, go row by row; the rest is elementwise over all slices.
     """
     x, c, A, B = table.x, table.c, table.A, table.B
+    rows = np.arange(x.shape[0])[:, None]
     table.extend_a(int(R.max(where=a < b, initial=0)))
-    table.extend_b(int(R.min(where=a < b, initial=x.size - 1)))
+    table.extend_b(int(R.min(where=a < b, initial=x.shape[1] - 1)))
     cR = c * R
-    A_R = A[R]
+    A_R = A[rows, R]
     with np.errstate(all="ignore"):
-        log_da = np.logaddexp(A[a], np.log(lo - x[a]) + c * a)
-        log_db = np.logaddexp(B[b + 1], np.log(x[b + 1] - hi) - c * b)
+        log_da = np.logaddexp(A[rows, a], np.log(lo - x[rows, a]) + c * a)
+        log_db = np.logaddexp(B[rows, b + 1], np.log(x[rows, b + 1] - hi) - c * b)
         # log(e^x - e^y) is -inf where e^x <= e^y: fmax drops the NaN that
         # the log of a negative difference gives
         log_left = np.fmax(A_R + np.log(-np.expm1(log_da - A_R)), -np.inf) - cR
         a1 = a + 1
-        B_right = B[np.maximum(R, a1)]  # the right side's uncut gaps
+        B_right = B[rows, np.maximum(R, a1)]  # the right side's uncut gaps
         log_right = np.fmax(B_right + np.log(-np.expm1(log_db - B_right)), -np.inf) + cR
         # the cut gap a lies on the right side when R = a
-        log_right = np.logaddexp(log_right, np.log((x[a1] - lo) * (R == a)))
+        log_right = np.logaddexp(log_right, np.log((x[rows, a1] - lo) * (R == a)))
         log_z = np.logaddexp(log_left, log_right)
         left_target = np.logaddexp(np.log(u_pick) + log_z + cR, log_da)
-        right_target = np.minimum(np.logaddexp(np.log1p(-u_pick) + log_z - cR, log_db), B[R])
+        right_target = np.minimum(np.logaddexp(np.log1p(-u_pick) + log_z - cR, log_db), B[rows, R])
     left = left_target < A_R
-    k = np.where(
-        left,
-        A.searchsorted(left_target, "right"),
-        table.neg_B.searchsorted(-right_target, "right"),
-    ) - 1
+    k = np.empty(R.shape, dtype=np.int64)
+    for i, (A_i, neg_B_i) in enumerate(zip(A, table.neg_B)):  # searchsorted is 1-D
+        left_k = A_i.searchsorted(left_target[i], "right")
+        k[i] = np.where(left[i], left_k, neg_B_i.searchsorted(-right_target[i], "right")) - 1
     # a u_pick within rounding of 1 can choose the right side where it has
     # no mass: take the last gap below R that has some
     massless = log_right == -np.inf
     if massless.any():
         massless &= ~left & (log_left > -np.inf)
-        k[massless] = A.searchsorted(A_R[massless], "left") - 1
+        for i, j in zip(*np.nonzero(massless)):
+            k[i, j] = A[i].searchsorted(A_R[i, j], "left") - 1
     k = np.minimum(k, b)
-    left_edge = np.maximum(x[k], lo)
-    q = left_edge + u_pos * (np.minimum(x[k + 1], hi) - left_edge)
+    left_edge = np.maximum(x[rows, k], lo)
+    q = left_edge + u_pos * (np.minimum(x[rows, k + 1], hi) - left_edge)
     # both side masses of a slice of tiny gaps can round to zero against the
     # table mass outside it: such a slice is drawn on a table of its own gaps,
     # at the same c
     lost = (log_z == -np.inf) & (lo < hi)
     if lost.any():
         a, b, lo, hi, R, u_pick, u_pos = np.broadcast_arrays(a, b, lo, hi, R, u_pick, u_pos)
-        for i in np.flatnonzero(lost):
-            own = _GapTable(x[a[i] + 1 : b[i] + 1], 2.0 * c, R[i] - a[i], R[i] - a[i], lo[i], hi[i])
-            one = slice(i, i + 1)
+        for i, j in zip(*np.nonzero(lost)):
+            one, r = np.s_[i : i + 1, j : j + 1], R[i, j] - a[i, j]
+            own = _GapTable(x[i : i + 1, a[i, j] + 1 : b[i, j] + 1], 2.0 * c, r, r, lo[i, j], hi[i, j])
             slice_ = (0, b[one] - a[one], lo[one], hi[one], R[one] - a[one], u_pick[one], u_pos[one])
-            q[i] = _draws(own, *slice_)[0]
+            q[i, j] = _draws(own, *slice_)[0, 0]
     return q
 
 
-def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -> np.ndarray:
+def _rows(sample, rng, ledger=None) -> tuple[list[np.ndarray], list[RandomSource]]:
+    """A call's rows, the values of one sample each, and their streams: a
+    :class:`SortedSample` with its :class:`RandomSource` is the one-row case
+    of a sequence of samples of one size with one source each. A ledger
+    records the release of one sample."""
+    if isinstance(sample, SortedSample):
+        return [sample.values], [rng]
+    values, rngs = [s.values for s in sample], list(rng)
+    if len({v.size for v in values}) != 1 or len(rngs) != len(values) or (
+        ledger is not None and len(rngs) > 1
+    ):
+        raise InvalidArgumentError("need samples of one size, a source each, and one for a ledger")
+    return values, rngs
+
+
+def _uniforms(rngs: list[RandomSource], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``rng.random(2 * m)``: slice j picks with 2j, places with 2j + 1."""
+    u = np.stack([rng.random(2 * m) for rng in rngs]).reshape(len(rngs), m, 2)
+    return u[:, :, 0], u[:, :, 1]
+
+
+def qexp_draws(sample, ranks, epsilon: float, rng) -> np.ndarray:
     """One exponential-mechanism draw on [0, 1] per target rank, all at ``epsilon``.
 
     Draw ``j`` has the law of ``sample_piecewise(qexp_density(sample,
@@ -403,17 +453,20 @@ def qexp_draws(sample: SortedSample, ranks, epsilon: float, rng: RandomSource) -
     all ranks are full-domain slices of one :func:`_draws` call on one
     table, so m ranks cost O(n + m log n). The chosen interval equals the
     density sampler's except when a uniform falls within rounding of an
-    interval boundary of the CDF.
+    interval boundary of the CDF. Samples of one size with a source each
+    give a row of draws each, the bits of their own one-sample calls.
     """
     if epsilon < 0 or not math.isfinite(epsilon):
         raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {epsilon}")
-    n = sample.n
+    values, rngs = _rows(sample, rng)
+    n = values[0].size
     r = np.asarray(ranks, dtype=np.int64)
     if r.ndim != 1 or (r.size and (r.min() < 0 or r.max() > n)):
         raise InvalidArgumentError(f"ranks must be a list of integers in [0, {n}]")
-    table = _GapTable(sample.values, epsilon, int(r.min(initial=n + 1)), int(r.max(initial=0)))
-    u_pick, u_pos = rng.random(2 * r.size).reshape(r.size, 2).T
-    return _draws(table, 0, n, 0.0, 1.0, r, u_pick, u_pos)
+    table = _GapTable(values, epsilon, int(r.min(initial=n + 1)), int(r.max(initial=0)))
+    R = np.broadcast_to(r, (len(rngs), r.size))
+    draws = _draws(table, 0, n, 0.0, 1.0, R, *_uniforms(rngs, r.size))
+    return draws[0] if isinstance(sample, SortedSample) else draws
 
 
 def qexp(sample: SortedSample, p: float, epsilon: float, rng: RandomSource) -> float:
@@ -466,9 +519,9 @@ class BudgetLedger:
 
 
 def indexp(
-    sample: SortedSample,
+    sample: SortedSample | Sequence[SortedSample],
     query: QuantileQuery,
-    rng: RandomSource,
+    rng: RandomSource | Sequence[RandomSource],
     ledger: BudgetLedger | None = None,
 ) -> np.ndarray:
     """Independent composition: one qexp draw per order, each at eps / m.
@@ -476,14 +529,16 @@ def indexp(
     All m draws come from one shared :func:`qexp_draws` table, in O(n + m
     log n), and equal m sequential :func:`qexp` calls on the same stream.
     The utility sensitivity is 1 under both neighboring relations, so no
-    relation adjustment is needed. Outputs are not forced monotone.
+    relation adjustment is needed. Outputs are not forced monotone. Samples
+    of one size with a source each give a row each (see :func:`qexp_draws`).
     """
     eps_each = query.budget.epsilon / query.m
+    n = _rows(sample, rng, ledger)[0][0].size
     if ledger is not None:
         ledger.allocate(query.budget.epsilon, query.budget.epsilon, query.m)
         for j in range(query.m):
-            ledger.record(j, 1, eps_each, sample.n)
-    return qexp_draws(sample, target_rank(sample.n, query.orders), eps_each, rng)
+            ledger.record(j, 1, eps_each, n)
+    return qexp_draws(sample, target_rank(n, query.orders), eps_each, rng)
 
 
 def recexp_depth(m: int) -> int:
@@ -495,9 +550,9 @@ def recexp_depth(m: int) -> int:
 
 
 def recexp(
-    sample: SortedSample,
+    sample: SortedSample | Sequence[SortedSample],
     query: QuantileQuery,
-    rng: RandomSource,
+    rng: RandomSource | Sequence[RandomSource],
     ledger: BudgetLedger | None = None,
 ) -> np.ndarray:
     """Recursive estimator: split the data at a private middle quantile.
@@ -516,41 +571,47 @@ def recexp(
     takes uniforms ``2i`` and ``2i + 1`` of one ``rng.random(2 * m)`` and
     is recorded in that order. A collapsed domain (``lo == hi``) pins its
     subtree at ``lo``: no call, no record, its uniforms unused.
+
+    A sequence of samples of one size, with one source each, walks the tree
+    once for all of them: its shape depends on m alone, so the rows share
+    every level's nodes, and each row holds the bits of its own call.
     """
     m = query.m
     depth = recexp_depth(m)
     eps = query.budget.epsilon
     eps_effective = eps if query.budget.relation is NeighboringRelation.ADD_REMOVE else eps / 2.0
     eps_call = eps_effective / depth
+    values, rngs = _rows(sample, rng, ledger)
     if ledger is not None:
         ledger.allocate(eps, eps_effective, depth)
 
-    values = sample.values
-    n = sample.n
+    n = values[0].size
     ranks = target_rank(n, query.orders)
     table = _GapTable(values, eps_call, int(ranks.min()), int(ranks.max()))
-    u_pick, u_pos = rng.random(2 * m).reshape(m, 2).T
-    # q[j] is the draw of order j and s[j] = #{values < q[j]}, with q = s = 0
-    # at j = 0 and q = 1, s = n at j = m + 1. A node over orders below + 1..
-    # above - 1 draws order (below + above) // 2 on [q[below], q[above]]
-    # from values[s[below]:s[above]]; pre is its preorder index.
-    q = np.empty(m + 2)
-    s = np.empty(m + 2, dtype=np.int64)
-    q[0], q[m + 1], s[0], s[m + 1] = 0.0, 1.0, 0, n
+    u_pick, u_pos = _uniforms(rngs, m)
+    # in each row, q[j] is the draw of order j and s[j] = #{values < q[j]},
+    # with q = s = 0 at j = 0 and q = 1, s = n at j = m + 1. A node over
+    # orders below + 1..above - 1 draws order (below + above) // 2 on
+    # [q[below], q[above]] from values[s[below]:s[above]]; pre is its
+    # preorder index. Every row shares below, above and pre.
+    q = np.empty((len(values), m + 2))
+    s = np.empty((len(values), m + 2), dtype=np.int64)
+    q[:, 0], q[:, m + 1], s[:, 0], s[:, m + 1] = 0.0, 1.0, 0, n
     below, above, pre = np.array([0]), np.array([m + 1]), np.array([0])
     records = []
     for level in range(1, depth + 1):
         j = (below + above) // 2
-        lo, hi, a, b = q[below], q[above], s[below], s[above]
+        lo, hi, a, b = q[:, below], q[:, above], s[:, below], s[:, above]
         # a collapsed domain is a one-interval slice, which _draws draws at lo
         R = np.minimum(np.maximum(ranks[j - 1], a), b)
-        drawn = _draws(table, a, b, lo, hi, R, u_pick[pre], u_pos[pre])
-        q[j] = drawn
+        drawn = _draws(table, a, b, lo, hi, R, u_pick[:, pre], u_pos[:, pre])
+        q[:, j] = drawn
         # a draw lies in [lo, hi], so this counts values[:a] and none of values[b:]
-        s[j] = values.searchsorted(drawn, "left")
+        for i, row in enumerate(values):  # searchsorted is 1-D
+            s[i, j] = row.searchsorted(drawn[i], "left")
         if ledger is not None:
-            live = lo < hi
-            calls = zip(pre[live].tolist(), j[live].tolist(), (b - a)[live].tolist())
+            live = lo[0] < hi[0]
+            calls = zip(pre[live].tolist(), j[live].tolist(), (b - a)[0, live].tolist())
             records += [(node, order - 1, level, size) for node, order, size in calls]
         # the left child's subtree comes next in preorder, the right one's
         # after the j - below - 1 nodes of the left
@@ -564,4 +625,4 @@ def recexp(
     if ledger is not None:
         for _, order_index, level, size in sorted(records):
             ledger.record(order_index, level, eps_call, size)
-    return q[1 : m + 1]
+    return q[0, 1 : m + 1] if isinstance(sample, SortedSample) else q[:, 1 : m + 1]

@@ -1,11 +1,14 @@
+import dataclasses
+import hashlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from dpquantiles import bench
+from dpquantiles import bench, cli
 from dpquantiles.bench import (
     ExperimentConfig,
     SamplePairs,
@@ -140,7 +143,7 @@ class TestRunTrial:
 
 
 class FakePool:
-    """In-process stand-in for ProcessPoolExecutor that records how it is used."""
+    """In-process stand-in for the process pool that records how it is used."""
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
@@ -162,11 +165,11 @@ class FakePool:
 def fake_pool(monkeypatch):
     pools = []
 
-    def make(max_workers):
-        pools.append(FakePool(max_workers))
+    def make(workers):
+        pools.append(FakePool(workers))
         return pools[-1]
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(bench, "_process_pool", make)
     return pools
 
 
@@ -222,11 +225,25 @@ class TestRunExperiment:
         assert pool.max_workers == 2 and pool.tasks == 5
         assert spread.cells[0].errors == serial.cells[0].errors
 
-    def test_pool_is_capped_at_the_chunk_count(self, fake_pool):
+    def test_pool_is_capped_at_the_chunk_count(self, fake_pool, monkeypatch):
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 64)
         config = small_config(trials=3, estimators=("histogram",), distributions=(UNIFORM,), m_grid=(1,))
         run_experiment(config, workers=64)
         (pool,) = fake_pool
         assert pool.max_workers == 3 and pool.tasks == 3
+
+    def test_pool_is_capped_at_the_usable_cpus(self, fake_pool, monkeypatch):
+        # a million workers cut the trials into one-trial chunks, but the
+        # pool starts no more processes than this process may run on
+        config = small_config(n=50, trials=20, estimators=("histogram",), m_grid=(1,))
+        serial = run_experiment(config, workers=1)
+        spread = run_experiment(config, workers=10**6)
+        (pool,) = fake_pool
+        assert pool.tasks == 40 and pool.max_workers == min(40, bench._usable_cpus())
+        assert [c.errors for c in spread.cells] == [c.errors for c in serial.cells]
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        run_experiment(config, workers=10**6)
+        assert fake_pool[1].max_workers == 3
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_truth_oracle_runs_once_per_cell_before_dispatch(self, workers, fake_pool, monkeypatch):
@@ -249,7 +266,7 @@ class TestRunExperiment:
     def test_failed_trial_names_its_trial_and_cell(self, workers):
         config = small_config(trials=3, estimators=("histogram",), distributions=(UNIFORM,), m_grid=(1,))
         object.__setattr__(config, "estimators", ("histogram", "mystery"))  # past validation
-        with pytest.raises(RuntimeError, match=r"trial 0 of cell \(uniform.*, mystery, m=1\) failed"):
+        with pytest.raises(RuntimeError, match=r"trials 0-\d of cell \(uniform.*, mystery, m=1\) failed"):
             run_experiment(config, workers=workers)
 
     @pytest.mark.parametrize("workers", [0, -2])
@@ -317,6 +334,30 @@ class TestSharedSample:
                 fresh.append(run_trial(sample, cell.estimator, orders, truth, config, rng))
             p_value = ks_2samp(cell.errors, fresh).pvalue
             assert p_value > 0.001, (cell.distribution, cell.estimator, cell.m, p_value)
+
+
+# SHA-256 of the CSVs of configs/benchmark_default.cfg at 10 trials per cell,
+# recorded while every trial still made its own estimator calls (x86-64,
+# numpy 2.4); running each cell once over a chunk's trials keeps these bytes
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark_default.cfg"
+DEFAULT_PROTOCOL_CSV_SHA256 = {
+    "beta-0.5-0.5.csv": "209a0f7bae34bedbeb657a59148cdeda1986f3010e9e8496f99d8d394e058cab",
+    "beta-2-5.csv": "da6fbca66bd18d6878629aa6554ffde5e73443fea135c565fb820983b0775f54",
+    "uniform.csv": "3051c39423e50d3e5f435c23699cd0d536db92e82f69496a53089a244f1ba8ce",
+}
+
+
+class TestProtocolBytes:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_default_protocol_csvs_keep_their_bytes(self, workers, tmp_path):
+        config = dataclasses.replace(cli.parse_config_file(str(DEFAULT_CONFIG)), trials=10)
+        written = cli.write_experiment_outputs(run_experiment(config, workers=workers), tmp_path)
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in written
+            if path.suffix == ".csv"
+        }
+        assert digests == DEFAULT_PROTOCOL_CSV_SHA256
 
 
 class TestVerifyGapLaw:

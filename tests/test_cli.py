@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpquantiles import cli
+from dpquantiles import cli, quantiles
 from dpquantiles.bench import CheckReport
 from dpquantiles.errors import InvalidArgumentError
 from dpquantiles.histogram import MAX_BIN_COUNT
+from dpquantiles.quantiles import MAX_ORDER_COUNT
 
 DATA = "0.2\n0.5\n0.8\n"
 
@@ -123,6 +124,17 @@ class TestEstimate:
         captured = capsys.readouterr()
         assert captured.err == (
             f"error: --bins: bin count must be between 1 and {MAX_BIN_COUNT}, got {bins}\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("m", ["0", "100000000000"])
+    def test_unusable_order_count_exits_2_naming_it(self, data_file, capsys, m):
+        # --m 1e11 used to build a grid of 1e11 floats, running until killed
+        argv = ["estimate", "--data", data_file, "--method", "recexp", "--m", m, "--epsilon", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --m: order count must be between 1 and {MAX_ORDER_COUNT}, got {m}\n"
         )
         assert captured.out == ""
 
@@ -409,6 +421,37 @@ class TestBench:
         assert capsys.readouterr().err == (
             f"error: {path}: key 'bins': bin count must be between 1 and {MAX_BIN_COUNT}, "
             f"got {bins}\n"
+        )
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "config,key,count",
+        [
+            (CONFIG.replace("m_grid = 1, 3", "m_grid = 1, 100000000000"), "m_grid", 100000000000),
+            (
+                CONFIG.replace("m_grid = 1, 3\n", "").replace("orders = centered-grid", "orders = 0.2,0.4,0.6"),
+                "orders",
+                3,
+            ),
+        ],
+    )
+    def test_unusable_order_count_exits_2_before_the_run(
+        self, tmp_path, monkeypatch, capsys, config, key, count
+    ):
+        # explicit orders are checked at a cap of 2 here: a list past the
+        # real cap would take a file of about 100 MB
+        def no_run(*args, **kwargs):
+            raise AssertionError("experiment run for a rejected order count")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        cap = 2 if key == "orders" else MAX_ORDER_COUNT
+        monkeypatch.setattr(quantiles, "MAX_ORDER_COUNT", cap)
+        path = tmp_path / "orders.cfg"
+        path.write_text(config)
+        outdir = tmp_path / "o"
+        assert cli.main(["bench", "--config", str(path), "--output", str(outdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: key '{key}': order count must be between 1 and {cap}, got {count}\n"
         )
         assert not outdir.exists()
 

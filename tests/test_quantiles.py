@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -266,11 +267,20 @@ def exact_gap_tables(x, c):
         return A, B[::-1]
 
 
+def one_row(table):
+    # row 0 of a _GapTable under the table's own names
+    return types.SimpleNamespace(
+        x=table.x[0], A=table.A[0], B=table.B[0], neg_B=table.neg_B[0],
+        c=table.c, block=table.block, a_hi=table.a_hi, b_lo=table.b_lo,
+    )
+
+
 def assert_within_bound(table, exact):
     # every computed entry within the bound of the _GapTable docstring:
     # ceil(k / L) (M + 1000) 2^-50 from the exact A_k, and the same for B_k
     # with ceil((n + 1 - k) / L)
     A, B = exact
+    table = one_row(table)
     n, c, L = table.x.size - 2, table.c, table.block
     # both sides are monotone, and a zero-length gap k repeats its entry
     zero = np.diff(table.x) == 0.0
@@ -297,7 +307,8 @@ def assert_equals_full_table(table, values, epsilon):
     # the computed entries of a lazily extended table hold the bits of the
     # same table computed in full, and the uncomputed ones keep both search
     # arrays sorted
-    full = quantiles._GapTable(values, epsilon, 0, values.size + 1, table.x[0], table.x[-1])
+    table = one_row(table)
+    full = one_row(quantiles._GapTable([values], epsilon, 0, values.size + 1, table.x[0], table.x[-1]))
     lo, hi = table.b_lo, table.a_hi
     assert table.c == full.c and table.x.tobytes() == full.x.tobytes()
     assert table.A[: hi + 1].tobytes() == full.A[: hi + 1].tobytes()
@@ -309,7 +320,7 @@ def assert_equals_full_table(table, values, epsilon):
 def assert_extent(table, b_lo, a_hi):
     # the computed region covers A[0..a_hi] and B[b_lo..n+1] in whole blocks
     # of the grids from 0 and from n + 1, and no block more
-    top, L = table.x.size - 1, table.block
+    top, L = table.x.shape[1] - 1, table.block
     assert table.a_hi == min(-(-a_hi // L) * L, top), (table.a_hi, a_hi, L)
     assert top - table.b_lo == min(-(-(top - b_lo) // L) * L, top), (table.b_lo, b_lo, L)
 
@@ -333,7 +344,7 @@ def with_full_table(monkeypatch, draw):
     # reaches the edge of a computed region
     class Full(quantiles._GapTable):
         def __init__(self, values, epsilon, b_lo, a_hi):
-            super().__init__(values, epsilon, 0, values.size + 1)
+            super().__init__(values, epsilon, 0, len(values[0]) + 1)
 
     with monkeypatch.context() as patch:
         patch.setattr(quantiles, "_GapTable", Full)
@@ -593,10 +604,10 @@ class TestRecexpTable:
 def draw_without_b_below_the_rank(values, epsilon, R, cycle):
     # the full-domain draw at rank R on a table whose B entries below R hold
     # NaN, and neg_B -inf as if never computed
-    table = quantiles._GapTable(values, epsilon, R, R)
-    table.B[:R], table.neg_B[:R] = np.nan, -np.inf
+    table = quantiles._GapTable([values], epsilon, R, R)
+    table.B[:, :R], table.neg_B[:, :R] = np.nan, -np.inf
     u_pick, u_pos = cycle
-    return quantiles._draws(table, 0, values.size, 0.0, 1.0, np.array([R]), np.array([u_pick]), u_pos)[0]
+    return quantiles._draws(table, 0, values.size, 0.0, 1.0, np.array([[R]]), np.array([[u_pick]]), u_pos)[0, 0]
 
 
 class TestGapTable:
@@ -607,7 +618,7 @@ class TestGapTable:
         steps = np.random.default_rng(n)
         for epsilon in (0.0, 1e-3, 1.0, 1e3, 1e300):
             start = sorted(steps.integers(0, n + 1, 2))
-            table = quantiles._GapTable(sample.values, epsilon, start[0], start[1])
+            table = quantiles._GapTable([sample.values], epsilon, start[0], start[1])
             assert_extent(table, start[0], start[1])
             assert_equals_full_table(table, sample.values, epsilon)
             # extensions in both directions, some of them no-ops, down to the
@@ -618,7 +629,7 @@ class TestGapTable:
                 assert table.a_hi >= k and table.b_lo <= n + 1 - k
                 assert_equals_full_table(table, sample.values, epsilon)
             assert (table.b_lo, table.a_hi) == (0, n + 1)
-            assert_within_bound(table, exact_gap_tables(table.x, table.c))
+            assert_within_bound(table, exact_gap_tables(table.x[0], table.c))
 
     @pytest.mark.parametrize(
         "epsilon,block",
@@ -629,14 +640,14 @@ class TestGapTable:
     def test_short_blocks_and_partial_last_blocks(self, n, epsilon, block):
         # n + 1 gaps: a multiple of L, one more or one fewer, or no whole block
         sample = oracle_test_sample("duplicates", n, seed=n)
-        table = quantiles._GapTable(sample.values, epsilon, n + 1, 0)
+        table = quantiles._GapTable([sample.values], epsilon, n + 1, 0)
         assert table.block == block
         for k in sorted({min(k, n + 1) for k in (1, 2, 3, n // 2, n + 1)}):
             table.extend_a(k)
             table.extend_b(n + 1 - k)
             assert_extent(table, n + 1 - k, k)
             assert_equals_full_table(table, sample.values, epsilon)
-        assert_within_bound(table, exact_gap_tables(table.x, table.c))
+        assert_within_bound(table, exact_gap_tables(table.x[0], table.c))
 
     def test_block_opening_with_zero_gaps_after_tiny_gaps(self):
         # at c = 100 (L = 5) the carry into the second block, over five 1e-300
@@ -645,13 +656,14 @@ class TestGapTable:
         # repeat the entry before the block, and then holds positive gaps
         values = np.array([1, 2, 3, 4, 5, 5, 5, 5, 6, 7] + [3e299, 6e299]) * 1e-300
         for epsilon in (200.0, 2.0):
-            table = quantiles._GapTable(values, epsilon, 0, values.size + 1)
+            table = quantiles._GapTable([values], epsilon, 0, values.size + 1)
             assert table.block == (5 if epsilon == 200.0 else 256)
-            assert np.all(table.A[6:9] == table.A[5]) and np.all(table.B[5:8] == table.B[8])
-            assert np.all(table.A[9:] > table.A[8]) and np.all(np.isfinite(table.A[1:]))
-            assert_within_bound(table, exact_gap_tables(table.x, table.c))
+            A, B = table.A[0], table.B[0]
+            assert np.all(A[6:9] == A[5]) and np.all(B[5:8] == B[8])
+            assert np.all(A[9:] > A[8]) and np.all(np.isfinite(A[1:]))
+            assert_within_bound(table, exact_gap_tables(table.x[0], table.c))
             for k in range(values.size + 2):
-                lazy = quantiles._GapTable(values, epsilon, k, k)
+                lazy = quantiles._GapTable([values], epsilon, k, k)
                 assert_equals_full_table(lazy, values, epsilon)
 
     def test_subnormal_gaps_keep_the_bound(self):
@@ -660,8 +672,8 @@ class TestGapTable:
         # 5e-324
         values = np.array([0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 8.0, 13.0]) * 5e-324
         for epsilon in (1e-3, 0.3, 1.0, 7.0):
-            table = quantiles._GapTable(np.append(values, 0.5), epsilon, 0, values.size + 2)
-            assert_within_bound(table, exact_gap_tables(table.x, table.c))
+            table = quantiles._GapTable([np.append(values, 0.5)], epsilon, 0, values.size + 2)
+            assert_within_bound(table, exact_gap_tables(table.x[0], table.c))
 
     def test_draws_compute_only_the_entries_they_read(self, recorded_tables):
         sample = oracle_test_sample("beta", 1000, seed=1)
@@ -800,7 +812,7 @@ EXTREME_PICKS = (0.0, 2.0**-53, 2.0**-52, 1.0 - 2.0**-52, 1.0 - 2.0**-53)
 class TestSideRule:
     def test_qexp_draws_at_extreme_pick_uniforms(self):
         for sample, epsilon in itertools.product(SIDE_RULE_SAMPLES, SIDE_RULE_EPSILONS):
-            full = quantiles._GapTable(sample.values, epsilon, 0, sample.n + 1)
+            full = one_row(quantiles._GapTable([sample.values], epsilon, 0, sample.n + 1))
             x, c, A, B = full.x, full.c, full.A, full.B
             ranks = range(sample.n + 1)
             for u_pick in EXTREME_PICKS:
@@ -817,7 +829,7 @@ class TestSideRule:
 
         def recording(table, *slices):
             q = draws(table, *slices)
-            calls.append((table.x, table.b_lo, table.a_hi, slices, q))
+            calls.append((table.x[0], table.b_lo, table.a_hi, slices, q))
             return q
 
         for sample, epsilon in itertools.product(SIDE_RULE_SAMPLES, SIDE_RULE_EPSILONS):
@@ -832,17 +844,19 @@ class TestSideRule:
                 for x, b_lo, a_hi, slices, q in calls:
                     values, edges, key = x[1:-1], (x[0], x[-1]), (x.tobytes(), b_lo, a_hi)
                     if key not in tables:
-                        poisoned = quantiles._GapTable(values, eps_call, b_lo, a_hi, *edges)
-                        poisoned.B[:b_lo] = np.nan
-                        full = quantiles._GapTable(values, eps_call, 0, values.size + 1, *edges)
+                        poisoned = quantiles._GapTable([values], eps_call, b_lo, a_hi, *edges)
+                        poisoned.B[:, :b_lo] = np.nan
+                        full = quantiles._GapTable([values], eps_call, 0, values.size + 1, *edges)
                         tables[key] = poisoned, full
                     poisoned, full = tables[key]
                     assert draws(poisoned, *slices).tobytes() == q.tobytes()
                     assert draws(full, *slices).tobytes() == q.tobytes()
-                    for a, b, lo, hi, R, u, _, q_i in zip(*np.broadcast_arrays(*slices), q):
+                    slice_arrays = (s.ravel() for s in np.broadcast_arrays(*slices))
+                    for a, b, lo, hi, R, u, _, q_i in zip(*slice_arrays, q.ravel()):
                         if a < b and lo < hi:  # else the slice has one interval
                             slice_ = (a, b, lo, hi, R)
-                            assert_side_rule(full.x, full.A, full.B, full.c, slice_, u, q_i)
+                            row = one_row(full)
+                            assert_side_rule(row.x, row.A, row.B, row.c, slice_, u, q_i)
 
     def test_slice_whose_side_masses_round_to_zero_draws_inside(self):
         # at this budget both side masses of the slice of gaps 1..3 on
@@ -850,9 +864,9 @@ class TestSideRule:
         # its cut gaps 1 and 3 have zero length, so the draw must fall in gap
         # 2 for every pick uniform, not on the slice's edge 3e-300
         values = oracle_test_sample("tiny-gaps", 5, seed=5).values
-        table = quantiles._GapTable(values, 1e-6, 0, 6)
-        u_pick = np.array(EXTREME_PICKS + (0.5,))
-        ones = np.ones(u_pick.size, dtype=np.int64)
+        table = quantiles._GapTable([values], 1e-6, 0, 6)
+        u_pick = np.array([EXTREME_PICKS + (0.5,)])
+        ones = np.ones(u_pick.shape, dtype=np.int64)
         q = quantiles._draws(table, ones, 3 * ones, values[1], values[2], 2 * ones, u_pick, 0.5)
         assert np.all(q == values[1] + 0.5 * (values[2] - values[1])), q
 
@@ -861,11 +875,103 @@ class TestSideRule:
         # to zero against the table mass outside it; forcing the side below
         # the rank there would take gap 0, below the slice
         values = oracle_test_sample("tiny-gaps", 5, seed=5).values
-        table = quantiles._GapTable(values, 1e-6, 0, 6)
+        table = quantiles._GapTable([values], 1e-6, 0, 6)
         lo, hi = values[1], values[2]
-        u_pick = np.array(EXTREME_PICKS)
-        q = quantiles._draws(table, 1, 2, lo, hi, np.ones(u_pick.size, dtype=np.int64), u_pick, 0.5)
+        u_pick = np.array([EXTREME_PICKS])
+        q = quantiles._draws(table, 1, 2, lo, hi, np.ones(u_pick.shape, dtype=np.int64), u_pick, 0.5)
         assert np.all((lo <= q) & (q <= hi)), q
+
+
+ROW_SHAPES = ("beta", "duplicates", "endpoints", "tiny-gaps", "ulps")
+
+
+def assert_rows_are_own_calls(estimator, samples, query, streams):
+    # each row of the stacked call holds the bits of its sample's own call on
+    # the same stream, and leaves that stream where the own call does
+    rngs = [stream() for stream in streams]
+    stacked = estimator(samples, query, rngs)
+    assert stacked.shape == (len(samples), query.m)
+    for sample, row, rng, stream in zip(samples, stacked, rngs, streams):
+        own_rng = stream()
+        assert row.tobytes() == estimator(sample, query, own_rng).tobytes()
+        assert rng.random() == own_rng.random()
+
+
+class TestRowAxis:
+    """A sequence of samples of one size is one estimator call with a row
+    per sample, on one table with a row per sample."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 10_000])
+    @pytest.mark.parametrize("m", [1, 2, 5, 100])
+    @pytest.mark.parametrize("estimator", [indexp, recexp])
+    def test_each_row_is_its_own_call(self, estimator, m, n, recorded_tables):
+        # the tiny-gaps row has points below 2^-969, so only its weights are
+        # lifted by 2^64; duplicates and points at 0 and 1 give zero-length
+        # gaps, and at eps = 1e300 recexp collapses domains in some rows
+        samples = [oracle_test_sample(shape, n, seed=n + i) for i, shape in enumerate(ROW_SHAPES)]
+        grid = RECEXP_GRID if n < 10_000 else RECEXP_GRID[::3]
+        for epsilon, relation in grid:
+            query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(epsilon, relation))
+            streams = [lambda i=i: RandomSource(11, (n, m, i)) for i in range(len(samples))]
+            recorded_tables.clear()
+            assert_rows_are_own_calls(estimator, samples, query, streams)
+            lifts = recorded_tables[0]._log_scale
+            assert lifts.shape == (len(samples),)
+            assert np.count_nonzero(lifts) == (1 if n else 0)
+
+    @pytest.mark.parametrize("estimator", [indexp, recexp])
+    def test_scripted_rows_with_collapsed_domains(self, estimator, monkeypatch):
+        # position uniforms of 0 and 1 put draws on sample points, so at a
+        # saturated budget some recexp nodes get a domain with lo == hi in
+        # some rows and not in others
+        draws, mixed = quantiles._draws, []
+
+        def spying(table, a, b, lo, hi, *rest):
+            collapsed = np.broadcast_to(lo == hi, np.shape(rest[0]))
+            mixed.append(collapsed.any(axis=1).any() and not collapsed.any(axis=1).all())
+            return draws(table, a, b, lo, hi, *rest)
+
+        monkeypatch.setattr(quantiles, "_draws", spying)
+        samples = [oracle_test_sample(shape, 5, seed=5) for shape in ROW_SHAPES]
+        cycles = ([0.5, 0.0], [0.3, 1.0 - 2.0**-53], [0.0, 0.5], [1.0 - 2.0**-53, 0.0], [0.7, 0.5])
+        for m, epsilon in itertools.product((3, 7, 100), (1e-3, 1.0, 1e300)):
+            query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(epsilon, ADD_REMOVE))
+            streams = [lambda cycle=cycle: ScriptedUniforms(cycle) for cycle in cycles]
+            assert_rows_are_own_calls(estimator, samples, query, streams)
+        assert any(mixed) == (estimator is recexp)
+
+    def test_lost_slice_is_drawn_again_in_its_row(self, recorded_tables):
+        # at this budget both side masses of row 0's slice of 1e-300 gaps
+        # round to zero against the table mass outside it, so that slice is
+        # drawn again on a table of its own gaps; row 1's slice is not.
+        # Each row equals its one-row call.
+        tiny = oracle_test_sample("tiny-gaps", 5, seed=5).values
+        beta = oracle_test_sample("beta", 5, seed=5).values
+        u_pick = np.array([EXTREME_PICKS + (0.5,)] * 2)
+        ones = np.ones(u_pick.shape, dtype=np.int64)
+        lo, hi = np.array([[tiny[1]], [beta[1]]]), np.array([[tiny[2]], [beta[2]]])
+        slices = (ones, 3 * ones, lo, hi, 2 * ones, u_pick, 0.5)
+        stacked = quantiles._draws(quantiles._GapTable([tiny, beta], 1e-6, 0, 6), *slices)
+        own_tables = [table.x[0, 0] for table in recorded_tables[1:]]
+        assert own_tables and set(own_tables) == {tiny[1]}
+        for i, values in enumerate((tiny, beta)):
+            row = np.s_[i : i + 1]
+            own = quantiles._draws(
+                quantiles._GapTable([values], 1e-6, 0, 6), *(s[row] for s in slices[:-1]), 0.5
+            )
+            assert stacked[row].tobytes() == own.tobytes()
+        assert np.all(stacked[0] == tiny[1] + 0.5 * (tiny[2] - tiny[1]))
+
+    def test_rejects_mismatched_rows(self):
+        samples = [evenly_spaced_sample(3), evenly_spaced_sample(3)]
+        query = QuantileQuery((0.5,), PrivacyBudget(1.0, ADD_REMOVE))
+        for estimator in (indexp, recexp):
+            with pytest.raises(InvalidArgumentError):
+                estimator(samples, query, [RandomSource(0)])
+            with pytest.raises(InvalidArgumentError):
+                estimator([samples[0], evenly_spaced_sample(4)], query, [RandomSource(0)] * 2)
+            with pytest.raises(InvalidArgumentError):
+                estimator(samples, query, [RandomSource(0)] * 2, ledger=BudgetLedger())
 
 
 class TestRecexpDepth:
