@@ -6,8 +6,10 @@ independent trials. Trial ``t`` of a distribution draws one sample, from the
 stream ``(base_seed, distribution index, t)``, and every estimator and m runs
 on it with noise from the child stream ``(estimator index, m index)``, so
 the cells are paired trial by trial and results are byte-identical across
-reruns and parallelism degrees. Each cell runs once per chunk of trials, over
-all of the chunk's samples as the rows of one estimator call.
+reruns and parallelism degrees. The (distribution, trial) pairs, laid flat in
+protocol order, are cut into chunks of consecutive trials that may span
+distributions, and each cell runs once per chunk, over all of the chunk's
+samples as the rows of one estimator call.
 """
 
 from __future__ import annotations
@@ -136,8 +138,9 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class CellResult:
     """Aggregated errors of one (distribution, estimator, m) cell, with its
-    per-trial errors in trial order. ``wall_time`` sums the seconds of the
-    cell's own trials, without drawing their shared samples."""
+    per-trial errors in trial order. ``wall_time`` sums the cell's share of
+    the seconds of the calls that ran its trials, without drawing their
+    shared samples (see :func:`run_experiment`)."""
 
     distribution: str
     estimator: str
@@ -170,7 +173,8 @@ def run_trial(
     """One estimate of ``orders`` on ``sample``, with noise from ``rng``, and
     its sup-norm error against ``truth``, the true quantiles at ``orders``.
     Samples of one size with a source each are the rows of one estimator
-    call (the histogram loops over them), giving their one-sample errors."""
+    call, giving their one-sample errors; ``truth`` is then one array for
+    every row or a (rows, m) array, a row per sample's distribution."""
     budget = PrivacyBudget(config.epsilon, config.relation)
     if estimator == "indexp":
         estimate = indexp(sample, QuantileQuery(orders, budget), rng)
@@ -178,33 +182,33 @@ def run_trial(
         estimate = recexp(sample, QuantileQuery(orders, budget), rng)
     elif estimator == "histogram":
         bins = config.histogram_bin_count
-        if isinstance(sample, SortedSample):
-            estimate = quantile_from_histogram(sample, bins, budget, orders, rng)
-        else:
-            rows = zip(sample, rng)
-            estimate = np.array([quantile_from_histogram(s, bins, budget, orders, r) for s, r in rows])
+        estimate = quantile_from_histogram(sample, bins, budget, orders, rng)
     else:
         raise InvalidArgumentError(f"unknown estimator id: {estimator!r}")
     return np.max(np.abs(estimate - truth), axis=-1).tolist()
 
 
-def _trial_chunks(config: ExperimentConfig, workers: int) -> list[tuple[int, int, int]]:
-    """Every distribution's trials as ``(d_idx, start, stop)`` ranges, in
-    distribution order and then trial order; a chunk never spans two
-    distributions, and it runs every (estimator, m) cell of its trials.
+# The most sample values, ``rows * (n + 2)``, that one chunk stacks. A stacked
+# call's gap table holds four floats per value, so this bounds it at 4 MiB
+# whatever the trial count and n; from n = 65 535 on a chunk has one row.
+_CHUNK_VALUES = 2**17
 
-    A chunk holds ``min(trials, ceil(distributions * trials / (4 workers)))``
-    trials, so each worker gets about four chunks to balance the load with,
-    and a config with few distributions still spreads over every worker.
+
+def _trial_chunks(config: ExperimentConfig, workers: int) -> list[tuple[int, int]]:
+    """The protocol's (distribution, trial) pairs as ``(start, stop)`` runs.
+
+    Pair ``(d_idx, t)`` is row ``d_idx * trials + t`` of the flat list in
+    protocol order, so a chunk may span two or more distributions; it runs
+    every (estimator, m) cell of its rows. The chunks are as few as fit
+    ``rows * (n + 2) <= _CHUNK_VALUES`` (one row when none fit more), and at
+    more than one worker at least ``min(rows, 2 workers)``, about two per
+    worker to balance the load with. Their sizes differ by at most one row.
     """
-    size = min(
-        config.trials, math.ceil(len(config.distributions) * config.trials / (4 * workers))
-    )
-    return [
-        (d_idx, start, min(start + size, config.trials))
-        for d_idx in range(len(config.distributions))
-        for start in range(0, config.trials, size)
-    ]
+    total = len(config.distributions) * config.trials
+    count = -(-total // max(1, _CHUNK_VALUES // (config.n + 2)))
+    if workers > 1:
+        count = max(count, min(total, 2 * workers))
+    return [(k * total // count, (k + 1) * total // count) for k in range(count)]
 
 
 def _cells(config: ExperimentConfig) -> list[tuple[int, int]]:
@@ -212,28 +216,47 @@ def _cells(config: ExperimentConfig) -> list[tuple[int, int]]:
     return list(itertools.product(range(len(config.estimators)), range(len(config.m_grid))))
 
 
+def _chunk_rows(config: ExperimentConfig, chunk: tuple[int, int]) -> list[tuple[int, int]]:
+    """The ``(d_idx, t)`` pairs of a chunk, in protocol order."""
+    return [divmod(row, config.trials) for row in range(*chunk)]
+
+
+def _trials_by_distribution(rows: list[tuple[int, int]]) -> list[tuple[int, list[int]]]:
+    """``rows`` grouped into ``(d_idx, trials)``, in protocol order."""
+    groups = itertools.groupby(rows, lambda row: row[0])
+    return [(d_idx, [t for _, t in group]) for d_idx, group in groups]
+
+
 def _run_chunk(
-    config: ExperimentConfig, chunk: tuple[int, int, int], truths: list[np.ndarray]
+    config: ExperimentConfig, chunk: tuple[int, int], truths: list[list[np.ndarray]]
 ) -> tuple[list[list[float]], list[float], float]:
     """Run one chunk: draw every trial's sample, then run each cell once over
     all of them.
 
-    Returns, per cell of :func:`_cells`, the errors in trial order and the
-    seconds its :func:`run_trial` call took, then the seconds the samples
-    took. Trial ``t`` draws its sample from ``RandomSource(base_seed,
-    (d_idx, t))``, and cell ``(e_idx, m_idx)`` its noise from that source's
-    ``child(e_idx, m_idx)``; one :func:`run_trial` call takes the chunk's
-    samples as rows, each with its own trial's stream, so each error is the
-    one a call on that trial alone gives. ``truths`` holds the
-    distribution's true quantiles, one array per m of the grid.
+    Returns, per cell of :func:`_cells`, the errors of the chunk's rows in
+    protocol order and the seconds its :func:`run_trial` call took, then the
+    seconds the samples took. Trial ``t`` of distribution ``d_idx`` draws
+    its sample from ``RandomSource(base_seed, (d_idx, t))``, and cell
+    ``(e_idx, m_idx)`` its noise from that source's ``child(e_idx,
+    m_idx)``; one :func:`run_trial` call takes the chunk's samples as rows,
+    each with its own trial's stream and its own distribution's truth, so
+    each error is the one a call on that trial alone gives. ``truths``
+    holds the true quantiles of the chunk's distributions, from its first
+    on, one array per m of the grid each.
     """
-    d_idx, start, stop = chunk
-    oracle = config.distributions[d_idx]
-    grids = [(m, config.orders_for(m), truth) for m, truth in zip(config.m_grid, truths)]
+    rows = _chunk_rows(config, chunk)
+    first = rows[0][0]
     began = time.perf_counter()
-    sources = [RandomSource(config.base_seed, (d_idx, t)) for t in range(start, stop)]
-    samples = [oracle.sample(config.n, source) for source in sources]
+    sources = [RandomSource(config.base_seed, row) for row in rows]
+    samples = [
+        config.distributions[d_idx].sample(config.n, source)
+        for (d_idx, _), source in zip(rows, sources)
+    ]
     sample_time = time.perf_counter() - began
+    grids = [
+        (m, config.orders_for(m), np.stack([truths[d_idx - first][m_idx] for d_idx, _ in rows]))
+        for m_idx, m in enumerate(config.m_grid)
+    ]
     errors, walls = [], []
     for e_idx, m_idx in _cells(config):
         estimator = config.estimators[e_idx]
@@ -243,9 +266,12 @@ def _run_chunk(
         try:
             errors.append(run_trial(samples, estimator, orders, truth, config, rngs))
         except Exception as exc:
-            raise RuntimeError(
-                f"trials {start}-{stop - 1} of cell ({oracle.label}, {estimator}, m={m}) failed"
-            ) from exc
+            spans = " and ".join(
+                f"trials {ts[0]}-{ts[-1]} of cell ({config.distributions[d_idx].label}, "
+                f"{estimator}, m={m})"
+                for d_idx, ts in _trials_by_distribution(rows)
+            )
+            raise RuntimeError(f"{spans} failed") from exc
         walls.append(time.perf_counter() - began)
     return errors, walls, sample_time
 
@@ -280,8 +306,10 @@ def run_experiment(
     ``workers``. The true quantiles are computed once per
     (distribution, m) in this process, before any worker starts, so no worker
     imports the truth oracle's scipy.special itself. A cell's ``wall_time``
-    is the summed time of its own :func:`run_trial` calls, and the result's
-    ``sample_time`` the summed time of drawing the samples.
+    sums its share of the :func:`run_trial` calls that ran its trials: a call
+    that spans distributions is split over them by row count, so the cells'
+    times add up to the calls' times. The result's ``sample_time`` is the
+    summed time of drawing the samples.
     """
     if workers < 1:
         raise InvalidArgumentError(f"workers must be at least 1, got {workers}")
@@ -290,20 +318,26 @@ def run_experiment(
         [oracle.quantile(np.asarray(config.orders_for(m))) for m in config.m_grid]
         for oracle in config.distributions
     ]
+    # each chunk gets the truths of the distributions it spans
+    chunk_truths = [
+        truths[start // config.trials : (stop - 1) // config.trials + 1] for start, stop in chunks
+    ]
     if workers == 1:
-        outputs = [_run_chunk(config, chunk, truths[chunk[0]]) for chunk in chunks]
+        outputs = [_run_chunk(config, chunk, span) for chunk, span in zip(chunks, chunk_truths)]
     else:
         with _process_pool(min(workers, len(chunks), _usable_cpus())) as pool:
-            outputs = list(pool.map(_run_chunk, itertools.repeat(config), chunks,
-                                    [truths[d_idx] for d_idx, _, _ in chunks]))
+            outputs = list(pool.map(_run_chunk, itertools.repeat(config), chunks, chunk_truths))
     cells = _cells(config)
-    cell_errors: dict[tuple, list[float]] = defaultdict(list)
-    cell_walls: dict[tuple, float] = defaultdict(float)
+    keys = [(d_idx, *cell) for d_idx in range(len(config.distributions)) for cell in cells]
+    cell_errors: dict[tuple, list[float]] = {key: [] for key in keys}
+    cell_walls: dict[tuple, float] = dict.fromkeys(keys, 0.0)
     result = ExperimentResult(config)
-    for (d_idx, _, _), (errors, walls, sample_time) in zip(chunks, outputs):
-        for cell, cell_trials, seconds in zip(cells, errors, walls):
-            cell_errors[(d_idx, *cell)] += cell_trials
-            cell_walls[(d_idx, *cell)] += seconds
+    for chunk, (errors, walls, sample_time) in zip(chunks, outputs):
+        rows = _chunk_rows(config, chunk)
+        for cell, row_errors, seconds in zip(cells, errors, walls):
+            for (d_idx, _), error in zip(rows, row_errors):
+                cell_errors[(d_idx, *cell)].append(error)
+                cell_walls[(d_idx, *cell)] += seconds / len(rows)
         result.sample_time += sample_time
     for (d_idx, e_idx, m_idx), errors in cell_errors.items():
         mean = math.fsum(errors) / config.trials

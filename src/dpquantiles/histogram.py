@@ -5,11 +5,16 @@ replacement neighboring, 1 under add/remove) and normalizes by ``n * h``;
 the resulting piecewise-constant estimate may be negative or integrate away
 from 1, so quantiles are read off through an exact first-crossing infimum
 that is well defined for any integrable piecewise-constant function.
+
+:func:`quantile_from_histogram` also takes a sequence of samples with a
+source each: each row is one sample's histogram, with its own noise stream,
+and the quantiles of all rows are read off in one pass.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,10 +147,16 @@ def generalized_quantiles(values: np.ndarray, ps) -> np.ndarray:
     maximum reaches p is the first crossing of p: for k > 0 the crossing lies
     inside bin k - 1, whose height is then positive. Cost
     O(len(values) + len(ps) log len(values)).
+
+    ``values`` may also be a (rows, bins) array, one function per row: the
+    running integrals and maxima of all rows are one ``cumsum`` and one
+    ``fmax.accumulate`` along axis 1, then each row takes one search, and
+    row ``r`` of the (rows, len(ps)) result is bit for bit the quantiles of
+    ``values[r]`` alone.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 1:
-        raise InvalidArgumentError("need a one-dimensional vector of bin values")
+    if values.ndim not in (1, 2) or values.shape[-1] < 1:
+        raise InvalidArgumentError("need a vector of bin values, or a (rows, bins) array")
     ps = np.asarray(ps, dtype=float)
     # written as "not all valid" so that a NaN order fails both checks
     if not np.all((ps >= 0.0) & (ps <= 1.0)):
@@ -153,29 +164,48 @@ def generalized_quantiles(values: np.ndarray, ps) -> np.ndarray:
     if not np.all(np.diff(ps) >= 0):
         raise InvalidArgumentError("quantile orders must be nondecreasing")
 
-    h = 1.0 / values.size
-    running = np.concatenate(([0.0], np.cumsum(values * h)))
+    heights = values.reshape(-1, values.shape[-1])
+    bins = heights.shape[1]
+    h = 1.0 / bins
+    running = np.zeros((heights.shape[0], bins + 1))
+    np.cumsum(heights * h, axis=1, out=running[:, 1:])
     # fmax skips NaN: from a NaN bin on the integral is NaN and never crosses
-    first = np.searchsorted(np.fmax.accumulate(running), ps)
-    out = np.where(first == 0, 0.0, 1.0)
-    inside = (first > 0) & (first < running.size)
-    b = first[inside] - 1
-    out[inside] = b * h + (ps[inside] - running[b]) / values[b]
-    return out
+    peaks = np.fmax.accumulate(running, axis=1)
+    out = np.empty((len(heights), ps.size))
+    for row, peak, integral, height in zip(out, peaks, running, heights):
+        first = peak.searchsorted(ps)
+        row[:] = np.where(first == 0, 0.0, 1.0)
+        inside = (first > 0) & (first <= bins)
+        b = first[inside] - 1
+        row[inside] = b * h + (ps[inside] - integral[b]) / height[b]
+    return out.reshape(values.shape[:-1] + ps.shape)
 
 
 def quantile_from_histogram(
-    sample: SortedSample,
+    sample: SortedSample | Sequence[SortedSample],
     bin_count: int,
     budget: PrivacyBudget,
     orders,
-    rng: RandomSource,
+    rng: RandomSource | Sequence[RandomSource],
     zero_noise: bool = False,
 ) -> np.ndarray:
     """Quantiles of all ``orders`` read off one private histogram.
 
     A single histogram is built no matter how many orders are requested, so
     the spent budget does not depend on m.
+
+    A sequence of samples with a source each gives one histogram per sample,
+    each noised from its own source, and a (samples, len(orders)) array whose
+    row ``r`` is bit for bit the call on sample ``r`` and source ``r`` alone;
+    the rows are inverted by one :func:`generalized_quantiles` call.
     """
-    estimate = private_histogram(sample, bin_count, budget, rng, zero_noise=zero_noise)
-    return generalized_quantiles(estimate.values, orders)
+    one = isinstance(sample, SortedSample)
+    samples, rngs = ([sample], [rng]) if one else (list(sample), list(rng))
+    if not samples or len(rngs) != len(samples):
+        raise InvalidArgumentError("need at least one sample and a source each")
+    heights = np.stack([
+        private_histogram(s, bin_count, budget, r, zero_noise=zero_noise).values
+        for s, r in zip(samples, rngs)
+    ])
+    estimates = generalized_quantiles(heights, orders)
+    return estimates[0] if one else estimates

@@ -184,11 +184,11 @@ class TestRunExperiment:
         assert result.cells[0].std_error == 0.0
 
     def test_parallelism_does_not_change_results(self):
-        # 4 cells of 25 trials on one distribution: chunks of 7 trials at 1
-        # worker (7, 7, 7, 4), of 4 at 2 workers (6 x 4, 1) and of 3 at 3
-        # workers (8 x 3, 1)
+        # 4 cells of 25 trials on one distribution: one chunk of 25 trials at
+        # 1 worker, 4 chunks at 2 workers (6, 6, 6, 7) and 6 at 3 workers
+        # (4, 4, 4, 4, 4, 5)
         config = small_config(trials=25, distributions=(UNIFORM,), estimators=("indexp", "histogram"))
-        assert [len(bench._trial_chunks(config, w)) for w in (1, 2, 3)] == [4, 7, 9]
+        assert [len(bench._trial_chunks(config, w)) for w in (1, 2, 3)] == [1, 4, 6]
         serial = run_experiment(config, workers=1)
         for workers in (2, 3):
             parallel = run_experiment(config, workers=workers)
@@ -209,7 +209,7 @@ class TestRunExperiment:
     def test_trial_errors_keep_trial_order_across_chunks(self, fake_pool):
         config = small_config(trials=10, estimators=("indexp", "histogram"), m_grid=(2,))
         result = run_experiment(config, workers=2)
-        assert fake_pool[0].tasks == 8  # chunks of 3, 3, 3 and 1 trials per distribution
+        assert fake_pool[0].tasks == 4  # chunks of 5 trials, two per distribution
         cells = itertools.product(range(2), range(2))  # (d_idx, e_idx)
         for (d_idx, e_idx), cell in zip(cells, result.cells, strict=True):
             assert (cell.distribution, cell.estimator) == (
@@ -222,7 +222,7 @@ class TestRunExperiment:
         serial = run_experiment(config, workers=1)
         spread = run_experiment(config, workers=2)
         (pool,) = fake_pool
-        assert pool.max_workers == 2 and pool.tasks == 5
+        assert pool.max_workers == 2 and pool.tasks == 4
         assert spread.cells[0].errors == serial.cells[0].errors
 
     def test_pool_is_capped_at_the_chunk_count(self, fake_pool, monkeypatch):
@@ -280,14 +280,96 @@ class TestRunExperiment:
             small_config(n=0)
 
 
+THREE_DISTRIBUTIONS = (
+    DistributionOracle.make_beta(2, 5), DistributionOracle.make_beta(0.5, 0.5), UNIFORM
+)
+
+
+class TestTrialChunks:
+    """The chunk rule, read from _trial_chunks alone: nothing runs."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 10**6])
+    @pytest.mark.parametrize("trials", [1, 10, 50])
+    @pytest.mark.parametrize("n", [1, 10**4, 10**6])
+    def test_chunks_tile_the_rows_under_the_cap(self, n, trials, workers):
+        config = small_config(n=n, trials=trials, distributions=THREE_DISTRIBUTIONS)
+        total = 3 * trials
+        chunks = bench._trial_chunks(config, workers)
+        assert chunks[0][0] == 0 and chunks[-1][1] == total
+        assert all(stop == start for (_, stop), (start, _) in zip(chunks, chunks[1:]))
+        sizes = [stop - start for start, stop in chunks]
+        assert min(sizes) >= 1
+        assert all(size * (n + 2) <= bench._CHUNK_VALUES or size == 1 for size in sizes)
+        if workers > 1:
+            assert len(chunks) >= min(total, 2 * workers)
+        else:
+            # one chunk fewer would overfill one of them
+            fewer = len(chunks) - 1
+            assert fewer == 0 or (
+                math.ceil(total / fewer) > 1
+                and math.ceil(total / fewer) * (n + 2) > bench._CHUNK_VALUES
+            )
+
+    def test_default_protocol_sizes(self):
+        config = small_config(n=10**4, trials=10, distributions=THREE_DISTRIBUTIONS)
+        assert bench._trial_chunks(config, 1) == [(0, 10), (10, 20), (20, 30)]
+        assert bench._trial_chunks(config, 2) == [(0, 7), (7, 15), (15, 22), (22, 30)]
+        config = dataclasses.replace(config, trials=50)
+        assert {stop - start for start, stop in bench._trial_chunks(config, 1)} == {12, 13}
+        assert len(bench._trial_chunks(config, 1)) == 12
+
+    def test_large_samples_run_one_row_at_a_time(self):
+        config = small_config(n=10**6, trials=50, distributions=THREE_DISTRIBUTIONS)
+        assert bench._trial_chunks(config, 1) == [(row, row + 1) for row in range(150)]
+
+    def test_the_cap_counts_each_row_as_n_plus_two_values(self):
+        # a row of the gap table holds the sample and the domain's two ends
+        config = small_config(n=65_534, trials=4, distributions=(UNIFORM,))
+        assert bench._trial_chunks(config, 1) == [(0, 2), (2, 4)]
+        config = small_config(n=65_535, trials=4, distributions=(UNIFORM,))
+        assert len(bench._trial_chunks(config, 1)) == 4
+
+
+class TestCellWallTime:
+    def test_calls_are_split_over_their_distributions_by_row_count(self, monkeypatch):
+        # chunks of 3, 3 and 4 of the 10 rows: the second holds trials 3-4
+        # of the first distribution and trial 0 of the second
+        monkeypatch.setattr(bench, "_CHUNK_VALUES", 4 * (500 + 2))
+        config = small_config(trials=5)
+        assert bench._trial_chunks(config, 1) == [(0, 3), (3, 6), (6, 10)]
+        calls = []
+        original = bench._run_chunk
+
+        def recording(config, chunk, truths):
+            out = original(config, chunk, truths)
+            calls.append((chunk, out[1]))
+            return out
+
+        monkeypatch.setattr(bench, "_run_chunk", recording)
+        result = run_experiment(config)
+        cells = bench._cells(config)
+        expected = dict.fromkeys(itertools.product(range(2), cells), 0.0)
+        for (start, stop), walls in calls:
+            for row in range(start, stop):
+                for cell, seconds in zip(cells, walls):
+                    expected[row // config.trials, cell] += seconds / (stop - start)
+        assert all(cell.wall_time > 0.0 for cell in result.cells)
+        assert [cell.wall_time for cell in result.cells] == pytest.approx(list(expected.values()))
+        total = math.fsum(seconds for _, walls in calls for seconds in walls)
+        assert math.fsum(cell.wall_time for cell in result.cells) == pytest.approx(total)
+        monkeypatch.undo()
+        assert [c.errors for c in run_experiment(config).cells] == [c.errors for c in result.cells]
+
+
 class TestSharedSample:
     """Each trial of a distribution draws one sample, shared by every
     (estimator, m) cell, each with its own child noise stream."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_one_sample_per_distribution_and_trial(self, workers, fake_pool, monkeypatch):
-        # chunks of 3 and 2 trials at 1 worker, 2, 2 and 1 at 2 workers and
-        # single trials at 3 workers, per distribution
+        # 10 (distribution, trial) rows: one chunk of all 10 at 1 worker,
+        # which spans both distributions, 4 chunks of 2, 3, 2 and 3 at 2
+        # workers and 6 chunks of 1, 2, 2, 1, 2 and 2 at 3 workers
         config = small_config(trials=5)
         draws = []
         original = DistributionOracle.sample

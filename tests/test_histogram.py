@@ -276,6 +276,78 @@ class TestQuantileFromHistogram:
         assert one[0] == many[1]
 
 
+class ZeroFirstUniforms:
+    """A RandomSource whose first ``zeros`` uniforms are 0.0, so the Laplace
+    transform meets u = -0.5 and redraws those from the stream."""
+
+    def __init__(self, seed, zeros):
+        self.source, self.zeros, self.calls = RandomSource(seed), zeros, 0
+
+    def random(self, size=None):
+        u = self.source.random(size)
+        if self.calls == 0:
+            u[: self.zeros] = 0.0
+        self.calls += 1
+        return u
+
+
+class TestRowAxis:
+    """A sequence of samples with a source each: row r of one call is bit for
+    bit the one-sample call on sample r and source r."""
+
+    @pytest.mark.parametrize("relation", list(NeighboringRelation))
+    @pytest.mark.parametrize("bins", [1, 200])
+    @pytest.mark.parametrize("n", [1, 5, 10_000])
+    def test_rows_equal_their_own_calls(self, n, bins, relation):
+        budget = PrivacyBudget(0.5, relation)
+        orders = (0.0, 0.1, 0.25, 0.5, 0.5, 0.9, 1.0)
+        samples = [SortedSample(np.sort(RandomSource(n, (r,)).random(n))) for r in range(3)]
+        samples.append(SortedSample(np.array([0.0] * (n - n // 2) + [1.0] * (n // 2))))
+
+        def sources():
+            return [RandomSource(7, (r,)) for r in range(3)] + [ZeroFirstUniforms(8, 2)]
+
+        rows = quantile_from_histogram(samples, bins, budget, orders, sources())
+        assert rows.shape == (4, len(orders))
+        for sample, source, row in zip(samples, sources(), rows):
+            alone = quantile_from_histogram(sample, bins, budget, orders, source)
+            assert row.tobytes() == alone.tobytes()
+        scripted = sources()[-1]
+        quantile_from_histogram(samples[-1:], bins, budget, orders, [scripted])
+        assert scripted.calls == 2  # the zero uniforms were drawn again
+
+    def test_zero_noise_rows(self):
+        samples = [SortedSample(np.array([0.1, 0.2, 0.6, 0.9])), SortedSample(np.array([0.7]))]
+        rows = quantile_from_histogram(
+            samples, 2, REPLACE_1, (0.5,), [RandomSource(0)] * 2, zero_noise=True
+        )
+        assert rows.tolist() == [[0.5], [0.75]]
+
+    @pytest.mark.parametrize("sources", [[], [RandomSource(0)], [RandomSource(0)] * 3])
+    def test_needs_a_source_per_sample(self, sources):
+        samples = [SortedSample(np.array([0.5]))] * (0 if not sources else 2)
+        with pytest.raises(InvalidArgumentError, match="a source each"):
+            quantile_from_histogram(samples, 2, REPLACE_1, (0.5,), sources)
+
+    def test_generalized_quantiles_rows_match_their_own_calls(self):
+        # negative, zero and NaN bins, p in {0, 1}
+        rng = np.random.default_rng(2024)
+        for bins in (1, 2, 7, 200):
+            values = rng.normal(loc=0.8, scale=2.0, size=(6, bins))
+            values[rng.random(values.shape) < 0.1] = 0.0
+            values[5, bins // 2] = np.nan
+            ps = np.sort(np.concatenate([rng.random(20), [0.0, 1.0]]))
+            rows = generalized_quantiles(values, ps)
+            assert rows.shape == (6, ps.size)
+            for row, heights in zip(rows, values):
+                assert row.tobytes() == generalized_quantiles(heights, ps).tobytes()
+
+    def test_generalized_quantiles_rejects_other_shapes(self):
+        for values in (np.ones((2, 0)), np.ones((2, 2, 2)), np.float64(1.0)):
+            with pytest.raises(InvalidArgumentError, match="bin values"):
+                generalized_quantiles(values, [0.5])
+
+
 class TestInversionStability:
     def test_uniform_perturbations_respect_the_bound(self):
         # perturb the flat density by piecewise noise with sup norm alpha;
