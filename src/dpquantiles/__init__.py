@@ -15,8 +15,6 @@ from .bench import (
 from .distributions import DensityEnvelope, DistributionOracle
 from .errors import BoundPreconditionError, DegenerateDensityError, InvalidArgumentError
 from .histogram import (
-    HistogramEstimate,
-    generalized_quantile,
     generalized_quantiles,
     private_histogram,
     quantile_from_histogram,
@@ -56,7 +54,6 @@ __all__ = [
     "DistributionOracle",
     "ExperimentConfig",
     "ExperimentResult",
-    "HistogramEstimate",
     "InvalidArgumentError",
     "NeighboringRelation",
     "PrivacyBudget",
@@ -66,7 +63,6 @@ __all__ = [
     "SortedSample",
     "WeightedIntervalDensity",
     "empirical_error",
-    "generalized_quantile",
     "generalized_quantiles",
     "indexp",
     "interval_mass",

@@ -32,7 +32,7 @@ from .bounds import (
 )
 from .distributions import DistributionOracle
 from .errors import InvalidArgumentError
-from .histogram import check_bin_count, noise_scale, quantile_from_histogram
+from .histogram import check_bin_count, check_noise_scale, quantile_from_histogram
 from .mechanisms import (
     NeighboringRelation,
     PrivacyBudget,
@@ -111,11 +111,11 @@ class ExperimentConfig:
             if repeated:
                 raise InvalidArgumentError(f"key {key!r}: {repeated[0]} is given twice")
         budget = PrivacyBudget(self.epsilon, self.relation)  # validates epsilon > 0
-        if "histogram" in self.estimators and math.isinf(noise_scale(budget)):
-            raise InvalidArgumentError(
-                f"epsilon {self.epsilon!r} is too small: the histogram's Laplace "
-                f"scale sensitivity / epsilon overflows"
-            )
+        try:
+            if "histogram" in self.estimators:
+                check_noise_scale(budget)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"epsilon {exc}") from None
         if self.explicit_orders is not None:
             QuantileQuery(self.explicit_orders, budget)  # validates the orders
         if self.n < 1:

@@ -21,6 +21,7 @@ from . import bounds
 from .bench import (
     CellResult,
     CheckReport,
+    ESTIMATOR_IDS,
     ExperimentConfig,
     ExperimentResult,
     centered_grid,
@@ -33,7 +34,7 @@ from .bench import (
 )
 from .distributions import DensityEnvelope, DistributionOracle
 from .errors import BoundPreconditionError, InvalidArgumentError
-from .histogram import check_bin_count, noise_scale, quantile_from_histogram
+from .histogram import check_bin_count, check_noise_scale, quantile_from_histogram
 from .mechanisms import NeighboringRelation, PrivacyBudget, RandomSource, check_seed
 from .quantiles import BudgetLedger, QuantileQuery, SortedSample, indexp, recexp
 
@@ -331,11 +332,11 @@ def cmd_estimate(args) -> int:
                 check_bin_count(args.bins)
             except InvalidArgumentError as exc:
                 raise InvalidArgumentError(f"--bins: {exc}") from None
-        if args.method == "histogram" and not args.zero_noise and math.isinf(noise_scale(budget)):
-            raise InvalidArgumentError(
-                f"--epsilon {args.epsilon!r} is too small: the histogram's Laplace "
-                f"scale sensitivity / epsilon overflows"
-            )
+            try:
+                if not args.zero_noise:
+                    check_noise_scale(budget)
+            except InvalidArgumentError as exc:
+                raise InvalidArgumentError(f"--epsilon {exc}") from None
         query = QuantileQuery(orders, budget)
         rng = RandomSource(args.seed)
         ledger = BudgetLedger()
@@ -597,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate quantiles of a data file")
     est.add_argument("--data", required=True, help="newline-delimited reals in [0, 1]")
-    est.add_argument("--method", required=True, choices=("indexp", "recexp", "histogram"))
+    est.add_argument("--method", required=True, choices=ESTIMATOR_IDS)
     est.add_argument("--orders", help="comma-separated quantile orders in (0, 1)")
     est.add_argument(
         "--m", type=int,

@@ -6,57 +6,22 @@ the resulting piecewise-constant estimate may be negative or integrate away
 from 1, so quantiles are read off through an exact first-crossing infimum
 that is well defined for any integrable piecewise-constant function.
 
-:func:`quantile_from_histogram` also takes a sequence of samples with a
-source each: each row is one sample's histogram, with its own noise stream,
-and the quantiles of all rows are read off in one pass.
+:func:`private_histogram` takes one sample and its source, or samples of one
+size with a source each, as the exponential-mechanism estimators do: it
+checks the bin count and n and builds the bin edges once per call, and each
+row is one sample's histogram, noised from its own source.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .mechanisms import (
-    NeighboringRelation,
-    PrivacyBudget,
-    RandomSource,
-    laplace_draw,
-)
-from .quantiles import SortedSample
-
-
-@dataclass(frozen=True)
-class HistogramEstimate:
-    """Per-bin density estimates on the uniform partition of [0, 1].
-
-    Bin ``b`` spans ``[b*h, (b+1)*h)`` with the last bin closed at 1, so the
-    partition covers [0, 1] exactly. Values may be negative once noise is in.
-    """
-
-    values: np.ndarray
-    epsilon: float
-    relation: NeighboringRelation
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size < 1:
-            raise InvalidArgumentError("need at least one bin")
-
-    @property
-    def bin_count(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.bin_count
-
-    def integral(self) -> float:
-        return math.fsum(self.values) * self.h
+from .mechanisms import NeighboringRelation, PrivacyBudget, RandomSource, laplace_draw
+from .quantiles import SortedSample, _rows
 
 
 # A release keeps a few arrays of one float per bin alive at once (edges,
@@ -74,17 +39,13 @@ def check_bin_count(bin_count: int) -> None:
         )
 
 
-def bin_counts(sample: SortedSample, bin_count: int) -> np.ndarray:
-    """Raw per-bin counts; the last bin is closed at 1.
-
-    The sample is sorted and lies in [0, 1], so the values below each inner
-    edge are one ``searchsorted`` away, and bin ``b`` counts those below
-    edge ``b + 1`` but not below edge ``b``.
-    """
-    check_bin_count(bin_count)
+def bin_counts(rows: Sequence[np.ndarray], bin_count: int) -> np.ndarray:
+    """Raw per-bin counts of sorted rows of one size in [0, 1], a (rows, bins)
+    array, the last bin closed at 1: bin ``b`` counts the values below inner
+    edge ``b + 1`` but not below edge ``b``, one ``searchsorted`` per row."""
     inner = np.linspace(0.0, 1.0, bin_count + 1)[1:-1]
-    below = sample.values.searchsorted(inner, "left")
-    return np.diff(below, prepend=0, append=sample.n)
+    below = np.stack([values.searchsorted(inner, "left") for values in rows])
+    return np.diff(below, axis=1, prepend=0, append=rows[0].size)
 
 
 def noise_scale(budget: PrivacyBudget) -> float:
@@ -96,14 +57,27 @@ def noise_scale(budget: PrivacyBudget) -> float:
     return sensitivity / budget.epsilon
 
 
+def check_noise_scale(budget: PrivacyBudget) -> None:
+    """The one rule for a noised histogram's budget: its :func:`noise_scale` is
+    a double. The message starts with epsilon, after the caller's key or flag."""
+    if math.isinf(noise_scale(budget)):
+        raise InvalidArgumentError(
+            f"{budget.epsilon!r} is too small: the histogram's Laplace "
+            f"scale sensitivity / epsilon overflows"
+        )
+
+
 def private_histogram(
-    sample: SortedSample,
+    sample: SortedSample | Sequence[SortedSample],
     bin_count: int,
     budget: PrivacyBudget,
-    rng: RandomSource,
+    rng: RandomSource | Sequence[RandomSource],
     zero_noise: bool = False,
-) -> HistogramEstimate:
-    """Laplace-noised histogram density estimate.
+) -> np.ndarray:
+    """Laplace-noised histogram density: the heights of the bins
+    ``[b*h, (b+1)*h)`` of [0, 1], the last closed at 1, negative ones allowed.
+    Samples of one size with a source each give a (rows, bins) array whose
+    row ``r`` is bit for bit the call on sample ``r`` and source ``r`` alone.
 
     The per-bin noise scale on the raw counts is :func:`noise_scale`.
     Dividing by ``n`` costs no budget under replacement, where ``n`` is a
@@ -113,40 +87,33 @@ def private_histogram(
     ``zero_noise=True`` is a NON-PRIVATE test mode that skips the noise
     entirely; production paths must leave it off.
     """
-    if sample.n == 0:
+    rows, rngs = _rows(sample, rng)
+    n = rows[0].size
+    if n == 0:
         raise InvalidArgumentError(
             "empty sample: the histogram normalizes by n, which must be positive"
         )
-    counts = bin_counts(sample, bin_count)
-    if zero_noise:
-        noisy = counts.astype(float)
-    else:
-        noisy = counts + laplace_draw(noise_scale(budget), rng, bin_count)
-    values = noisy * (bin_count / sample.n)  # divide by n * h
-    return HistogramEstimate(values, budget.epsilon, budget.relation)
-
-
-def generalized_quantile(values: np.ndarray, p: float) -> float:
-    """First-crossing infimum ``inf{q : integral_0^q of the estimate >= p}``.
-
-    ``values`` are per-bin heights of a piecewise-constant function on the
-    uniform partition of [0, 1] (negative heights allowed). The first
-    crossing is the exact infimum even when later negative bins dip back
-    below ``p``; if the running integral never reaches ``p`` the convention
-    ``inf emptyset = 1`` applies.
-    """
-    out = generalized_quantiles(values, [p])
-    return float(out[0])
+    check_bin_count(bin_count)
+    noisy = bin_counts(rows, bin_count).astype(float)
+    if not zero_noise:
+        scale = noise_scale(budget)
+        for counts, source in zip(noisy, rngs):
+            counts += laplace_draw(scale, source, bin_count)
+    noisy *= bin_count / n  # divide by n * h
+    return noisy[0] if isinstance(sample, SortedSample) else noisy
 
 
 def generalized_quantiles(values: np.ndarray, ps) -> np.ndarray:
-    """Vector version of :func:`generalized_quantile` for nondecreasing ``ps``.
+    """First-crossing infima ``inf{q : integral_0^q of the estimate >= p}``
+    for nondecreasing orders ``ps``, with ``inf emptyset = 1``.
 
-    The running integral at the start of bin k (zero at k = 0) need not be
-    monotone, but its running maximum is, and the first k at which that
-    maximum reaches p is the first crossing of p: for k > 0 the crossing lies
-    inside bin k - 1, whose height is then positive. Cost
-    O(len(values) + len(ps) log len(values)).
+    ``values`` are per-bin heights of a piecewise-constant function on the
+    uniform partition of [0, 1], negative heights allowed, so the running
+    integral at the start of bin k (zero at k = 0) need not be monotone and
+    may dip back below ``p`` after crossing it. Its running maximum is
+    monotone, and the first k at which that maximum reaches p is the first
+    crossing of p: for k > 0 the crossing lies inside bin k - 1, whose height
+    is then positive. Cost O(len(values) + len(ps) log len(values)).
 
     ``values`` may also be a (rows, bins) array, one function per row: the
     running integrals and maxima of all rows are one ``cumsum`` and one
@@ -189,23 +156,8 @@ def quantile_from_histogram(
     rng: RandomSource | Sequence[RandomSource],
     zero_noise: bool = False,
 ) -> np.ndarray:
-    """Quantiles of all ``orders`` read off one private histogram.
-
-    A single histogram is built no matter how many orders are requested, so
-    the spent budget does not depend on m.
-
-    A sequence of samples with a source each gives one histogram per sample,
-    each noised from its own source, and a (samples, len(orders)) array whose
-    row ``r`` is bit for bit the call on sample ``r`` and source ``r`` alone;
-    the rows are inverted by one :func:`generalized_quantiles` call.
-    """
-    one = isinstance(sample, SortedSample)
-    samples, rngs = ([sample], [rng]) if one else (list(sample), list(rng))
-    if not samples or len(rngs) != len(samples):
-        raise InvalidArgumentError("need at least one sample and a source each")
-    heights = np.stack([
-        private_histogram(s, bin_count, budget, r, zero_noise=zero_noise).values
-        for s, r in zip(samples, rngs)
-    ])
-    estimates = generalized_quantiles(heights, orders)
-    return estimates[0] if one else estimates
+    """Quantiles of all ``orders`` read off one :func:`private_histogram` per
+    sample, a row per sample as there. A single histogram is built however
+    many orders are requested, so the spent budget does not depend on m."""
+    heights = private_histogram(sample, bin_count, budget, rng, zero_noise=zero_noise)
+    return generalized_quantiles(heights, orders)

@@ -82,8 +82,8 @@ class RandomSource:
         return self._generator.standard_gamma(shape, size)
 
 
-def laplace_draw(scale: float, rng: RandomSource, size: int | None = None):
-    """Centered Laplace draw(s) with the given scale (variance 2 * scale**2).
+def laplace_draw(scale: float, rng: RandomSource, size: int) -> np.ndarray:
+    """``size`` centered Laplace draws with the given scale (variance 2 * scale**2).
 
     Uses the inverse-CDF transform of a single uniform per draw; a draw at
     ``scale`` equals ``scale`` times the unit draw from the same stream
@@ -92,11 +92,6 @@ def laplace_draw(scale: float, rng: RandomSource, size: int | None = None):
     """
     if not (math.isfinite(scale) and scale > 0):
         raise InvalidArgumentError(f"scale must be positive, got {scale}")
-    if size is None:
-        u = rng.random() - 0.5
-        while u == -0.5:
-            u = rng.random() - 0.5
-        return -scale * math.copysign(math.log1p(-2.0 * abs(u)), u)
     u = rng.random(size) - 0.5
     while True:
         bad = u == -0.5

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,10 +8,8 @@ from dpquantiles import histogram as histogram_module
 from dpquantiles.errors import InvalidArgumentError
 from dpquantiles.histogram import (
     MAX_BIN_COUNT,
-    HistogramEstimate,
     bin_counts,
     check_bin_count,
-    generalized_quantile,
     generalized_quantiles,
     private_histogram,
     quantile_from_histogram,
@@ -31,31 +30,31 @@ class TestPrivateHistogram:
     def test_zero_noise_counts(self):
         sample = SortedSample(np.array([0.1, 0.2, 0.6, 0.9]))
         est = private_histogram(sample, 2, REPLACE_1, RandomSource(0), zero_noise=True)
-        assert np.array_equal(est.values, [1.0, 1.0])
+        assert np.array_equal(est, [1.0, 1.0])
 
     def test_last_bin_is_closed(self):
         est = private_histogram(
             SortedSample(np.array([1.0])), 4, REPLACE_1, RandomSource(0), zero_noise=True
         )
-        assert np.array_equal(est.values, [0.0, 0.0, 0.0, 4.0])
+        assert np.array_equal(est, [0.0, 0.0, 0.0, 4.0])
 
     def test_zero_noise_integral_is_one(self):
         sample = SortedSample(np.sort(RandomSource(5).random(997)))
         est = private_histogram(sample, 33, REPLACE_1, RandomSource(0), zero_noise=True)
-        assert est.integral() == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(est) / 33 == pytest.approx(1.0, abs=1e-12)
 
     def test_replace_noise_scale_is_two_over_epsilon(self):
         # the injected noise replays as count + (2/eps) * unit Laplace draws
         sample = SortedSample(np.array([0.1, 0.2, 0.6, 0.9]))
         est = private_histogram(sample, 2, REPLACE_1, RandomSource(55))
-        raw = est.values * sample.n * est.h
+        raw = est * sample.n * 0.5
         expected = np.array([2.0, 2.0]) + laplace_draw(2.0, RandomSource(55), size=2)
         assert np.allclose(raw, expected, atol=1e-12)
 
     def test_add_remove_noise_scale_is_one_over_epsilon(self):
         sample = SortedSample(np.array([0.1, 0.2, 0.6, 0.9]))
         est = private_histogram(sample, 2, ADD_REMOVE_1, RandomSource(55))
-        raw = est.values * sample.n * est.h
+        raw = est * sample.n * 0.5
         expected = np.array([2.0, 2.0]) + laplace_draw(1.0, RandomSource(55), size=2)
         assert np.allclose(raw, expected, atol=1e-12)
 
@@ -69,7 +68,7 @@ class TestPrivateHistogram:
         bins = 4
 
         def counts(values):
-            return bin_counts(SortedSample(np.array(values)), bins)
+            return bin_counts([np.array(values, dtype=float)], bins)[0]
 
         samples_by_size = {
             size: list(itertools.combinations_with_replacement(grid, size))
@@ -129,7 +128,21 @@ class TestBinCountRule:
 
         monkeypatch.setattr(histogram_module.np, "linspace", no_edges)
         with pytest.raises(InvalidArgumentError, match=f"bin count must be between 1 and {MAX_BIN_COUNT}"):
-            bin_counts(SortedSample(np.array([0.5])), bins)
+            private_histogram(SortedSample(np.array([0.5])), bins, REPLACE_1, RandomSource(0))
+
+    def test_edges_built_once_per_call(self, monkeypatch):
+        calls = {"count": 0}
+        original = np.linspace
+
+        def counting(*args, **kwargs):
+            calls["count"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(histogram_module.np, "linspace", counting)
+        samples = [SortedSample(np.sort(RandomSource(3, (r,)).random(50))) for r in range(4)]
+        sources = [RandomSource(4, (r,)) for r in range(4)]
+        quantile_from_histogram(samples, 20, REPLACE_1, (0.25, 0.5), sources)
+        assert calls["count"] == 1
 
 
 class TestBinCounts:
@@ -143,7 +156,7 @@ class TestBinCounts:
         uniform = np.random.default_rng(bins).random(1000)
         values = np.sort(np.concatenate([[0.0, 0.0, 1.0, 1.0], near, near, uniform]))
         for sample in (values, values[::97], np.empty(0)):
-            counts = bin_counts(SortedSample(np.sort(sample)), bins)
+            counts = bin_counts([np.sort(sample)], bins)[0]
             expected, _ = np.histogram(sample, bins=edges)
             assert counts.dtype == expected.dtype
             assert np.array_equal(counts, expected)
@@ -176,35 +189,33 @@ class TestGeneralizedQuantile:
     def test_uniform_density_is_identity(self):
         ones = np.ones(8)
         for p in (0.0, 0.1, 0.33, 0.5, 0.731, 1.0):
-            assert generalized_quantile(ones, p) == pytest.approx(p, abs=1e-12)
+            assert generalized_quantiles(ones, [p])[0] == pytest.approx(p, abs=1e-12)
 
     def test_negative_bin_cases(self):
         values = np.array([3.0, -1.0])
-        assert generalized_quantile(values, 1.0) == pytest.approx(1 / 3, abs=1e-15)
-        assert generalized_quantile(values, 0.3) == pytest.approx(0.1, abs=1e-15)
-        assert generalized_quantile(values, 0.0) == 0.0
+        assert generalized_quantiles(values, [1.0])[0] == pytest.approx(1 / 3, abs=1e-15)
+        assert generalized_quantiles(values, [0.3])[0] == pytest.approx(0.1, abs=1e-15)
+        assert generalized_quantiles(values, [0.0])[0] == 0.0
 
     def test_out_of_range_order_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            generalized_quantile(np.array([3.0, -1.0]), 1.45)
+            generalized_quantiles(np.array([3.0, -1.0]), [1.45])
         with pytest.raises(InvalidArgumentError):
-            generalized_quantile(np.ones(4), -0.2)
+            generalized_quantiles(np.ones(4), [-0.2])
 
     @pytest.mark.parametrize("ps", [[np.nan], [np.nan, 0.2], [0.2, np.nan]])
     def test_nan_order_rejected(self, ps):
         with pytest.raises(InvalidArgumentError, match="quantile orders"):
             generalized_quantiles(np.ones(4), ps)
-        with pytest.raises(InvalidArgumentError, match="quantile orders"):
-            generalized_quantile(np.ones(4), ps[0] if np.isnan(ps[0]) else ps[-1])
 
     def test_no_crossing_returns_one(self):
-        assert generalized_quantile(np.array([0.5, 0.2]), 0.9) == 1.0
+        assert generalized_quantiles(np.array([0.5, 0.2]), [0.9])[0] == 1.0
 
     def test_dip_after_crossing_is_irrelevant(self):
         # integral reaches 0.5 inside the first bin, dips negative, recovers;
         # the infimum is the first crossing
         values = np.array([2.0, -3.0, 2.5, 0.1])
-        assert generalized_quantile(values, 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert generalized_quantiles(values, [0.5])[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_monotone_in_p_randomized(self):
         rng = np.random.default_rng(12345)
@@ -214,7 +225,7 @@ class TestGeneralizedQuantile:
             ps = np.sort(rng.random(10))
             out = generalized_quantiles(values, ps)
             assert np.all(np.diff(out) >= 0.0)
-            single = [generalized_quantile(values, float(p)) for p in ps]
+            single = [generalized_quantiles(values, [p])[0] for p in ps]
             assert np.array_equal(out, np.array(single))
 
     def test_resumable_scan_validates_order(self):
@@ -317,7 +328,7 @@ class TestRowAxis:
         assert scripted.calls == 2  # the zero uniforms were drawn again
 
     def test_zero_noise_rows(self):
-        samples = [SortedSample(np.array([0.1, 0.2, 0.6, 0.9])), SortedSample(np.array([0.7]))]
+        samples = [SortedSample(np.array([0.1, 0.2, 0.6, 0.9])), SortedSample(np.full(4, 0.7))]
         rows = quantile_from_histogram(
             samples, 2, REPLACE_1, (0.5,), [RandomSource(0)] * 2, zero_noise=True
         )
@@ -328,6 +339,11 @@ class TestRowAxis:
         samples = [SortedSample(np.array([0.5]))] * (0 if not sources else 2)
         with pytest.raises(InvalidArgumentError, match="a source each"):
             quantile_from_histogram(samples, 2, REPLACE_1, (0.5,), sources)
+
+    def test_needs_samples_of_one_size(self):
+        samples = [SortedSample(np.array([0.1, 0.9])), SortedSample(np.array([0.7]))]
+        with pytest.raises(InvalidArgumentError, match="one size"):
+            quantile_from_histogram(samples, 2, REPLACE_1, (0.5,), [RandomSource(0)] * 2)
 
     def test_generalized_quantiles_rows_match_their_own_calls(self):
         # negative, zero and NaN bins, p in {0, 1}
@@ -360,7 +376,7 @@ class TestInversionStability:
                 noise *= alpha / np.max(np.abs(noise))
                 perturbed = 1.0 + noise
                 p = rng.uniform(2 * alpha + 1e-3, 1.0 - alpha - 1e-3)
-                out = generalized_quantile(perturbed, p)
+                out = generalized_quantiles(perturbed, [p])[0]
                 assert abs(out - p) <= 2 * alpha + 1e-12
 
 
@@ -390,18 +406,7 @@ class TestDensityErrorTail:
             sample = oracle.sample(n, rng)
             est = private_histogram(sample, bins, REPLACE_1, rng)
             sup = np.max(
-                np.maximum(np.abs(est.values - lo_heights), np.abs(est.values - hi_heights))
+                np.maximum(np.abs(est - lo_heights), np.abs(est - hi_heights))
             )
             hits += sup > gamma
         assert hits / trials <= bound + 0.05
-
-
-class TestHistogramEstimate:
-    def test_fields(self):
-        est = HistogramEstimate(np.array([0.5, 1.5]), 1.0, NeighboringRelation.REPLACE)
-        assert est.bin_count == 2
-        assert est.h == 0.5
-
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidArgumentError):
-            HistogramEstimate(np.empty(0), 1.0, NeighboringRelation.REPLACE)

@@ -45,13 +45,13 @@ class TestRandomSource:
 
 class TestLaplace:
     def test_determinism(self):
-        assert laplace_draw(1.0, RandomSource(11)) == laplace_draw(1.0, RandomSource(11))
+        draws = [laplace_draw(1.0, RandomSource(11), 3) for _ in range(2)]
+        assert np.array_equal(*draws)
 
     def test_scale_is_a_multiplier_of_the_unit_draw(self):
         unit = laplace_draw(1.0, RandomSource(5), size=1000)
         scaled = laplace_draw(2.0, RandomSource(5), size=1000)
         assert np.array_equal(scaled, 2.0 * unit)
-        assert laplace_draw(2.0, RandomSource(5)) == 2.0 * laplace_draw(1.0, RandomSource(5))
 
     def test_tail_probabilities_match_the_density(self):
         # oracle: integrate the density 0.5 exp(-|x|) outside [-t, t]
@@ -70,7 +70,7 @@ class TestLaplace:
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_scale(self, scale):
         with pytest.raises(InvalidArgumentError):
-            laplace_draw(scale, RandomSource(0))
+            laplace_draw(scale, RandomSource(0), 1)
 
 
 def flat_density():
