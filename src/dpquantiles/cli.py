@@ -92,14 +92,20 @@ def load_data_file(path: str) -> SortedSample:
     reported with their line number.
     """
     with _open_text(path) as handle:
-        # fast path: every line is a number in range (float() ignores the
-        # whitespace the loop strips); anything else, comments and blank
-        # lines included, takes the line loop, which names the first bad line
+        # fast path, parsed in C: one number in range per line that is not
+        # blank; anything else (comments, a line loadtxt splits in two, bytes
+        # that do not decode) takes the line loop, which names the bad line
+        import warnings
+
         try:
-            values = np.fromiter(map(float, handle), dtype=float)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty file
+                values = np.loadtxt(path, dtype=float, comments=None, ndmin=2, encoding="utf-8")
         except ValueError:
-            values = None
-        if values is None or not np.all((values >= 0.0) & (values <= 1.0)):
+            values = np.empty((0, 0))
+        if values.shape[1:] == (1,) and np.all((values >= 0.0) & (values <= 1.0)):
+            values = values[:, 0]
+        else:
             handle.seek(0)
             values = []
             for lineno, raw in enumerate(handle, start=1):

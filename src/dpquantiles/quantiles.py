@@ -11,13 +11,13 @@ sample on sub-domains, all read off one log-space prefix table over the gaps
 of the whole sample (:class:`_GapTable`) by subtracting the table entries
 outside each slice. :func:`qexp_draws` (qexp, indexp) makes one call with
 every slice on the full domain; :func:`recexp` makes one call per level of
-its recursion tree. A draw searches only the side of its rank that its pick
-uniform chose, so the table is computed only where the draws read it, in
-whole blocks: its left half up to the largest target rank and its right
-half from the smallest, each extended when a recursion slice's rank lies
-beyond it. The table is built from blocked float prefix sums, one ``log``
-per entry and one ``logaddexp`` per block, and every entry lies within a
-stated bound of its exact value. The per-density sampler
+its recursion tree. The table holds blocked float prefix sums, summed in
+whole blocks only as far as the draws read (its left half up to the largest
+target rank, its right half from the smallest, extended when a recursion
+slice's rank lies beyond), one ``logaddexp`` per block and one stored
+``log`` entry per run of 16; a draw evaluates the few entries it reads, and
+searches only the side of its rank that its pick uniform chose. Every entry
+lies within a stated bound of its exact value. The per-density sampler
 (:func:`qexp_density` with :func:`sample_piecewise`) draws the same law on
 the same uniforms, and picks the same interval except within rounding of a
 boundary of the CDF; it stays as the reference the draws are tested
@@ -199,42 +199,57 @@ _BLOCK_LOG_SPAN = 500.0
 # every positive block sum, is at least 2^-1022.
 _TINY = 2.0**-969
 _TINY_SCALE_BITS = 64
+# A table stores the entry ending each of the about _RUNS runs of a block, and
+# a search evaluates the entries of one run
+_RUNS = 16
+
+
+def _log_entries(sums, offsets, lifts) -> np.ndarray:
+    """The entries ``o + log(S + e^{C - o})`` of :class:`_GapTable` before
+    the clamp, -inf where ``S`` is zero; the caller ignores the division by
+    zero that the log of zero raises."""
+    return offsets + np.log(sums + lifts * (sums > 0.0))
 
 
 class _GapTable:
-    """The log-space prefix table every exponential-mechanism draw reads,
-    computed only where the draws read it.
+    """The log-space prefix table every exponential-mechanism draw reads. It
+    holds block sums and one entry in 16, and evaluates any other entry only
+    where a draw reads it.
 
     With breakpoints ``x = [lo, x_1, ..., x_n, hi]`` (``lo = 0`` and ``hi =
     1`` unless given), gaps ``g_k = x[k+1] - x[k]`` and ``c = min(epsilon /
-    2, _SATURATED_C)``, the table holds ``A_k = log sum_{j<k} g_j e^{cj}``
+    2, _SATURATED_C)``, the entries are ``A_k = log sum_{j<k} g_j e^{cj}``
     (non-decreasing) and ``B_k = log sum_{j>=k} g_j e^{-cj}``
-    (non-increasing), plus ``neg_B = -B`` for ascending searches, for k =
-    0..n+1. Only ``A[0..a_hi]`` and ``B[b_lo..n+1]`` are computed. Above
-    ``a_hi`` A holds +inf and below ``b_lo`` neg_B holds -inf, so both stay
-    sorted for searches over whole arrays; a draw's search never passes its
-    rank's computed entry. Zero-length gaps repeat a table entry exactly.
+    (non-increasing), k = 0..n+1. Side 0 sums the gaps from gap 0 up, side 1
+    from gap n down, and entry ``e`` of a side sums its first ``e`` gaps:
+    ``A_k`` is side 0's entry ``k``, ``B_k`` side 1's entry ``n + 1 - k``.
+    ``values`` is a sequence of equal-length rows, each with its own
+    ``_TINY`` lift, so a row holds its one-row bits.
 
-    ``values`` is a sequence of equal-length rows, and ``x``, ``A``, ``B``
-    and ``neg_B`` hold one row each, all computed over the same index range
-    and each with its own ``_TINY`` lift, so a row holds its one-row bits.
+    A side is summed in blocks of ``L = min(_BLOCK, floor(_BLOCK_LOG_SPAN /
+    c))`` gaps (at least 1) on a grid from its first gap, so that every
+    in-block weight lies in [1, e^500], and only as far as the draws read: in
+    whole blocks up to the largest target rank on side 0 and down to the
+    smallest on side 1, extended when a recursion slice's rank lies beyond.
+    A block from gap j0 stores the double ``cumsum`` ``S`` of its gaps times
+    ``e^{c (j - j0)}``, its offset ``o = c j0`` (``c (j0 - n)`` on side 1)
+    and ``e^{C - o}``, with the carry ``C``, the log-mass of the gaps before
+    it, chained over the block totals by one ``np.logaddexp.accumulate``.
+    The entry after its i-th gap is ``o + log(S_i + e^{C - o})``, -inf where
+    ``S_i`` is zero (the block opens with zero-length gaps), clamped below by
+    the entry at the block's lower edge. The entry ending each run of ``G``
+    entries, ``G`` the largest divisor of ``L`` up to ``ceil(L / _RUNS)``,
+    is stored: edge ``j`` is entry ``j G``.
 
-    A is built in blocks of ``L = min(_BLOCK, floor(_BLOCK_LOG_SPAN / c))``
-    gaps (at least 1) on a grid fixed from gap 0, B the same way on the
-    reversed gaps from gap n down, so that every in-block weight is at least
-    1 and at most e^500. A block starting at gap j0 takes the double
-    ``cumsum`` ``S`` of ``g_j e^{c (j - j0)}``, and its entries are ``c j0 +
-    log(S + e^{C - c j0})``, where the carry ``C`` is the log-mass of the
-    gaps before the block, chained over the block totals by one
-    ``np.logaddexp.accumulate``. A positive ``S`` is a normal double (see
-    ``_TINY``), so ``e^{C - c j0}`` rounds or underflows by less than one
-    rounding of ``S``. Entries whose block sum is still zero are -inf, and a
-    running maximum, taken where an entry falls below the one before it,
-    makes them repeat the entry before the block and keeps A and B monotone
-    across block edges. Each entry thus depends only on the entries before
-    it, its own block and the carry into that block; extensions compute
-    whole blocks of the grid from the stored carry, so a table extended in
-    steps holds the bits of one computed in full.
+    Monotone rule: unclamped entries never decrease inside a block (sums of
+    nonnegative terms, a monotone ``log``), and the block edges are the
+    running maximum of the blocks' last entries; so every entry is the
+    running maximum of the unclamped ones up to it, both sides are monotone,
+    and a zero-length gap repeats an entry exactly. An entry depends only on
+    its block, its carry and its lower edge: a table extended in steps holds
+    the bits of one summed in full, however its entries are evaluated.
+    :meth:`count` searches the edges, then the run after the last edge at or
+    below its target.
 
     Error bound: a computed ``A_k`` is within ``ceil(k / L) (M + 1000)
     2^-50`` of its exact value for the gaps of ``x`` and this ``c``, and a
@@ -246,100 +261,107 @@ class _GapTable:
     numbers below ``M + 800`` (the logs of the gaps lie above -745).
     """
 
-    __slots__ = (
-        "x", "c", "A", "B", "neg_B", "a_hi", "b_lo", "_weights", "_log_scale", "_a_carry", "_b_carry"
-    )
+    __slots__ = ("x", "c", "block", "run", "summed", "_weights", "_log_scale", "_sums", "_terms", "_edges", "_carry")
 
     def __init__(self, values, epsilon: float, b_lo: int, a_hi: int, lo: float = 0.0, hi: float = 1.0):
         rows, n = len(values), len(values[0])
-        # one allocation for the four arrays: glibc's malloc gives freed heap
-        # back beyond twice the largest block it has unmapped, and with four
-        # smaller blocks every table would fault its pages in again
-        self.x, self.A, self.B, self.neg_B = np.empty((4, rows, n + 2))
+        self.c = c = min(epsilon / 2.0, _SATURATED_C)
+        self.block = L = _BLOCK if c * _BLOCK <= _BLOCK_LOG_SPAN else max(1, int(_BLOCK_LOG_SPAN / c))
+        self.run = G = max(d for d in range(1, -(-L // _RUNS) + 1) if L % d == 0)
+        blocks = -(-(n + 1) // L)
+        # one allocation for x and the sums (glibc's malloc would give two
+        # freed blocks back, and fault them in again for the next table): a
+        # group per side and row, side 0's rows first, and a spare block of
+        # zeros, whose entries are -inf
+        size = rows * (n + 2)
+        buffer = np.empty(size + 2 * rows * (blocks + 1) * L)
+        self.x = buffer[:size].reshape(rows, n + 2)
+        self._sums = buffer[size:].reshape(2 * rows, blocks + 1, L)
+        self._sums[:, -1] = 0.0
         self.x[:, 0], self.x[:, n + 1] = lo, hi
         for row, v in zip(self.x, values):
             row[1 : n + 1] = v
-        self.c = c = min(epsilon / 2.0, _SATURATED_C)
-        block = _BLOCK if c * _BLOCK <= _BLOCK_LOG_SPAN else max(1, int(_BLOCK_LOG_SPAN / c))
         tiny = [row.searchsorted(_TINY) > row.searchsorted(0.0, "right") for row in self.x]
         scale_bits = np.where(tiny, _TINY_SCALE_BITS, 0)
-        self._weights = np.ldexp(np.exp(c * np.arange(block)), scale_bits[:, None])
+        self._weights = np.ldexp(np.exp(c * np.arange(L)), scale_bits[:, None])
         self._log_scale = scale_bits * math.log(2.0)
-        self.A[:], self.neg_B[:] = np.inf, -np.inf
-        self.A[:, 0], self.B[:, n + 1], self.neg_B[:, n + 1] = -np.inf, -np.inf, np.inf
-        self.a_hi = 0
-        self.b_lo = n + 1
-        self._a_carry = self._b_carry = np.full(rows, -np.inf)
-        self.extend_a(a_hi)
-        self.extend_b(b_lo)
+        # each block's offset o, e^{C - o} and lower edge entry
+        self._terms = np.full((3, 2 * rows, blocks + 1), np.array([0.0, 0.0, -np.inf])[:, None, None])
+        # the edges, +inf where unsummed, as the imaginary parts of keys whose
+        # real parts number the group: one searchsorted finds every target's run
+        self._edges = np.full((2 * rows, 1 + blocks * (L // G)), complex(0, np.inf))
+        self._edges.real, self._edges.imag[:, 0] = np.arange(2 * rows)[:, None], -np.inf
+        self._carry = np.full(2 * rows, -np.inf)
+        self.summed = [0, 0]  # blocks, per side
+        self.extend(0, a_hi)
+        self.extend(1, n + 1 - b_lo)
 
-    def _blocks(self, lower, upper, start: int, carry: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write ``out[:, i + 1] = log(e^carry + sum_{j<=i} g_j e^{c (start
-        + j)})`` per row, with gaps ``g = upper - lower`` in whole blocks that
-        start on the grid and ``out[:, 0]`` the entry before them; returns
-        the carries after them."""
-        weights = self._weights
-        (rows, count), size = lower.shape, weights.shape[1]
-        S = np.zeros((rows, -(-count // size), size))
-        np.subtract(upper, lower, out=S.reshape(rows, -1)[:, :count])
-        S *= weights[:, None]
+    def extend(self, side: int, e: int) -> None:
+        """Sum ``side`` up to its entry ``e``, in whole blocks."""
+        L, G, (rows, n) = self.block, self.run, (self.x.shape[0], self.x.shape[1] - 2)
+        k0, k1 = self.summed[side], min(-(-e // L), self._sums.shape[1] - 1)
+        if k1 <= k0:
+            return
+        group = np.s_[side * rows : (side + 1) * rows]
+        j0, j1 = k0 * L, min(k1 * L, n + 1)
+        S = self._sums[group, k0:k1]
+        # side 1 takes the gaps from gap n down: x reversed, upper edges first
+        x = self.x if side == 0 else self.x[:, ::-1]
+        lower, upper = (x[:, j0:j1], x[:, j0 + 1 : j1 + 1])[:: -1 if side else 1]
+        gaps = self._sums.reshape(2 * rows, -1)[group, j0 : k1 * L]
+        np.subtract(upper, lower, out=gaps[:, : j1 - j0])
+        gaps[:, j1 - j0 :] = 0.0
+        S *= self._weights[:, None]
         np.cumsum(S, axis=2, out=S)
-        offsets = self.c * np.arange(start, start + S.shape[1] * size, size) - self._log_scale[:, None]
+        offsets = self.c * np.arange(j0 - side * n, k1 * L - side * n, L) - self._log_scale[:, None]
         with np.errstate(divide="ignore"):
-            chain = np.concatenate((carry[:, None], offsets + np.log(S[:, :, -1])), axis=1)
+            chain = np.concatenate((self._carry[group, None], offsets + np.log(S[:, :, -1])), axis=1)
             chain = np.logaddexp.accumulate(chain, axis=1)
-            # e^t can underflow, but what it loses, at most 2^-1075, is
+            # e^{C - o} can underflow, but what it loses, at most 2^-1075, is
             # below one rounding of any positive S, which is at least 2^-1022
-            t = chain[:, :-1] - offsets
-            # a block's leading zero-length gaps get -inf, which the running
-            # maximum below turns into the entry before the block
-            empty = S[:, :, 0] == 0.0
-            any_empty = empty.any()
-            if any_empty:
-                empty_at = S[empty] == 0.0
-            S += np.exp(t)[:, :, None]
-            np.log(S, out=S)
-        S += offsets[:, :, None]
-        if any_empty:
-            S[empty] = np.where(empty_at, -np.inf, S[empty])
-        out[:, 1:] = S.reshape(rows, -1)[:, :count]
-        # rounding can also put an entry below the one before it, mostly at a
-        # block edge
-        if (out[:, 1:] < out[:, :-1]).any():
-            np.maximum.accumulate(out, axis=1, out=out)
-        return chain[:, -1]
+            lifts = np.exp(chain[:, :-1] - offsets)
+            ends = _log_entries(S[:, :, G - 1 :: G], offsets[:, :, None], lifts[:, :, None])
+        self._carry[group] = chain[:, -1]
+        edges = self._edges.imag[group, k0 * (L // G) : k1 * (L // G) + 1]
+        lower_edges = np.maximum.accumulate(np.concatenate((edges[:, :1], ends[:, :, -1]), axis=1), axis=1)
+        edges[:, 1:] = np.maximum(ends, lower_edges[:, :-1, None]).reshape(rows, -1)
+        self._terms[:, group, k0:k1] = offsets, lifts, lower_edges[:, :-1]
+        self.summed[side] = k1
 
-    @property
-    def block(self) -> int:
-        """The block length L."""
-        return self._weights.shape[1]
+    def _unclamped(self, block, at):
+        """The unclamped entries of the sums at ``at`` in ``block``, both
+        indices counted over all groups, and the block's lower edges."""
+        offsets, lifts, lower = np.take(self._terms.reshape(3, -1), block, axis=1)
+        return _log_entries(self._sums.reshape(-1)[at], offsets, lifts), lower
 
-    def _grid_end(self, k: int) -> int:
-        """The first block edge from 0 at or above k, capped at n + 1."""
-        return min(-(-k // self.block) * self.block, self.x.shape[1] - 1)
+    def entries(self, side, row, e) -> np.ndarray:
+        """Entries ``e`` of ``side`` in rows ``row``, integer arrays that
+        broadcast; one past the summed blocks reads as the last summed one."""
+        L, (groups, blocks, _) = self.block, self._sums.shape
+        gap = np.minimum(e, np.where(side, self.summed[1] * L, self.summed[0] * L)) - 1
+        # entry 0 has no gap: it reads the spare block before its group's
+        at = (side * self.x.shape[0] + row) * (blocks * L) + gap
+        with np.errstate(divide="ignore"):
+            raw, lower = self._unclamped(at // L, at)
+        return np.maximum(raw, lower)
 
-    def extend_a(self, k: int) -> None:
-        """Compute A up to index k, in whole blocks."""
-        lo = self.a_hi
-        if k > lo:
-            hi = self._grid_end(k)
-            x = self.x
-            lower, upper, out = x[:, lo:hi], x[:, lo + 1 : hi + 1], self.A[:, lo : hi + 1]
-            self._a_carry = self._blocks(lower, upper, lo, self._a_carry, out)
-            self.a_hi = hi
-
-    def extend_b(self, k: int) -> None:
-        """Compute B and neg_B down to index k, in whole blocks from n + 1."""
-        top = self.x.shape[1] - 1
-        hi = self.b_lo
-        if k < hi:
-            lo = top - self._grid_end(top - k)
-            # reversed, gap hi - 1 comes first and weighs e^{-c (hi - 1)}
-            x, out = self.x, self.B[:, lo : hi + 1][:, ::-1]
-            lower, upper = x[:, lo:hi][:, ::-1], x[:, lo + 1 : hi + 1][:, ::-1]
-            self._b_carry = self._blocks(lower, upper, 1 - hi, self._b_carry, out)
-            np.negative(self.B[:, lo:hi], out=self.neg_B[:, lo:hi])
-            self.b_lo = lo
+    def count(self, side, row, limit) -> np.ndarray:
+        """How many entries of ``side`` in rows ``row`` lie at or below
+        ``limit``: ``searchsorted(limit, "right")`` over them, for a limit
+        below the entry that ends the summed blocks (the search reads the run
+        after the last edge at or below it). ``row`` broadcasts to the 2-D
+        shape of the other arguments."""
+        L, G, (groups, blocks, _), n = self.block, self.run, self._sums.shape, self.x.shape[1] - 2
+        group, edges = side * self.x.shape[0] + row, self._edges.shape[1]
+        query = np.empty(np.shape(limit), dtype=complex)
+        query.real, query.imag = group, limit
+        # in the run after the last edge at or below the limit, an entry is at
+        # or below the limit where its unclamped value is
+        after = (self._edges.reshape(-1).searchsorted(query, "right") - group * edges - 1) * G
+        at = group * (blocks * L) + after
+        with np.errstate(divide="ignore"):
+            inside = (self._unclamped(at // L, at + np.arange(G - 1)[:, None, None])[0] <= limit).sum(axis=0)
+        return np.minimum(after + 1 + inside, n + 2)
 
 
 def _draws(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> np.ndarray:
@@ -358,56 +380,58 @@ def _draws(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> np.ndarray:
     the full domain both D's are zero and the masses are the table's own.
 
     ``u_pick`` chooses the side, the left one also where only it has mass,
-    and one ``searchsorted`` in that side's table, a B target capped at
-    ``B_R``, a gap on that side of ``R`` that moves the entry (``A_{k+1} >
-    A_k`` or ``B_k > B_{k+1}``), so a zero-length gap is never chosen. For
-    a slice with a point inside, the table is extended to ``A[0..R]`` and
-    ``B[R..n+1]``, the only entries read, rounded out to whole blocks of the
-    table's grid. No search returns a gap below ``a``, and capping ``k`` at
-    ``b`` keeps rounding inside the slice; so a slice without a point inside
-    (``a = b``), or of zero length, is drawn on its one interval whatever
-    the table holds. ``u_pos`` places the draw in its gap, cut to ``[lo,
-    hi]``.
+    and one search of that side's entries, a B target capped at ``B_R``, a
+    gap on that side of ``R`` that moves the entry (``A_{k+1} > A_k`` or
+    ``B_k > B_{k+1}``), so a zero-length gap is never chosen. For a slice
+    with a point inside, the table is summed up to ``A_R`` and from ``B_R``,
+    in whole blocks of its grid, and the draw reads only ``A_a``, ``A_R``,
+    ``B_{b+1}``, ``B_{max(R, a+1)}``, ``B_R`` and its search's entries.
+    Clipping ``k`` to ``[a, b]`` keeps rounding inside the slice; so a slice
+    without a point inside (``a = b``), or of zero length, is drawn on its
+    one interval whatever the table holds. ``u_pos`` places the draw in its
+    gap, cut to ``[lo, hi]``.
 
     On gaps far smaller than the table mass outside a slice of positive
     length, both side masses can round to zero; such a slice is drawn again,
     by this function, on a :class:`_GapTable` of its own gaps with edges
-    ``lo`` and ``hi``, where both D's are zero. The searches, and such
-    redraws, go row by row; the rest is elementwise over all slices.
+    ``lo`` and ``hi``, where both D's are zero. Such redraws go row by row;
+    the rest is elementwise over all slices.
     """
-    x, c, A, B = table.x, table.c, table.A, table.B
+    x, c = table.x, table.c
+    n = x.shape[1] - 2
     rows = np.arange(x.shape[0])[:, None]
-    table.extend_a(int(R.max(where=a < b, initial=0)))
-    table.extend_b(int(R.min(where=a < b, initial=x.shape[1] - 1)))
+    table.extend(0, int(R.max(where=a < b, initial=0)))
+    table.extend(1, n + 1 - int(R.min(where=a < b, initial=n + 1)))
     cR = c * R
-    A_R = A[rows, R]
+    a1 = a + 1
+    # A_R, A_a, B_{b+1}, B_{max(R, a+1)} (the right side's uncut gaps) and B_R
+    reads = np.empty((5,) + R.shape, dtype=np.int64)
+    reads[0], reads[1], reads[2], reads[3], reads[4] = R, a, n - b, n + 1 - np.maximum(R, a1), n + 1 - R
+    A_R, A_a, B_after, B_right, B_R = table.entries(np.array([0, 0, 1, 1, 1])[:, None, None], rows, reads)
     with np.errstate(all="ignore"):
-        log_da = np.logaddexp(A[rows, a], np.log(lo - x[rows, a]) + c * a)
-        log_db = np.logaddexp(B[rows, b + 1], np.log(x[rows, b + 1] - hi) - c * b)
+        log_da = np.logaddexp(A_a, np.log(lo - x[rows, a]) + c * a)
+        log_db = np.logaddexp(B_after, np.log(x[rows, b + 1] - hi) - c * b)
         # log(e^x - e^y) is -inf where e^x <= e^y: fmax drops the NaN that
         # the log of a negative difference gives
         log_left = np.fmax(A_R + np.log(-np.expm1(log_da - A_R)), -np.inf) - cR
-        a1 = a + 1
-        B_right = B[rows, np.maximum(R, a1)]  # the right side's uncut gaps
         log_right = np.fmax(B_right + np.log(-np.expm1(log_db - B_right)), -np.inf) + cR
         # the cut gap a lies on the right side when R = a
         log_right = np.logaddexp(log_right, np.log((x[rows, a1] - lo) * (R == a)))
         log_z = np.logaddexp(log_left, log_right)
         left_target = np.logaddexp(np.log(u_pick) + log_z + cR, log_da)
-        right_target = np.minimum(np.logaddexp(np.log1p(-u_pick) + log_z - cR, log_db), B[rows, R])
-    left = left_target < A_R
-    k = np.empty(R.shape, dtype=np.int64)
-    for i, (A_i, neg_B_i) in enumerate(zip(A, table.neg_B)):  # searchsorted is 1-D
-        left_k = A_i.searchsorted(left_target[i], "right")
-        k[i] = np.where(left[i], left_k, neg_B_i.searchsorted(-right_target[i], "right")) - 1
-    # a u_pick within rounding of 1 can choose the right side where it has
-    # no mass: take the last gap below R that has some
-    massless = log_right == -np.inf
-    if massless.any():
-        massless &= ~left & (log_left > -np.inf)
-        for i, j in zip(*np.nonzero(massless)):
-            k[i, j] = A[i].searchsorted(A_R[i, j], "left") - 1
-    k = np.minimum(k, b)
+        right_target = np.minimum(np.logaddexp(np.log1p(-u_pick) + log_z - cR, log_db), B_R)
+        left = left_target < A_R
+        # the right side's search counts the entries below its target, those
+        # at or below the double before it (a target of -inf is a lost slice)
+        on_b, limit = ~left, np.where(left, left_target, np.nextafter(right_target, -np.inf))
+        # a u_pick within rounding of 1 can choose the right side where it
+        # has no mass: take the last gap below R that has some
+        massless = log_right == -np.inf
+        if massless.any():
+            massless &= on_b & (log_left > -np.inf)
+            on_b, limit = on_b & ~massless, np.where(massless, np.nextafter(A_R, -np.inf), limit)
+        found = table.count(on_b, rows, limit)
+    k = np.minimum(np.maximum(np.where(on_b, n + 1 - found, found - 1), a), b)
     left_edge = np.maximum(x[rows, k], lo)
     q = left_edge + u_pos * (np.minimum(x[rows, k + 1], hi) - left_edge)
     # both side masses of a slice of tiny gaps can round to zero against the

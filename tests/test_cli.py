@@ -36,18 +36,21 @@ def line_loop_load(path):
     # the line-by-line parser that load_data_file falls back to, kept as the
     # reference its whole-file fast path must agree with
     values = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise InvalidArgumentError(f"{path}:{lineno}: not a decimal number: {line!r}")
-            if math.isnan(value) or not 0.0 <= value <= 1.0:
-                raise InvalidArgumentError(f"{path}:{lineno}: value {value} outside [0, 1]")
-            values.append(value)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    value = float(line)
+                except ValueError:
+                    raise InvalidArgumentError(f"{path}:{lineno}: not a decimal number: {line!r}")
+                if math.isnan(value) or not 0.0 <= value <= 1.0:
+                    raise InvalidArgumentError(f"{path}:{lineno}: value {value} outside [0, 1]")
+                values.append(value)
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return np.sort(np.asarray(values, dtype=float))
 
 
@@ -240,11 +243,20 @@ class TestEstimate:
             "1e-400\n-0.0\n1\n",
             "1_0\n",
             "0.5\n0x1p-2\n",
+            "0.1,0.2\n",
+            "0.1\t0.2\n",
+            "0.1 0.2",
+            "0.5\n   \n0.25\n",
+            "\u0660.\u0665\n",  # Arabic-Indic digits: float() reads 0.5, loadtxt does not
+            "\ufeff0.5\n",
+            "0.5 # note\n",
+            "0.5\u20280.25\n",  # a line break to str.splitlines, one line to the loop
+            b"0.5\n\xff0.25\n",
         ],
     )
     def test_fast_path_accepts_what_the_line_loop_accepts(self, tmp_path, text):
         path = tmp_path / "data.txt"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         try:
             expected = line_loop_load(str(path))
         except InvalidArgumentError as err:

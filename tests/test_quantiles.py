@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import types
 
 import mpmath
@@ -267,18 +268,28 @@ def exact_gap_tables(x, c):
         return A, B[::-1]
 
 
-def one_row(table):
-    # row 0 of a _GapTable under the table's own names
-    return types.SimpleNamespace(
-        x=table.x[0], A=table.A[0], B=table.B[0], neg_B=table.neg_B[0],
-        c=table.c, block=table.block, a_hi=table.a_hi, b_lo=table.b_lo,
-    )
+def summed_extent(table):
+    # the entries over the summed blocks: A[0..a_hi] and B[b_lo..n+1]
+    n, L = table.x.shape[1] - 2, table.block
+    return n + 1 - min(table.summed[1] * L, n + 1), min(table.summed[0] * L, n + 1)
+
+
+def one_row(table, row=0):
+    # a row of a _GapTable: its A and B entries over the summed blocks, as a
+    # draw evaluates them, and NaN elsewhere
+    n = table.x.shape[1] - 2
+    b_lo, a_hi = summed_extent(table)
+    k = np.arange(n + 2)
+    A, B = np.full((2, n + 2), np.nan)
+    A[: a_hi + 1] = table.entries(0, row, k[: a_hi + 1])
+    B[b_lo:] = table.entries(1, row, n + 1 - k[b_lo:])
+    return types.SimpleNamespace(x=table.x[row], A=A, B=B, c=table.c, block=table.block, a_hi=a_hi, b_lo=b_lo)
 
 
 def assert_within_bound(table, exact):
-    # every computed entry within the bound of the _GapTable docstring:
-    # ceil(k / L) (M + 1000) 2^-50 from the exact A_k, and the same for B_k
-    # with ceil((n + 1 - k) / L)
+    # every entry over the summed blocks within the bound of the _GapTable
+    # docstring: ceil(k / L) (M + 1000) 2^-50 from the exact A_k, and the
+    # same for B_k with ceil((n + 1 - k) / L)
     A, B = exact
     table = one_row(table)
     n, c, L = table.x.size - 2, table.c, table.block
@@ -304,25 +315,48 @@ def assert_within_bound(table, exact):
 
 
 def assert_equals_full_table(table, values, epsilon):
-    # the computed entries of a lazily extended table hold the bits of the
-    # same table computed in full, and the uncomputed ones keep both search
-    # arrays sorted
-    table = one_row(table)
-    full = one_row(quantiles._GapTable([values], epsilon, 0, values.size + 1, table.x[0], table.x[-1]))
-    lo, hi = table.b_lo, table.a_hi
-    assert table.c == full.c and table.x.tobytes() == full.x.tobytes()
-    assert table.A[: hi + 1].tobytes() == full.A[: hi + 1].tobytes()
-    assert table.B[lo:].tobytes() == full.B[lo:].tobytes()
-    assert table.neg_B[lo:].tobytes() == (-full.B[lo:]).tobytes()
-    assert np.all(table.A[hi + 1 :] == np.inf) and np.all(table.neg_B[:lo] == -np.inf)
+    # a table summed in steps holds the bits of one summed in one go: its
+    # summed blocks, their edge entries and every entry over them, whether
+    # evaluated in one call or in two; unsummed edges stay +inf, so no block
+    # search passes them
+    row = one_row(table)
+    full = quantiles._GapTable([values], epsilon, 0, values.size + 1, row.x[0], row.x[-1])
+    whole = one_row(full)
+    assert table.c == full.c and row.x.tobytes() == whole.x.tobytes()
+    runs = table.block // table.run
+    for side, done in enumerate(table.summed):  # one row: side is the group
+        assert table._sums[side, :done].tobytes() == full._sums[side, :done].tobytes()
+        assert table._terms[:, side, :done].tobytes() == full._terms[:, side, :done].tobytes()
+        edges = done * runs + 1
+        assert table._edges[side, :edges].tobytes() == full._edges[side, :edges].tobytes()
+        assert np.all(table._edges.imag[side, edges:] == np.inf)
+    lo, hi = row.b_lo, row.a_hi
+    assert row.A[: hi + 1].tobytes() == whole.A[: hi + 1].tobytes()
+    assert row.B[lo:].tobytes() == whole.B[lo:].tobytes()
+    k = np.arange(hi + 1)
+    halves = np.empty(hi + 1)
+    halves[::2], halves[1::2] = table.entries(0, 0, k[::2]), table.entries(0, 0, k[1::2])
+    assert halves.tobytes() == row.A[: hi + 1].tobytes()
 
 
 def assert_extent(table, b_lo, a_hi):
-    # the computed region covers A[0..a_hi] and B[b_lo..n+1] in whole blocks
+    # the summed blocks cover A[0..a_hi] and B[b_lo..n+1] in whole blocks
     # of the grids from 0 and from n + 1, and no block more
     top, L = table.x.shape[1] - 1, table.block
-    assert table.a_hi == min(-(-a_hi // L) * L, top), (table.a_hi, a_hi, L)
-    assert top - table.b_lo == min(-(-(top - b_lo) // L) * L, top), (table.b_lo, b_lo, L)
+    lo, hi = summed_extent(table)
+    assert hi == min(-(-a_hi // L) * L, top), (hi, a_hi, L)
+    assert top - lo == min(-(-(top - b_lo) // L) * L, top), (lo, b_lo, L)
+
+
+def poison_unsummed(table):
+    # a signaling NaN, whose arithmetic raises a RuntimeWarning (an error in
+    # this suite), in every sum, offset and lift of the unsummed blocks, the
+    # spare one aside
+    rows = table.x.shape[0]
+    for side, done in enumerate(table.summed):
+        group = np.s_[side * rows : (side + 1) * rows]
+        for stored in (table._sums[group, done:-1], table._terms[:, group, done:-1]):
+            stored.view(np.uint64)[...] = 0x7FF0000000000001
 
 
 @pytest.fixture
@@ -601,13 +635,21 @@ class TestRecexpTable:
             gc.enable()
 
 
-def draw_without_b_below_the_rank(values, epsilon, R, cycle):
-    # the full-domain draw at rank R on a table whose B entries below R hold
-    # NaN, and neg_B -inf as if never computed
+def draw_reading_nothing_past_the_rank(values, epsilon, R, cycle, recorded_tables):
+    # the full-domain draw at rank R on a table whose sums past the rank's
+    # entries on both sides are NaN, and whose block edges past them are +inf;
+    # it draws on that table, not on a table of its own for a lost slice
+    n = values.size
     table = quantiles._GapTable([values], epsilon, R, R)
-    table.B[:, :R], table.neg_B[:, :R] = np.nan, -np.inf
+    made = len(recorded_tables)
+    for side, e in ((0, R), (1, n + 1 - R)):  # one row: side is the group; the spare block stays
+        table._sums[side, :-1].reshape(-1)[e:] = np.nan
+        table._edges.imag[side, e // table.run + 1 :] = np.inf
+    poison_unsummed(table)
     u_pick, u_pos = cycle
-    return quantiles._draws(table, 0, values.size, 0.0, 1.0, np.array([[R]]), np.array([[u_pick]]), u_pos)[0, 0]
+    q = quantiles._draws(table, 0, n, 0.0, 1.0, np.array([[R]]), np.array([[u_pick]]), u_pos)[0, 0]
+    assert len(recorded_tables) == made
+    return q
 
 
 class TestGapTable:
@@ -624,11 +666,12 @@ class TestGapTable:
             # extensions in both directions, some of them no-ops, down to the
             # whole table
             for k in list(steps.integers(0, n + 2, 6)) + [n + 1, 0]:
-                table.extend_a(int(k))
-                table.extend_b(int(n + 1 - k))
-                assert table.a_hi >= k and table.b_lo <= n + 1 - k
+                table.extend(0, int(k))
+                table.extend(1, int(k))
+                b_lo, a_hi = summed_extent(table)
+                assert a_hi >= k and b_lo <= n + 1 - k
                 assert_equals_full_table(table, sample.values, epsilon)
-            assert (table.b_lo, table.a_hi) == (0, n + 1)
+            assert summed_extent(table) == (0, n + 1)
             assert_within_bound(table, exact_gap_tables(table.x[0], table.c))
 
     @pytest.mark.parametrize(
@@ -643,8 +686,8 @@ class TestGapTable:
         table = quantiles._GapTable([sample.values], epsilon, n + 1, 0)
         assert table.block == block
         for k in sorted({min(k, n + 1) for k in (1, 2, 3, n // 2, n + 1)}):
-            table.extend_a(k)
-            table.extend_b(n + 1 - k)
+            table.extend(0, k)
+            table.extend(1, k)
             assert_extent(table, n + 1 - k, k)
             assert_equals_full_table(table, sample.values, epsilon)
         assert_within_bound(table, exact_gap_tables(table.x[0], table.c))
@@ -658,13 +701,57 @@ class TestGapTable:
         for epsilon in (200.0, 2.0):
             table = quantiles._GapTable([values], epsilon, 0, values.size + 1)
             assert table.block == (5 if epsilon == 200.0 else 256)
-            A, B = table.A[0], table.B[0]
+            A, B = one_row(table).A, one_row(table).B
             assert np.all(A[6:9] == A[5]) and np.all(B[5:8] == B[8])
             assert np.all(A[9:] > A[8]) and np.all(np.isfinite(A[1:]))
             assert_within_bound(table, exact_gap_tables(table.x[0], table.c))
             for k in range(values.size + 2):
                 lazy = quantiles._GapTable([values], epsilon, k, k)
                 assert_equals_full_table(lazy, values, epsilon)
+
+    @pytest.mark.parametrize("shape", RECEXP_SHAPES)
+    @pytest.mark.parametrize("n", [0, 1, 5, 300, 2000])
+    def test_count_is_the_searchsorted_of_the_entries(self, n, shape):
+        # on each side, for targets on, next to and between the entries and at
+        # +-inf; strictly below a target is at or below the double before it.
+        # c = 3.92 gives L = 127, a prime, so runs of 1, and c = 5 gives L =
+        # 100 with runs of 5
+        sample = oracle_test_sample(shape, n, seed=n)
+        for epsilon in (0.0, 1e-3, 1.0, 7.84, 10.0, 1e3):
+            table = quantiles._GapTable([sample.values], epsilon, 0, n + 1)
+            row = one_row(table)
+            for side, entries in ((0, row.A), (1, row.B[::-1])):
+                assert np.all(entries[1:] >= entries[:-1])
+                targets = np.concatenate((
+                    entries, np.nextafter(entries, -np.inf), np.nextafter(entries, np.inf),
+                    (entries[1:] + entries[:-1]) / 2, [-np.inf, np.inf],
+                ))[None, :]
+                sides = np.full(targets.shape, side)
+                assert np.array_equal(table.count(sides, 0, targets)[0], entries.searchsorted(targets[0], "right"))
+                above = targets[targets > -np.inf][None, :]
+                with np.errstate(over="ignore"):
+                    below = table.count(sides[:, : above.size], 0, np.nextafter(above, -np.inf))[0]
+                assert np.array_equal(below, entries.searchsorted(above[0], "left")), (epsilon, side)
+
+    @pytest.mark.parametrize("epsilon,block,run", [(1.0, 256, 16), (10.0, 100, 5), (7.84, 127, 1), (3e3, 1, 1)])
+    def test_runs_divide_the_blocks(self, epsilon, block, run):
+        table = quantiles._GapTable([evenly_spaced_sample(10).values], epsilon, 0, 11)
+        assert (table.block, table.run) == (block, run)
+
+    def test_one_order_release_keeps_three_arrays(self):
+        # a one-row table holds x and both sides' sums, about 3 (n + 2)
+        # doubles, and its edges, one complex per 16 entries of each side,
+        # another quarter: so a one-order draw peaks below 3.5 (n + 2)
+        # doubles. Arrays of every entry (A, B and -B besides x) took 4.6
+        n = 2**20
+        sample = SortedSample(np.sort(np.random.default_rng(1).random(n)))
+        tracemalloc.start()
+        try:
+            qexp_draws(sample, [n // 2], 1.0, RandomSource(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * (n + 2), peak / (8 * (n + 2))
 
     def test_subnormal_gaps_keep_the_bound(self):
         # gaps of a few 5e-324 between points below 2^-969: unscaled, their
@@ -711,7 +798,7 @@ class TestGapTable:
         (table,) = recorded_tables
         assert_extent(table, 4, 4)
         assert_equals_full_table(table, sample.values, 0.03)
-        assert draw_without_b_below_the_rank(sample.values, 0.03, 4, cycle) == out[0]
+        assert draw_reading_nothing_past_the_rank(sample.values, 0.03, 4, cycle, recorded_tables) == out[0]
 
     def test_recexp_b_search_continues_below_the_computed_region(self, recorded_tables):
         # the same at the recursion root: interval 1, just below rank 2, is
@@ -725,7 +812,7 @@ class TestGapTable:
         (table,) = recorded_tables
         assert_extent(table, 2, 2)
         assert_equals_full_table(table, sample.values, 0.001)
-        assert draw_without_b_below_the_rank(sample.values, 0.001, 2, cycle) == out[0]
+        assert draw_reading_nothing_past_the_rank(sample.values, 0.001, 2, cycle, recorded_tables) == out[0]
 
     def test_b_side_draw_skips_a_tie_below_the_rank(self, recorded_tables):
         # interval 4, just below rank 5, is [0.3, 0.3]; this uniform picks
@@ -741,7 +828,7 @@ class TestGapTable:
         assert out[0] == draws[0] == 0.5
         for table in recorded_tables:
             assert_extent(table, 5, 5)
-        assert draw_without_b_below_the_rank(sample.values, 0.001, 5, cycle) == out[0]
+        assert draw_reading_nothing_past_the_rank(sample.values, 0.001, 5, cycle, recorded_tables) == out[0]
 
     def test_recexp_extends_a_beyond_the_largest_rank(self, recorded_tables, monkeypatch):
         # at this budget the draws are nearly uniform on their domains, so a
@@ -756,7 +843,7 @@ class TestGapTable:
             cycle = [u_pick, 0.5]
             out = recexp(sample, query, ScriptedUniforms(cycle))
             table = recorded_tables[-1]
-            assert table.a_hi > -(-top_rank // table.block) * table.block, m
+            assert summed_extent(table)[1] > -(-top_rank // table.block) * table.block, m
             assert_equals_full_table(table, sample.values, 1e-3 / recexp_depth(m))
             assert np.array_equal(out, per_slice_recexp(sample, query, ScriptedUniforms(cycle)))
             full = with_full_table(monkeypatch, lambda: recexp(sample, query, ScriptedUniforms(cycle)))
@@ -823,13 +910,13 @@ class TestSideRule:
     def test_recexp_slices_at_extreme_pick_uniforms(self, monkeypatch):
         # every slice of every level, and every slice redrawn on a table of
         # its own, keeps the side rule, and each call draws the same on a
-        # table whose uncomputed B entries are NaN and on the full table: no
-        # entry that was never computed feeds a draw
+        # table whose unsummed blocks hold NaN and on the full table: no
+        # entry that was never needed feeds a draw
         calls, draws = [], quantiles._draws
 
         def recording(table, *slices):
             q = draws(table, *slices)
-            calls.append((table.x[0], table.b_lo, table.a_hi, slices, q))
+            calls.append((table.x[0], *summed_extent(table), slices, q))
             return q
 
         for sample, epsilon in itertools.product(SIDE_RULE_SAMPLES, SIDE_RULE_EPSILONS):
@@ -845,17 +932,16 @@ class TestSideRule:
                     values, edges, key = x[1:-1], (x[0], x[-1]), (x.tobytes(), b_lo, a_hi)
                     if key not in tables:
                         poisoned = quantiles._GapTable([values], eps_call, b_lo, a_hi, *edges)
-                        poisoned.B[:, :b_lo] = np.nan
+                        poison_unsummed(poisoned)
                         full = quantiles._GapTable([values], eps_call, 0, values.size + 1, *edges)
-                        tables[key] = poisoned, full
-                    poisoned, full = tables[key]
+                        tables[key] = poisoned, full, one_row(full)
+                    poisoned, full, row = tables[key]
                     assert draws(poisoned, *slices).tobytes() == q.tobytes()
                     assert draws(full, *slices).tobytes() == q.tobytes()
                     slice_arrays = (s.ravel() for s in np.broadcast_arrays(*slices))
                     for a, b, lo, hi, R, u, _, q_i in zip(*slice_arrays, q.ravel()):
                         if a < b and lo < hi:  # else the slice has one interval
                             slice_ = (a, b, lo, hi, R)
-                            row = one_row(full)
                             assert_side_rule(row.x, row.A, row.B, row.c, slice_, u, q_i)
 
     def test_slice_whose_side_masses_round_to_zero_draws_inside(self):
