@@ -9,6 +9,7 @@ from .bench import (
     ExperimentConfig,
     ExperimentResult,
     centered_grid,
+    release,
     run_experiment,
     run_trial,
 )
@@ -30,9 +31,9 @@ from .mechanisms import (
     sample_piecewise,
 )
 from .quantiles import (
-    BudgetLedger,
     QuantileQuery,
     RankTarget,
+    ReleaseRecord,
     SortedSample,
     empirical_error,
     indexp,
@@ -48,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundPreconditionError",
-    "BudgetLedger",
     "DegenerateDensityError",
     "DensityEnvelope",
     "DistributionOracle",
@@ -60,6 +60,7 @@ __all__ = [
     "QuantileQuery",
     "RandomSource",
     "RankTarget",
+    "ReleaseRecord",
     "SortedSample",
     "WeightedIntervalDensity",
     "empirical_error",
@@ -76,6 +77,7 @@ __all__ = [
     "quantile_from_histogram",
     "recexp",
     "recexp_depth",
+    "release",
     "run_experiment",
     "run_trial",
     "sample_piecewise",

@@ -1,4 +1,4 @@
-"""Monte-Carlo experiment engine and statistical verification suites.
+"""Estimator releases, Monte-Carlo experiment engine and verification suites.
 
 Experiments measure the expected sup-norm error of each estimator against
 the true quantiles of a ground-truth distribution, averaged over seeded
@@ -44,6 +44,7 @@ from .mechanisms import (
 from .quantiles import (
     QuantileQuery,
     RankTarget,
+    ReleaseRecord,
     SortedSample,
     check_order_count,
     indexp,
@@ -162,6 +163,30 @@ class ExperimentResult:
     sample_time: float = 0.0
 
 
+def release(
+    method: str,
+    sample: SortedSample | Sequence[SortedSample],
+    query: QuantileQuery,
+    rng: RandomSource | Sequence[RandomSource],
+    bins: int | None,
+    zero_noise: bool = False,
+) -> tuple[np.ndarray, ReleaseRecord]:
+    """The estimates of ``query`` on ``sample`` by ``method``, one of
+    ``ESTIMATOR_IDS``, with noise from ``rng``, and the record of how the
+    release split its budget: the one place that picks an estimator, for the
+    CLI and the experiment engine. ``bins`` and the NON-PRIVATE
+    ``zero_noise`` mode are the histogram's. Samples of one size with a
+    source each are the rows of one estimator call, a row of estimates each."""
+    record = ReleaseRecord.of(method, query.m, query.budget, bins)
+    if method == "indexp":
+        estimates = indexp(sample, query, rng)
+    elif method == "recexp":
+        estimates = recexp(sample, query, rng)
+    else:
+        estimates = quantile_from_histogram(sample, bins, query.budget, query.orders, rng, zero_noise=zero_noise)
+    return estimates, record
+
+
 def run_trial(
     sample: SortedSample | Sequence[SortedSample],
     estimator: str,
@@ -175,22 +200,15 @@ def run_trial(
     Samples of one size with a source each are the rows of one estimator
     call, giving their one-sample errors; ``truth`` is then one array for
     every row or a (rows, m) array, a row per sample's distribution."""
-    budget = PrivacyBudget(config.epsilon, config.relation)
-    if estimator == "indexp":
-        estimate = indexp(sample, QuantileQuery(orders, budget), rng)
-    elif estimator == "recexp":
-        estimate = recexp(sample, QuantileQuery(orders, budget), rng)
-    elif estimator == "histogram":
-        bins = config.histogram_bin_count
-        estimate = quantile_from_histogram(sample, bins, budget, orders, rng)
-    else:
-        raise InvalidArgumentError(f"unknown estimator id: {estimator!r}")
+    query = QuantileQuery(orders, PrivacyBudget(config.epsilon, config.relation))
+    estimate, _ = release(estimator, sample, query, rng, config.histogram_bin_count)
     return np.max(np.abs(estimate - truth), axis=-1).tolist()
 
 
 # The most sample values, ``rows * (n + 2)``, that one chunk stacks. A stacked
-# call's gap table holds four floats per value, so this bounds it at 4 MiB
-# whatever the trial count and n; from n = 65 535 on a chunk has one row.
+# call's gap table peaks at about 3.35 (n + 2)-long arrays of floats per row,
+# so this bounds it at about 3.35 MiB whatever the trial count and n; from
+# n = 65 535 on a chunk has one row.
 _CHUNK_VALUES = 2**17
 
 

@@ -26,6 +26,7 @@ from .bench import (
     ExperimentResult,
     centered_grid,
     neighboring_sample_pairs,
+    release,
     run_experiment,
     verify_dp_ratio,
     verify_gap_law,
@@ -34,9 +35,12 @@ from .bench import (
 )
 from .distributions import DensityEnvelope, DistributionOracle
 from .errors import BoundPreconditionError, InvalidArgumentError
-from .histogram import check_bin_count, check_noise_scale, quantile_from_histogram
+from .histogram import check_bin_count, check_noise_scale
+from .histogram import quantile_from_histogram  # noqa: F401  (a benchmark trace point)
 from .mechanisms import NeighboringRelation, PrivacyBudget, RandomSource, check_seed
-from .quantiles import BudgetLedger, QuantileQuery, SortedSample, indexp, recexp
+from .quantiles import QuantileQuery, SortedSample
+from .quantiles import indexp  # noqa: F401  (a benchmark trace point)
+from .quantiles import recexp  # noqa: F401  (a benchmark trace point)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -308,6 +312,14 @@ def write_experiment_outputs(result: ExperimentResult, outdir: Path) -> list[Pat
     return written
 
 
+# how the budget line of `dpq estimate` words each estimator's ReleaseRecord
+_SPLIT_WORDS = {
+    "indexp": "{levels} calls at {eps_per_call!r} each",
+    "recexp": "tree depth {levels}, per-call epsilon_0 = {eps_per_call!r}",
+    "histogram": "{bins} bins",
+}
+
+
 def cmd_estimate(args) -> int:
     if args.zero_noise:
         print(ZERO_NOISE_BANNER, file=sys.stderr)
@@ -345,27 +357,10 @@ def cmd_estimate(args) -> int:
                 raise InvalidArgumentError(f"--epsilon {exc}") from None
         query = QuantileQuery(orders, budget)
         rng = RandomSource(args.seed)
-        ledger = BudgetLedger()
-        if args.method == "indexp":
-            estimates = indexp(sample, query, rng, ledger=ledger)
-            print(f"spent budget: epsilon = {args.epsilon} ({relation.value}), "
-                  f"{query.m} calls at {ledger.eps_per_call!r} each", file=sys.stderr)
-        elif args.method == "recexp":
-            estimates = recexp(sample, query, rng, ledger=ledger)
-            print(
-                f"spent budget: epsilon = {args.epsilon} ({relation.value}), "
-                f"tree depth {ledger.levels}, per-call epsilon_0 = {ledger.eps_per_call!r}",
-                file=sys.stderr,
-            )
-        else:
-            estimates = quantile_from_histogram(
-                sample, args.bins, budget, orders, rng, zero_noise=args.zero_noise
-            )
-            spent = "0 (zero-noise mode)" if args.zero_noise else repr(args.epsilon)
-            print(
-                f"spent budget: epsilon = {spent} ({relation.value}), {args.bins} bins",
-                file=sys.stderr,
-            )
+        estimates, record = release(args.method, sample, query, rng, args.bins, args.zero_noise)
+        spent = "0 (zero-noise mode)" if args.zero_noise else repr(record.epsilon_total)
+        split = _SPLIT_WORDS[record.method].format_map(vars(record))
+        print(f"spent budget: epsilon = {spent} ({record.relation.value}), {split}", file=sys.stderr)
         lines = ["p,q_hat"] + [f"{float(p)!r},{float(q)!r}" for p, q in zip(orders, estimates)]
         _write_text(args.output, "\n".join(lines) + "\n")
     except (InvalidArgumentError, OSError) as exc:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -448,18 +448,15 @@ def _draws(table: _GapTable, a, b, lo, hi, R, u_pick, u_pos) -> np.ndarray:
     return q
 
 
-def _rows(sample, rng, ledger=None) -> tuple[list[np.ndarray], list[RandomSource]]:
+def _rows(sample, rng) -> tuple[list[np.ndarray], list[RandomSource]]:
     """A call's rows, the values of one sample each, and their streams: a
     :class:`SortedSample` with its :class:`RandomSource` is the one-row case
-    of a sequence of samples of one size with one source each. A ledger
-    records the release of one sample."""
+    of a sequence of samples of one size with one source each."""
     if isinstance(sample, SortedSample):
         return [sample.values], [rng]
     values, rngs = [s.values for s in sample], list(rng)
-    if len({v.size for v in values}) != 1 or len(rngs) != len(values) or (
-        ledger is not None and len(rngs) > 1
-    ):
-        raise InvalidArgumentError("need samples of one size, a source each, and one for a ledger")
+    if len({v.size for v in values}) != 1 or len(rngs) != len(values):
+        raise InvalidArgumentError("need samples of one size and a source each")
     return values, rngs
 
 
@@ -502,40 +499,32 @@ def qexp(sample: SortedSample, p: float, epsilon: float, rng: RandomSource) -> f
 
 
 @dataclass(frozen=True)
-class MechanismCall:
-    """One exponential-mechanism invocation recorded by a ledger."""
+class ReleaseRecord:
+    """How a release of m orders by ``method`` (indexp, recexp or histogram)
+    splits its budget; :meth:`of` is the one split rule. ``epsilon_effective``
+    of ``epsilon_total`` is charged over ``levels`` sequential levels,
+    ``eps_per_call`` each: indexp's m draws are a level each; recexp's tree
+    levels draw on disjoint sub-samples, and it halves the budget under
+    replacement (an addition plus a removal); the histogram of ``bins`` counts
+    is one level. Every root-to-leaf path is charged every level."""
 
-    order_index: int
-    level: int
-    epsilon: float
-    subsample_size: int
+    method: str
+    relation: NeighboringRelation
+    epsilon_total: float
+    epsilon_effective: float
+    levels: int
+    eps_per_call: float
+    bins: int | None = None
 
-
-@dataclass
-class BudgetLedger:
-    """Instrumentation for the budget accounting of composed estimators.
-
-    ``levels`` is the number of sequential composition levels the total
-    budget is split across (the tree depth for the recursive estimator, the
-    number of quantiles for independent composition); each level is charged
-    ``eps_per_call`` whether or not a branch actually reaches it, so the
-    budget spent along any root-to-leaf accounting path is the same.
-    """
-
-    epsilon_total: float = 0.0
-    epsilon_effective: float = 0.0
-    levels: int = 0
-    eps_per_call: float = 0.0
-    calls: list[MechanismCall] = field(default_factory=list)
-
-    def allocate(self, total: float, effective: float, levels: int):
-        self.epsilon_total = total
-        self.epsilon_effective = effective
-        self.levels = levels
-        self.eps_per_call = effective / levels
-
-    def record(self, order_index: int, level: int, epsilon: float, subsample_size: int):
-        self.calls.append(MechanismCall(order_index, level, epsilon, subsample_size))
+    @classmethod
+    def of(cls, method: str, m: int, budget: PrivacyBudget, bins: int | None = None) -> "ReleaseRecord":
+        levels = {"indexp": m, "recexp": recexp_depth(m), "histogram": 1}.get(method)
+        if levels is None:
+            raise InvalidArgumentError(f"unknown estimator id: {method!r}")
+        halved = method == "recexp" and budget.relation is NeighboringRelation.REPLACE
+        effective = budget.epsilon / 2.0 if halved else budget.epsilon
+        histogram_bins = bins if method == "histogram" else None
+        return cls(method, budget.relation, budget.epsilon, effective, levels, effective / levels, histogram_bins)
 
     def root_to_leaf_total(self) -> float:
         """Budget charged along any root-to-leaf path: one charge per level."""
@@ -546,9 +535,9 @@ def indexp(
     sample: SortedSample | Sequence[SortedSample],
     query: QuantileQuery,
     rng: RandomSource | Sequence[RandomSource],
-    ledger: BudgetLedger | None = None,
 ) -> np.ndarray:
-    """Independent composition: one qexp draw per order, each at eps / m.
+    """Independent composition: one qexp draw per order, each at eps / m
+    (see :class:`ReleaseRecord`).
 
     All m draws come from one shared :func:`qexp_draws` table, in O(n + m
     log n), and equal m sequential :func:`qexp` calls on the same stream.
@@ -556,12 +545,8 @@ def indexp(
     relation adjustment is needed. Outputs are not forced monotone. Samples
     of one size with a source each give a row each (see :func:`qexp_draws`).
     """
-    eps_each = query.budget.epsilon / query.m
-    n = _rows(sample, rng, ledger)[0][0].size
-    if ledger is not None:
-        ledger.allocate(query.budget.epsilon, query.budget.epsilon, query.m)
-        for j in range(query.m):
-            ledger.record(j, 1, eps_each, n)
+    eps_each = ReleaseRecord.of("indexp", query.m, query.budget).eps_per_call
+    n = _rows(sample, rng)[0][0].size
     return qexp_draws(sample, target_rank(n, query.orders), eps_each, rng)
 
 
@@ -577,41 +562,36 @@ def recexp(
     sample: SortedSample | Sequence[SortedSample],
     query: QuantileQuery,
     rng: RandomSource | Sequence[RandomSource],
-    ledger: BudgetLedger | None = None,
 ) -> np.ndarray:
     """Recursive estimator: split the data at a private middle quantile.
 
     Each tree level touches disjoint sub-samples, so one level costs a
-    single per-call budget and the total is ``eps_per_call * depth``. The
-    per-call budget is ``eps / depth`` under add/remove neighboring and
-    ``(eps / 2) / depth`` under replacement (a replacement is an addition
-    plus a removal). Outputs are nondecreasing because child domains nest.
+    single per-call budget, ``eps / depth`` under add/remove neighboring and
+    ``(eps / 2) / depth`` under replacement (see :class:`ReleaseRecord`).
+    Outputs are nondecreasing because child domains nest.
 
     Every node draws from ``qexp_density`` on its slice and domain, as
     :func:`sample_piecewise` would on the same two uniforms, but each tree
     level is one :func:`_draws` call on one table over the whole sample, so
     m orders cost O(n + m log n); the table grows only where a slice's
     clamped rank leaves ``[min rank, max rank]``. Node ``i`` in preorder
-    takes uniforms ``2i`` and ``2i + 1`` of one ``rng.random(2 * m)`` and
-    is recorded in that order. A collapsed domain (``lo == hi``) pins its
-    subtree at ``lo``: no call, no record, its uniforms unused.
+    takes uniforms ``2i`` and ``2i + 1`` of one ``rng.random(2 * m)``. A
+    collapsed domain (``lo == hi``) pins its subtree at ``lo``: no call, its
+    uniforms unused. As the tree depends on m alone, the output fixes every
+    node's call: a node draws on the domain between its bounding orders'
+    outputs, from the values in it, and calls where that domain has
+    positive length.
 
     A sequence of samples of one size, with one source each, walks the tree
     once for all of them: its shape depends on m alone, so the rows share
     every level's nodes, and each row holds the bits of its own call.
     """
     m = query.m
-    depth = recexp_depth(m)
-    eps = query.budget.epsilon
-    eps_effective = eps if query.budget.relation is NeighboringRelation.ADD_REMOVE else eps / 2.0
-    eps_call = eps_effective / depth
-    values, rngs = _rows(sample, rng, ledger)
-    if ledger is not None:
-        ledger.allocate(eps, eps_effective, depth)
-
+    record = ReleaseRecord.of("recexp", m, query.budget)
+    values, rngs = _rows(sample, rng)
     n = values[0].size
     ranks = target_rank(n, query.orders)
-    table = _GapTable(values, eps_call, int(ranks.min()), int(ranks.max()))
+    table = _GapTable(values, record.eps_per_call, int(ranks.min()), int(ranks.max()))
     u_pick, u_pos = _uniforms(rngs, m)
     # in each row, q[j] is the draw of order j and s[j] = #{values < q[j]},
     # with q = s = 0 at j = 0 and q = 1, s = n at j = m + 1. A node over
@@ -622,8 +602,7 @@ def recexp(
     s = np.empty((len(values), m + 2), dtype=np.int64)
     q[:, 0], q[:, m + 1], s[:, 0], s[:, m + 1] = 0.0, 1.0, 0, n
     below, above, pre = np.array([0]), np.array([m + 1]), np.array([0])
-    records = []
-    for level in range(1, depth + 1):
+    for _ in range(record.levels):
         j = (below + above) // 2
         lo, hi, a, b = q[:, below], q[:, above], s[:, below], s[:, above]
         # a collapsed domain is a one-interval slice, which _draws draws at lo
@@ -633,10 +612,6 @@ def recexp(
         # a draw lies in [lo, hi], so this counts values[:a] and none of values[b:]
         for i, row in enumerate(values):  # searchsorted is 1-D
             s[i, j] = row.searchsorted(drawn[i], "left")
-        if ledger is not None:
-            live = lo[0] < hi[0]
-            calls = zip(pre[live].tolist(), j[live].tolist(), (b - a)[0, live].tolist())
-            records += [(node, order - 1, level, size) for node, order, size in calls]
         # the left child's subtree comes next in preorder, the right one's
         # after the j - below - 1 nodes of the left
         below, above, pre = (
@@ -646,7 +621,4 @@ def recexp(
         )
         has_orders = above - below > 1
         below, above, pre = below[has_orders], above[has_orders], pre[has_orders]
-    if ledger is not None:
-        for _, order_index, level, size in sorted(records):
-            ledger.record(order_index, level, eps_call, size)
     return q[0, 1 : m + 1] if isinstance(sample, SortedSample) else q[:, 1 : m + 1]

@@ -19,6 +19,7 @@ from dpquantiles.bench import (
     ExperimentConfig,
     neighboring_sample_pairs,
     centered_grid,
+    release,
     run_experiment,
     verify_dp_ratio,
     verify_gap_law,
@@ -29,7 +30,6 @@ from dpquantiles.distributions import DistributionOracle
 from dpquantiles.histogram import generalized_quantiles
 from dpquantiles.mechanisms import NeighboringRelation, PrivacyBudget, RandomSource
 from dpquantiles.quantiles import (
-    BudgetLedger,
     QuantileQuery,
     SortedSample,
     empirical_error,
@@ -37,6 +37,7 @@ from dpquantiles.quantiles import (
     recexp,
     target_rank,
 )
+from recexp_walk import recexp_calls
 
 BETA_2_5 = DistributionOracle.make_beta(2, 5)
 BETA_HALF = DistributionOracle.make_beta(0.5, 0.5)
@@ -326,22 +327,22 @@ orders = centered-grid
         assert report("8", "benchmark CSV determinism across runs and workers", ok)
 
 
-class TestCriterion9BudgetLedger:
+class TestCriterion9BudgetRecord:
     def test_recexp_budget_accounting(self):
-        ledger = BudgetLedger()
         sample = SortedSample(np.sort(RandomSource(14).random(512)))
         query = QuantileQuery(
             centered_grid(4), PrivacyBudget(0.3, NeighboringRelation.ADD_REMOVE)
         )
-        recexp(sample, query, RandomSource(15), ledger=ledger)
-        per_call = [call.epsilon for call in ledger.calls]
+        out, record = release("recexp", sample, query, RandomSource(15), None)
+        # the mechanism calls the release made, read off its output
+        calls = recexp_calls(sample.values, out)
         ok = (
-            ledger.levels == 3
-            and all(eps == 0.3 / 3 for eps in per_call)
-            and all(abs(eps - 0.1) < 1e-15 for eps in per_call)
-            and max(call.level for call in ledger.calls) <= ledger.levels
-            and ledger.root_to_leaf_total() == 0.3
-            and len(ledger.calls) == 4
+            record.levels == 3
+            and record.eps_per_call == 0.3 / 3
+            and abs(record.eps_per_call - 0.1) < 1e-15
+            and max(level for _, level, _ in calls) <= record.levels
+            and record.root_to_leaf_total() == 0.3
+            and len(calls) == 4
         )
-        assert report("9", "recursive budget ledger", ok,
-                      f"per-call epsilon {per_call[0]!r}, path total {ledger.root_to_leaf_total()!r}")
+        assert report("9", "recursive budget record", ok,
+                      f"per-call epsilon {record.eps_per_call!r}, path total {record.root_to_leaf_total()!r}")

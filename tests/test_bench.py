@@ -15,6 +15,7 @@ from dpquantiles.bench import (
     centered_grid,
     max_log_density_ratio,
     neighboring_sample_pairs,
+    release,
     run_experiment,
     run_trial,
     verify_dp_ratio,
@@ -36,6 +37,7 @@ from dpquantiles.quantiles import (
     QuantileQuery,
     RankTarget,
     SortedSample,
+    indexp,
     qexp,
     qexp_density,
     recexp,
@@ -140,6 +142,28 @@ class TestRunTrial:
         sample, orders, truth = trial_inputs(UNIFORM, 2, config, RandomSource(1))
         with pytest.raises(InvalidArgumentError):
             run_trial(sample, "mystery", orders, truth, config, RandomSource(0))
+
+
+class TestRelease:
+    @pytest.mark.parametrize("relation", list(NeighboringRelation))
+    def test_each_method_runs_its_estimator_and_records_its_split(self, relation):
+        sample = SortedSample(np.sort(RandomSource(3).random(200)))
+        query = QuantileQuery(centered_grid(5), PrivacyBudget(0.6, relation))
+        halved = 0.3 if relation is NeighboringRelation.REPLACE else 0.6
+        direct = {
+            "indexp": (indexp(sample, query, RandomSource(8)), 5, 0.6, 0.6 / 5, None),
+            "recexp": (recexp(sample, query, RandomSource(8)), 3, halved, halved / 3, None),
+            "histogram": (
+                quantile_from_histogram(sample, 16, query.budget, query.orders, RandomSource(8)),
+                1, 0.6, 0.6, 16,
+            ),
+        }
+        for method, (estimates, levels, effective, per_call, bins) in direct.items():
+            out, record = release(method, sample, query, RandomSource(8), 16)
+            assert out.tobytes() == estimates.tobytes(), method
+            assert (record.method, record.relation, record.epsilon_total) == (method, relation, 0.6)
+            assert (record.levels, record.epsilon_effective, record.bins) == (levels, effective, bins)
+            assert record.eps_per_call == per_call, method
 
 
 class FakePool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -301,6 +302,58 @@ class TestEstimate:
         argv = ["estimate", "--data", str(path), "--method", "recexp", "--m", "1", "--epsilon", "1"]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+
+# (method, relation, extra arguments) -> SHA-256 of stdout and of stderr of
+# `dpq estimate` on PINNED_DATA: the estimates and the budget line, byte for byte
+PINNED_ESTIMATES = {
+    ("indexp", "add-remove", ()): (
+        "dd62580fb6e65bfc5df1c587d39cee1f7e78432e7f80a7350738d670fd2049fd",
+        "2c190acf77abe7f4152051e0a9e3c91095a0dd902f6751eb4d3a142f40c55655",
+    ),
+    ("indexp", "replace", ()): (
+        "dd62580fb6e65bfc5df1c587d39cee1f7e78432e7f80a7350738d670fd2049fd",
+        "9caac634b1f37271d2b976b524e0b68afe2e3845fa51336e7399e14194b92609",
+    ),
+    ("recexp", "add-remove", ()): (
+        "0671783e52994e147a50b89b0208be9af686f3e434212d28822eaea855ff5f90",
+        "909545ca57e8f1c29b2b8b25b1671e090567b732890c0af1c73d616fcb51991d",
+    ),
+    ("recexp", "replace", ()): (
+        "af338ff0f91eddf1100b2680cd47b44fd0e7720402aaecf35a0d3a3b7b79cde2",
+        "d28620ff39aad6ebacd55320494ae544b675793b3c18563c9487e3b02b17eed1",
+    ),
+    ("histogram", "add-remove", ()): (
+        "b0c7a9fcfca81b7ffcdb85953198fd5a2c1d0acf7c4ecd62ba5af73ddb807015",
+        "14be7dd6876897d46d12a7f5ea349bf34b2855ca273fc50bca01daa4b0026481",
+    ),
+    ("histogram", "replace", ()): (
+        "050ae324afaa1639e7c9b26082b2a7f1cafc23fec3477b3e559cce9da677a399",
+        "6a0f1fefd3ac87be00cf94975e3f87934f7f579a62b1982e71d338372167232f",
+    ),
+    ("histogram", "replace", ("--zero-noise",)): (
+        "8572608f690979dd4a6758a94dda5c7a2b41ce0f9b0906c0d18f66e95ff7ca4a",
+        "b4e4fead791cc956ced14726c9d64e004a5ce038d894d0e522ec2a845cac50e7",
+    ),
+}
+# 300 points skewed towards 0, each written as its repr
+PINNED_DATA = "".join(f"{((k * 0.6180339887498949) % 1.0) ** 2.5!r}\n" for k in range(1, 301))
+
+
+class TestEstimateBytes:
+    @pytest.mark.parametrize("case", list(PINNED_ESTIMATES), ids=lambda c: " ".join((*c[:2], *c[2])))
+    def test_stdout_and_stderr_are_pinned(self, case, tmp_path, capsys):
+        method, relation, extra = case
+        path = tmp_path / "pinned.txt"
+        path.write_text(PINNED_DATA)
+        argv = [
+            "estimate", "--data", str(path), "--method", method, "--m", "7", "--epsilon", "1.5",
+            "--relation", relation, "--bins", "16", "--seed", "3", *extra,
+        ]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        digests = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (captured.out, captured.err))
+        assert digests == PINNED_ESTIMATES[case], (captured.out, captured.err)
 
 
 class TestBench:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp, kstest
 
 from dpquantiles import quantiles
-from dpquantiles.bench import centered_grid, max_log_density_ratio, neighboring_sample_pairs
+from dpquantiles.bench import centered_grid, max_log_density_ratio, neighboring_sample_pairs, release
 from dpquantiles.bounds import fact_qexp_threshold
 from dpquantiles.errors import InvalidArgumentError
 from dpquantiles.mechanisms import (
@@ -22,8 +22,6 @@ from dpquantiles.mechanisms import (
     sample_piecewise,
 )
 from dpquantiles.quantiles import (
-    BudgetLedger,
-    MechanismCall,
     QuantileQuery,
     RankTarget,
     SortedSample,
@@ -36,6 +34,7 @@ from dpquantiles.quantiles import (
     recexp_depth,
     target_rank,
 )
+from recexp_walk import recexp_calls
 
 ADD_REMOVE = NeighboringRelation.ADD_REMOVE
 REPLACE = NeighboringRelation.REPLACE
@@ -194,11 +193,14 @@ class TestIndexp:
         assert indexp(sample, query, RandomSource(9))[0] == qexp(sample, 0.4, 1.5, RandomSource(9))
 
     def test_budget_split(self):
-        ledger = BudgetLedger()
+        sample = evenly_spaced_sample(50)
         query = QuantileQuery((0.2, 0.4, 0.6, 0.8), PrivacyBudget(1.0, REPLACE))
-        indexp(evenly_spaced_sample(50), query, RandomSource(1), ledger=ledger)
-        assert [call.epsilon for call in ledger.calls] == [0.25] * 4
-        assert ledger.levels == 4
+        out, record = release("indexp", sample, query, RandomSource(1), None)
+        assert record.levels == 4 and record.eps_per_call == 0.25
+        # replacement does not halve the budget: each draw is made at 0.25
+        assert record.epsilon_effective == 1.0
+        ranks = target_rank(50, query.orders)
+        assert np.array_equal(out, qexp_draws(sample, ranks, 0.25, RandomSource(1)))
 
     def test_outputs_not_forced_monotone(self):
         # with a tiny budget the independent draws are nearly uniform and
@@ -394,18 +396,17 @@ class TestQexpDraws:
             orders = centered_grid(m) if m > 2 else (0.01, 0.99)[-m:]
             for eps_each in (1e-3, 0.1, 1.0, 10.0, 1000.0):
                 query = QuantileQuery(orders, PrivacyBudget(eps_each * m, ADD_REMOVE))
-                ledger = BudgetLedger()
                 rng, oracle_rng = RandomSource(17, (n, m)), RandomSource(17, (n, m))
-                out = indexp(sample, query, rng, ledger=ledger)
+                out, record = release("indexp", sample, query, rng, None)
                 ranks = [target_rank(n, p) for p in orders]
-                expected = density_oracle(sample, ranks, query.budget.epsilon / m, oracle_rng)
+                eps_call = query.budget.epsilon / m
+                # m density draws on the whole sample at eps / m each
+                expected = density_oracle(sample, ranks, eps_call, oracle_rng)
                 assert np.array_equal(out, expected), (m, eps_each)
                 # the stream stays in step with m sequential density draws
                 assert rng.random() == oracle_rng.random()
-                eps_call = query.budget.epsilon / m
-                assert ledger.calls == [MechanismCall(j, 1, eps_call, n) for j in range(m)]
-                assert ledger.levels == m and ledger.eps_per_call == eps_call
-                assert_equals_full_table(recorded_tables[-1], sample.values, eps_call)
+                assert record.levels == m and record.eps_per_call == eps_call
+                assert_equals_full_table(recorded_tables[-1], sample.values, record.eps_per_call)
 
     def test_every_rank_and_zero_budget(self):
         sample = oracle_test_sample("duplicates", 300, seed=4)
@@ -450,17 +451,16 @@ class TestQexpDraws:
         assert qexp_draws(sample, [], 1.0, RandomSource(0)).shape == (0,)
 
 
-def per_slice_recexp(sample, query, rng, ledger=None):
+def per_slice_recexp(sample, query, rng, calls=None):
     # the reference recursion: a SortedSample, a qexp_density and a
     # sample_piecewise draw on every slice. Node i in preorder takes
-    # uniforms 2i and 2i + 1
+    # uniforms 2i and 2i + 1. Each draw appends its (order index, level,
+    # epsilon, slice size) to calls
     m = query.m
     depth = recexp_depth(m)
     eps = query.budget.epsilon
     eps_effective = eps if query.budget.relation is ADD_REMOVE else eps / 2.0
     eps_call = eps_effective / depth
-    if ledger is not None:
-        ledger.allocate(eps, eps_effective, depth)
     values, n, out = sample.values, sample.n, np.empty(m)
 
     def recurse(j_lo, j_hi, a, b, lo, hi, level):
@@ -475,8 +475,8 @@ def per_slice_recexp(sample, query, rng, ledger=None):
         r = min(max(target_rank(n, query.orders[j_mid - 1]) - a, 0), b - a)
         density = qexp_density(SortedSample(values[a:b]), RankTarget(r, lo, hi), eps_call)
         q = sample_piecewise(density, rng)
-        if ledger is not None:
-            ledger.record(j_mid - 1, level, eps_call, b - a)
+        if calls is not None:
+            calls.append((j_mid - 1, level, eps_call, b - a))
         out[j_mid - 1] = q
         s = int(np.searchsorted(values[a:b], q, side="left"))
         recurse(j_lo, j_mid - 1, a, a + s, lo, q, level + 1)
@@ -547,14 +547,17 @@ class TestRecexpTable:
             for epsilon, relation in cases:
                 query = QuantileQuery(recexp_test_orders(m), PrivacyBudget(epsilon, relation))
                 rng, oracle_rng = RandomSource(5, (n, m)), RandomSource(5, (n, m))
-                ledger, oracle_ledger = BudgetLedger(), BudgetLedger()
-                out = recexp(sample, query, rng, ledger=ledger)
-                expected = per_slice_recexp(sample, query, oracle_rng, ledger=oracle_ledger)
+                out, record = release("recexp", sample, query, rng, None)
+                oracle_calls = []
+                expected = per_slice_recexp(sample, query, oracle_rng, oracle_calls)
                 assert np.array_equal(out, expected), (m, epsilon, relation)
-                # same stream position and the same ledger records
+                # the same stream position, and the calls read off the output,
+                # at the record's budget, are the ones the oracle made
                 assert rng.random() == oracle_rng.random()
-                assert ledger == oracle_ledger
-                assert_equals_full_table(recorded_tables[-1], sample.values, ledger.eps_per_call)
+                calls = recexp_calls(sample.values, out)
+                assert [(j, level, record.eps_per_call, size) for j, level, size in calls] == oracle_calls
+                assert record.levels == recexp_depth(m)
+                assert_equals_full_table(recorded_tables[-1], sample.values, record.eps_per_call)
 
     def test_extreme_uniforms_skip_zero_length_intervals(self):
         # zero-length intervals at both ends and in the middle, and children
@@ -615,11 +618,11 @@ class TestRecexpTable:
                 uniforms = [
                     u for i, a in enumerate(actions) for u in ((a + 0.5) / 3, (i + 1) / (m + 1))
                 ]
-                stream, ledger = ScriptedUniforms(uniforms), BudgetLedger()
-                out = recexp(sample, query, stream, ledger=ledger)
+                stream = ScriptedUniforms(uniforms)
+                out = recexp(sample, query, stream)
                 expected, live = preorder_stream_rule(m, uniforms)
                 assert out.tolist() == expected, actions
-                assert [(call.order_index, call.level) for call in ledger.calls] == live, actions
+                assert [call[:2] for call in recexp_calls(sample.values, out)] == live, actions
                 assert stream.drawn == 2 * m
 
     def test_leaves_no_reference_cycles(self):
@@ -629,7 +632,7 @@ class TestRecexpTable:
         gc.collect()
         gc.disable()
         try:
-            recexp(sample, query, RandomSource(1), ledger=BudgetLedger())
+            release("recexp", sample, query, RandomSource(1), None)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -1056,8 +1059,6 @@ class TestRowAxis:
                 estimator(samples, query, [RandomSource(0)])
             with pytest.raises(InvalidArgumentError):
                 estimator([samples[0], evenly_spaced_sample(4)], query, [RandomSource(0)] * 2)
-            with pytest.raises(InvalidArgumentError):
-                estimator(samples, query, [RandomSource(0)] * 2, ledger=BudgetLedger())
 
 
 class TestRecexpDepth:
@@ -1089,28 +1090,26 @@ class TestRecexp:
         assert [qexp(sample, 0.5, 0.5, rng) for _ in range(5)] == direct[:5].tolist()
         assert ks_2samp(rec, direct).statistic < 0.03
 
-    def test_budget_ledger_m4(self):
-        ledger = BudgetLedger()
+    def test_budget_record_m4(self):
+        sample = evenly_spaced_sample(100)
         query = QuantileQuery((0.3, 0.4, 0.5, 0.6), PrivacyBudget(0.3, ADD_REMOVE))
-        recexp(evenly_spaced_sample(100), query, RandomSource(2), ledger=ledger)
-        assert ledger.levels == 3
-        assert all(call.epsilon == 0.3 / 3 for call in ledger.calls)
-        assert max(call.level for call in ledger.calls) <= 3
-        assert ledger.root_to_leaf_total() == 0.3
+        out, record = release("recexp", sample, query, RandomSource(2), None)
+        assert record.levels == 3 and record.eps_per_call == 0.3 / 3
+        assert max(level for _, level, _ in recexp_calls(sample.values, out)) <= 3
+        assert record.root_to_leaf_total() == 0.3
 
     def test_replace_relation_halves_the_budget(self):
-        ledger = BudgetLedger()
         query = QuantileQuery((0.3, 0.6), PrivacyBudget(1.0, REPLACE))
-        recexp(evenly_spaced_sample(100), query, RandomSource(2), ledger=ledger)
-        assert ledger.epsilon_effective == 0.5
-        assert ledger.eps_per_call == 0.25
+        _, record = release("recexp", evenly_spaced_sample(100), query, RandomSource(2), None)
+        assert record.epsilon_effective == 0.5
+        assert record.eps_per_call == 0.25
 
     def test_visits_every_order_once(self):
-        ledger = BudgetLedger()
+        sample = evenly_spaced_sample(64)
         orders = tuple(np.linspace(0.1, 0.9, 7))
         query = QuantileQuery(orders, PrivacyBudget(1.0, ADD_REMOVE))
-        recexp(evenly_spaced_sample(64), query, RandomSource(4), ledger=ledger)
-        assert sorted(call.order_index for call in ledger.calls) == list(range(7))
+        out = recexp(sample, query, RandomSource(4))
+        assert sorted(j for j, _, _ in recexp_calls(sample.values, out)) == list(range(7))
 
     def test_deterministic(self):
         sample = evenly_spaced_sample(128)
@@ -1139,12 +1138,11 @@ class TestRecexpProperties:
 
     @given(samples_strategy, orders_strategy, st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_ledger_paths_always_sum_to_the_budget(self, sample, orders, seed):
-        ledger = BudgetLedger()
+    def test_record_paths_always_sum_to_the_budget(self, sample, orders, seed):
         query = QuantileQuery(orders, PrivacyBudget(0.9, ADD_REMOVE))
-        recexp(sample, query, RandomSource(seed), ledger=ledger)
-        assert ledger.root_to_leaf_total() == pytest.approx(0.9, abs=1e-15)
-        assert max(call.level for call in ledger.calls) <= ledger.levels
+        out, record = release("recexp", sample, query, RandomSource(seed), None)
+        assert record.root_to_leaf_total() == pytest.approx(0.9, abs=1e-15)
+        assert max(level for _, level, _ in recexp_calls(sample.values, out)) <= record.levels
 
 
 class TestDpRatio:
