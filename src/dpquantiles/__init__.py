@@ -24,21 +24,14 @@ from .mechanisms import (
     NeighboringRelation,
     PrivacyBudget,
     RandomSource,
-    WeightedIntervalDensity,
-    interval_mass,
     laplace_draw,
-    log_density_at,
-    sample_piecewise,
 )
 from .quantiles import (
     QuantileQuery,
-    RankTarget,
     ReleaseRecord,
     SortedSample,
-    empirical_error,
     indexp,
     qexp,
-    qexp_density,
     qexp_draws,
     recexp,
     recexp_depth,
@@ -59,20 +52,14 @@ __all__ = [
     "PrivacyBudget",
     "QuantileQuery",
     "RandomSource",
-    "RankTarget",
     "ReleaseRecord",
     "SortedSample",
-    "WeightedIntervalDensity",
-    "empirical_error",
     "generalized_quantiles",
     "indexp",
-    "interval_mass",
     "laplace_draw",
-    "log_density_at",
     "centered_grid",
     "private_histogram",
     "qexp",
-    "qexp_density",
     "qexp_draws",
     "quantile_from_histogram",
     "recexp",
@@ -80,6 +67,5 @@ __all__ = [
     "release",
     "run_experiment",
     "run_trial",
-    "sample_piecewise",
     "target_rank",
 ]

@@ -38,17 +38,15 @@ from .mechanisms import (
     PrivacyBudget,
     RandomSource,
     check_seed,
-    interval_mass,
     log_density_grid,  # noqa: F401  (a benchmark trace point)
 )
+from .quantiles import qexp_density  # noqa: F401  (a benchmark trace point)
 from .quantiles import (
     QuantileQuery,
-    RankTarget,
     ReleaseRecord,
     SortedSample,
     check_order_count,
     indexp,
-    qexp_density,
     qexp_log_weights,
     recexp,
     target_rank,
@@ -65,6 +63,15 @@ def centered_grid(m: int) -> tuple[float, ...]:
     """
     check_order_count(m)
     return tuple(0.25 + j / (2.0 * (m + 1)) for j in range(1, m + 1))
+
+
+# A trial holds about 50 bytes a sample value at its peak (the Beta sampler's
+# draws; the gap table then takes about 27 on top of the sample's 8), so this
+# cap keeps one trial under about half a gigabyte.
+MAX_SAMPLE_SIZE = 10**7
+# A run keeps about 50 bytes a trial for each cell (its error as a float in
+# lists and a tuple), so this cap keeps a cell's errors under about 50 MB.
+MAX_TRIALS = 10**6
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,8 @@ class ExperimentConfig:
         unknown = [e for e in self.estimators if e not in ESTIMATOR_IDS]
         if unknown or not self.estimators:
             raise InvalidArgumentError(f"unknown estimators: {unknown}")
-        if self.trials < 1:
-            raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise InvalidArgumentError(f"key 'trials': must be between 1 and {MAX_TRIALS}, got {self.trials}")
         if self.explicit_orders is not None:
             orders = tuple(float(p) for p in self.explicit_orders)
             object.__setattr__(self, "explicit_orders", orders)
@@ -119,8 +126,8 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"epsilon {exc}") from None
         if self.explicit_orders is not None:
             QuantileQuery(self.explicit_orders, budget)  # validates the orders
-        if self.n < 1:
-            raise InvalidArgumentError(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_SAMPLE_SIZE:
+            raise InvalidArgumentError(f"key 'n': must be between 1 and {MAX_SAMPLE_SIZE}, got {self.n}")
         try:
             check_bin_count(self.histogram_bin_count)
         except InvalidArgumentError as exc:
@@ -738,8 +745,13 @@ def verify_lower_bound_qexp(
 
     P(|q - t| > gamma) is integrated in closed form from the piecewise
     output density on adversarial samples and must stay at or above
-    (1/2) exp(-n eps / 2).
+    (1/2) exp(-n eps / 2). Each interval between 0, the sample values and 1
+    has a log-weight of :func:`qexp_log_weights`, and its overlap with [t -
+    gamma, t + gamma] a mass summed in log space, as in the per-density law.
     """
+    lo, hi = max(0.0, t - gamma), min(1.0, t + gamma)
+    if hi < lo:
+        raise InvalidArgumentError(f"empty integration interval [{lo}, {hi}]")
     rows = []
     all_pass = True
     for n in ns:
@@ -747,11 +759,19 @@ def verify_lower_bound_qexp(
             floor = lemma_qexp_lower(n, eps)
             worst = math.inf
             for sample in worst_case_samples(n, t):
+                breakpoints = np.concatenate(([0.0], sample.values, [1.0]))
+                with np.errstate(divide="ignore"):
+                    log_lengths = np.log(np.diff(breakpoints))
+                overlap = np.clip(breakpoints[1:], lo, hi) - np.clip(breakpoints[:-1], lo, hi)
+                inside = overlap > 0
+                log_overlaps = np.log(overlap[inside])
                 for p in orders:
-                    target = RankTarget(target_rank(sample.n, p))
-                    density = qexp_density(sample, target, eps)
-                    inside = interval_mass(density, max(0.0, t - gamma), min(1.0, t + gamma))
-                    worst = min(worst, 1.0 - inside)
+                    log_weights = qexp_log_weights(sample.n, target_rank(sample.n, p), eps)
+                    log_masses = log_lengths + log_weights
+                    top = float(np.max(log_masses))
+                    log_norm = top + math.log(float(np.sum(np.exp(log_masses - top))))
+                    mass = float(np.sum(np.exp(log_overlaps + log_weights[inside] - log_norm)))
+                    worst = min(worst, 1.0 - mass)
             ok = worst >= floor
             all_pass &= ok
             rows.append(

@@ -59,29 +59,13 @@ def _log_prefactor(n: int, pi_max: float) -> float:
     return math.log(4.0) + math.log(n) + 0.5 * math.log(2.0 * math.e * pi_max)
 
 
-def thm_qexp_tail(
-    n: int,
-    gamma: float,
-    epsilon: float,
-    envelope: DensityEnvelope,
-    p: float | None = None,
-    use_proof_exponent: bool = False,
-) -> float:
+def thm_qexp_tail(n: int, gamma: float, epsilon: float, envelope: DensityEnvelope) -> float:
     """Tail bound on the statistical error of the single-quantile mechanism:
-    4 n sqrt(2 e pi_max) exp(-eps n gamma pi_min / 32) + 4 exp(-gamma^2 pi_min^2 n / 8).
-
-    ``use_proof_exponent=True`` divides the second exponent by max(p, 1-p)
-    (a sharper constant the derivation actually supports); the default is
-    the looser form as printed.
-    """
+    4 n sqrt(2 e pi_max) exp(-eps n gamma pi_min / 32) + 4 exp(-gamma^2 pi_min^2 n / 8)."""
     _check_tail_inputs(n, gamma, epsilon, envelope)
     pi_min, pi_max = envelope.lower, envelope.upper
-    denominator = 8.0
-    if use_proof_exponent:
-        _require(p is not None and 0.0 < p < 1.0, "the sharper exponent needs p in (0, 1)")
-        denominator = 8.0 * max(p, 1.0 - p)
     privacy = math.exp(_log_prefactor(n, pi_max) - epsilon * n * gamma * pi_min / 32.0)
-    sampling = 4.0 * math.exp(-gamma * gamma * pi_min * pi_min * n / denominator)
+    sampling = 4.0 * math.exp(-gamma * gamma * pi_min * pi_min * n / 8.0)
     return privacy + sampling
 
 

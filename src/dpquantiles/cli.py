@@ -500,6 +500,9 @@ LOWER_BOUND_TS = (0.3, 0.5)
 LOWER_BOUND_GAMMAS = (0.1, 0.25)
 # (n, p, gamma)
 QUANTILE_CONCENTRATION_CASES = ((1000, 0.5, 0.2), (1000, 0.25, 0.1), (200, 0.5, 0.3))
+# gap-law draws all its trials at once, about 280 bytes a trial at its largest
+# n = 10, so this cap on --trials keeps a suite under about 300 MB
+MAX_VERIFY_TRIALS = 10**6
 
 
 def _combined(name: str, parts) -> CheckReport:
@@ -557,8 +560,9 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        return _fail(f"--trials must be at least 1, got {args.trials}", EXIT_INPUT_ERROR)
+    if not 1 <= args.trials <= MAX_VERIFY_TRIALS:
+        message = f"--trials must be between 1 and {MAX_VERIFY_TRIALS}, got {args.trials}"
+        return _fail(message, EXIT_INPUT_ERROR)
     try:
         check_seed(args.seed)
     except InvalidArgumentError as exc:

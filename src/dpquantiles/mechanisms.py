@@ -2,10 +2,10 @@
 
 All algorithmic randomness in the package flows through :class:`RandomSource`,
 a thin wrapper around numpy's PCG64 generator keyed by ``(seed, stream)``.
-The module also provides Laplace noise and an exponential-mechanism sampler
-for piecewise-constant utilities on sub-intervals of [0, 1], with all weight
+The module also provides Laplace noise and the exponential-mechanism law of
+piecewise-constant utilities on sub-intervals of [0, 1], with all weight
 arithmetic kept in log space (max-subtraction) so large ``n * epsilon``
-products cannot overflow.
+products cannot overflow; that law is the tests' reference for the draws.
 """
 
 from __future__ import annotations
@@ -166,19 +166,16 @@ class WeightedIntervalDensity:
         return cum
 
 
-def sample_piecewise(density: WeightedIntervalDensity, rng: RandomSource, size: int | None = None):
-    """Draw from the normalized law of ``density``.
+def sample_piecewise(density: WeightedIntervalDensity, rng: RandomSource, size: int) -> np.ndarray:
+    """``size`` draws from the normalized law of ``density``.
 
     An interval is selected with probability proportional to
     ``length * exp(log_weight)`` and the point is uniform inside it; each
-    draw consumes exactly two uniforms. With ``size`` set, all interval
-    uniforms are drawn before all position uniforms.
+    draw consumes exactly two uniforms, all interval uniforms before all
+    position uniforms.
     """
     cum = density._cumulative
     b = density.breakpoints
-    if size is None:
-        k = int(np.searchsorted(cum, rng.random(), side="right"))
-        return float(b[k] + rng.random() * (b[k + 1] - b[k]))
     ks = np.searchsorted(cum, rng.random(size), side="right")
     return b[ks] + rng.random(size) * (b[ks + 1] - b[ks])
 
@@ -201,25 +198,3 @@ def log_density_grid(density: WeightedIntervalDensity, qs) -> np.ndarray:
     ks = np.minimum(np.searchsorted(b, qs, side="right") - 1, last)
     outside = (qs < b[0]) | (qs > b[-1])
     return np.where(outside, -np.inf, density.log_weights[ks] - log_norm)
-
-
-def log_density_at(density: WeightedIntervalDensity, q: float) -> float:
-    """:func:`log_density_grid` at the single point ``q``."""
-    return float(log_density_grid(density, q))
-
-
-def interval_mass(density: WeightedIntervalDensity, lo: float, hi: float) -> float:
-    """Exact probability that a draw lands in ``[lo, hi]``."""
-    if hi < lo:
-        raise InvalidArgumentError(f"empty integration interval [{lo}, {hi}]")
-    b = density.breakpoints
-    overlap = np.clip(b[1:], lo, hi) - np.clip(b[:-1], lo, hi)
-    idx = overlap > 0
-    if not idx.any():
-        return 0.0
-    # stay in log space per interval: partial masses never exceed 1, so the
-    # exponentials cannot overflow even for extremely tall spikes
-    log_masses = (
-        np.log(overlap[idx]) + density.log_weights[idx] - density.log_normalizer
-    )
-    return float(np.sum(np.exp(log_masses)))

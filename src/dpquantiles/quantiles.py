@@ -21,7 +21,8 @@ lies within a stated bound of its exact value. The per-density sampler
 (:func:`qexp_density` with :func:`sample_piecewise`) draws the same law on
 the same uniforms, and picks the same interval except within rounding of a
 boundary of the CDF; it stays as the reference the draws are tested
-against, and the privacy audits read its densities.
+against. The audits in :mod:`dpquantiles.bench` compute the same law from
+:func:`qexp_log_weights`.
 
 The core has a leading row axis: :func:`qexp_draws`, :func:`indexp` and
 :func:`recexp` take one sample and its :class:`RandomSource` (one row), or
@@ -114,23 +115,6 @@ class QuantileQuery:
         return len(self.orders)
 
 
-@dataclass(frozen=True)
-class RankTarget:
-    """Target count of points strictly below the output, on a sub-domain."""
-
-    rank: int
-    domain_lo: float = 0.0
-    domain_hi: float = 1.0
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise InvalidArgumentError(f"rank must be nonnegative, got {self.rank}")
-        if not 0.0 <= self.domain_lo <= self.domain_hi <= 1.0:
-            raise InvalidArgumentError(
-                f"need 0 <= lo <= hi <= 1, got [{self.domain_lo}, {self.domain_hi}]"
-            )
-
-
 def target_rank(n: int, p):
     """floor(n * p), nudged one ulp up first so exact integer boundaries
     are not lost to floating-point rounding: an int for one order ``p``,
@@ -141,14 +125,6 @@ def target_rank(n: int, p):
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def empirical_error(sample: SortedSample, q: float, r: int) -> int:
-    """Absolute rank error: abs(#{X_i < q} - r)."""
-    if not 0.0 <= q <= 1.0:
-        raise InvalidArgumentError(f"q must lie in [0, 1], got {q}")
-    below = int(np.searchsorted(sample.values, q, side="left"))
-    return abs(below - r)
-
-
 # Two positive double gaps differ by less than e^745, so from c = 1490 on the
 # intervals beyond the nearest positive-length ones hold less than e^-745 of
 # the mass, far below the 2^-53 resolution of a uniform, and no draw depends
@@ -156,29 +132,32 @@ def empirical_error(sample: SortedSample, q: float, r: int) -> int:
 _SATURATED_C = 1500.0
 
 
-def qexp_density(sample: SortedSample, target: RankTarget, epsilon: float) -> WeightedIntervalDensity:
-    """Exponential-mechanism density for one quantile on the target's domain.
+def qexp_density(
+    sample: SortedSample, rank: int, epsilon: float, lo: float = 0.0, hi: float = 1.0
+) -> WeightedIntervalDensity:
+    """Exponential-mechanism density for one quantile of target ``rank``, the
+    count of points strictly below the output, on the domain ``[lo, hi]``.
 
     Interval ``k`` (between consecutive sample points, with the domain edges
     as outer breakpoints) has ``k`` sample points to its left and gets
-    log-weight ``-(epsilon / 2) * abs(k - r)``; the utility has sensitivity 1
-    under both neighboring relations. Duplicated sample points produce
-    zero-length intervals, which the sampler ignores. ``epsilon = 0`` is
-    accepted and degenerates to the uniform law on the domain. As in
+    log-weight ``-(epsilon / 2) * abs(k - rank)``; the utility has
+    sensitivity 1 under both neighboring relations. Duplicated sample points
+    produce zero-length intervals, which the sampler ignores. ``epsilon = 0``
+    is accepted and degenerates to the uniform law on the domain. As in
     :func:`qexp_draws`, ``epsilon / 2`` is capped at ``_SATURATED_C``, so the
     log-weights stay finite and the gap lengths keep their say at any budget.
     """
     if epsilon < 0 or not math.isfinite(epsilon):
         raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if not 0 <= rank <= sample.n:
+        raise InvalidArgumentError(f"rank must lie in [0, {sample.n}], got {rank}")
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise InvalidArgumentError(f"need 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
     values = sample.values
-    if sample.n and (values[0] < target.domain_lo or values[-1] > target.domain_hi):
-        raise InvalidArgumentError("sample values must lie inside the target domain")
-    if target.rank > sample.n:
-        raise InvalidArgumentError(
-            f"rank {target.rank} exceeds sub-sample size {sample.n}"
-        )
-    breakpoints = np.concatenate(([target.domain_lo], values, [target.domain_hi]))
-    return WeightedIntervalDensity(breakpoints, qexp_log_weights(sample.n, target.rank, epsilon))
+    if sample.n and (values[0] < lo or values[-1] > hi):
+        raise InvalidArgumentError("sample values must lie inside the domain")
+    breakpoints = np.concatenate(([lo], values, [hi]))
+    return WeightedIntervalDensity(breakpoints, qexp_log_weights(sample.n, rank, epsilon))
 
 
 def qexp_log_weights(n: int, rank: int, epsilon: float) -> np.ndarray:
@@ -470,7 +449,7 @@ def qexp_draws(sample, ranks, epsilon: float, rng) -> np.ndarray:
     """One exponential-mechanism draw on [0, 1] per target rank, all at ``epsilon``.
 
     Draw ``j`` has the law of ``sample_piecewise(qexp_density(sample,
-    RankTarget(ranks[j]), epsilon), rng)`` on the same two uniforms, but
+    ranks[j], epsilon), rng, 1)`` on the same two uniforms, but
     all ranks are full-domain slices of one :func:`_draws` call on one
     table, so m ranks cost O(n + m log n). The chosen interval equals the
     density sampler's except when a uniform falls within rounding of an
@@ -525,10 +504,6 @@ class ReleaseRecord:
         effective = budget.epsilon / 2.0 if halved else budget.epsilon
         histogram_bins = bins if method == "histogram" else None
         return cls(method, budget.relation, budget.epsilon, effective, levels, effective / levels, histogram_bins)
-
-    def root_to_leaf_total(self) -> float:
-        """Budget charged along any root-to-leaf path: one charge per level."""
-        return math.fsum([self.eps_per_call] * self.levels)
 
 
 def indexp(

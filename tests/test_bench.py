@@ -35,7 +35,6 @@ from dpquantiles.mechanisms import (
 )
 from dpquantiles.quantiles import (
     QuantileQuery,
-    RankTarget,
     SortedSample,
     indexp,
     qexp,
@@ -43,6 +42,7 @@ from dpquantiles.quantiles import (
     recexp,
     target_rank,
 )
+from reference import interval_mass
 
 UNIFORM = DistributionOracle.uniform()
 
@@ -646,8 +646,7 @@ def per_pair_sup(first, second, p, epsilon):
     densities = []
     for values in (first, second):
         sample = SortedSample(np.asarray(values, dtype=float))
-        target = RankTarget(target_rank(sample.n, p))
-        densities.append(qexp_density(sample, target, epsilon))
+        densities.append(qexp_density(sample, target_rank(sample.n, p), epsilon))
     cuts = np.unique(
         np.concatenate([densities[0].breakpoints, densities[1].breakpoints, [0.0, 1.0]])
     )
@@ -793,6 +792,29 @@ class TestVerifyLowerBound:
 
     def test_gamma_boundary_included(self):
         assert verify_lower_bound_qexp((3,), (0.5,), 0.3, 0.25).passed
+
+    def test_every_mass_of_the_suite_matches_the_density_reference(self, monkeypatch):
+        # one sample and order per call, so each row's value is one mass,
+        # against the per-density law integrated by the reference
+        samples_of = bench.worst_case_samples
+        cases = itertools.product(
+            cli.LOWER_BOUND_TS, cli.LOWER_BOUND_GAMMAS, cli.LOWER_BOUND_NS, cli.LOWER_BOUND_EPSILONS
+        )
+        checked = 0
+        for t, gamma, n, eps in cases:
+            for sample in samples_of(n, t):
+                monkeypatch.setattr(bench, "worst_case_samples", lambda n, t: [sample])
+                for p in (0.25, 0.5, 0.75):
+                    (row,) = verify_lower_bound_qexp((n,), (eps,), t, gamma, (p,)).rows
+                    density = qexp_density(sample, target_rank(n, p), eps)
+                    inside = interval_mass(density, max(0.0, t - gamma), min(1.0, t + gamma))
+                    assert row["empirical"] == 1.0 - inside, (t, gamma, sample.values, p, eps)
+                    checked += 1
+        assert checked == 1488
+
+    def test_rejects_an_empty_interval(self):
+        with pytest.raises(InvalidArgumentError):
+            verify_lower_bound_qexp((3,), (0.5,), 0.5, -0.1)
 
 
 class TestTheoremTailsNeverExceeded:

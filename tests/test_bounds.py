@@ -65,13 +65,6 @@ class TestUpperTails:
         values = [bounds.thm_qexp_tail(n, 0.05, 1.0, ENVELOPE) for n in range(2000, 40_000, 2000)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_qexp_proof_exponent_is_sharper(self):
-        loose = bounds.thm_qexp_tail(5000, 0.05, 1.0, ENVELOPE)
-        sharp = bounds.thm_qexp_tail(5000, 0.05, 1.0, ENVELOPE, p=0.3, use_proof_exponent=True)
-        assert sharp <= loose
-        with pytest.raises(InvalidArgumentError):
-            bounds.thm_qexp_tail(5000, 0.05, 1.0, ENVELOPE, use_proof_exponent=True)
-
     def test_indexp_reduces_at_m1(self):
         assert bounds.thm_indexp_tail(500, 1, 0.1, 1.0, ENVELOPE) == bounds.thm_qexp_tail(500, 0.1, 1.0, ENVELOPE)
 

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpquantiles import cli, quantiles
+from dpquantiles import bench, cli, quantiles
 from dpquantiles.bench import CheckReport
 from dpquantiles.errors import InvalidArgumentError
 from dpquantiles.histogram import MAX_BIN_COUNT
+from dpquantiles.mechanisms import WeightedIntervalDensity
 from dpquantiles.quantiles import MAX_ORDER_COUNT
 
 DATA = "0.2\n0.5\n0.8\n"
@@ -520,6 +521,29 @@ class TestBench:
         )
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "key, value", [("n", "0"), ("n", "1000000000000"), ("trials", "0"), ("trials", "1000000000000")]
+    )
+    def test_unusable_sample_size_or_trial_count_exits_2_before_the_run(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        # n = 1e12 used to end in a 7.28 TiB allocation error, exit 1
+        def no_run(*args, **kwargs):
+            raise AssertionError("experiment run for a rejected config")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        cap = bench.MAX_SAMPLE_SIZE if key == "n" else bench.MAX_TRIALS
+        path = tmp_path / "sizes.cfg"
+        path.write_text(CONFIG.replace({"n": "n = 400", "trials": "trials = 2"}[key], f"{key} = {value}"))
+        expected = f"{path}: key '{key}': must be between 1 and {cap}, got {value}"
+        with pytest.raises(InvalidArgumentError) as err:
+            cli.parse_config_file(str(path))
+        assert str(err.value) == expected
+        outdir = tmp_path / "o"
+        assert cli.main(["bench", "--config", str(path), "--output", str(outdir)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not outdir.exists()
+
     def test_summary_reports_sample_time_and_stream_layout(self, config_file, tmp_path):
         outdir = tmp_path / "out"
         assert cli.main(["bench", "--config", config_file, "--output", str(outdir)]) == 0
@@ -706,6 +730,13 @@ class TestBounds:
         assert captured.out == ""
 
 
+# SHA-256 of the stdout of `dpq verify lower-bound` and `dpq verify dp-ratio`,
+# recorded while the lower-bound suite still integrated a per-density law
+# (x86-64, numpy 2.4): both suites are exact, so their reports keep these bytes
+LOWER_BOUND_STDOUT_SHA256 = "7fa90e979f9070928420b36c1835538d98627737ffe71a10268f8ddfa5b48809"
+DP_RATIO_STDOUT_SHA256 = "65873c06306fd598b79ab236a20a20fb3d14073394574daf7c686f380a040eb6"
+
+
 class TestVerify:
     def test_gap_law_suite_passes(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -721,6 +752,27 @@ class TestVerify:
     def test_lower_bound_suite_passes(self, capsys):
         assert cli.main(["verify", "lower-bound"]) == 0
         assert "suite lower-bound: PASS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "suite, digest",
+        [
+            ("lower-bound", LOWER_BOUND_STDOUT_SHA256),
+            ("dp-ratio", DP_RATIO_STDOUT_SHA256),
+        ],
+    )
+    def test_exact_suite_report_keeps_its_bytes(self, capsys, suite, digest):
+        assert cli.main(["verify", suite]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_lower_bound_suite_builds_no_density(self, monkeypatch, capsys):
+        # the suite reads the law off qexp_log_weights, with the same bytes
+        def no_density(*args, **kwargs):
+            raise AssertionError("the lower-bound suite built a per-density law")
+
+        monkeypatch.setattr(bench, "qexp_density", no_density)
+        monkeypatch.setattr(WeightedIntervalDensity, "__post_init__", no_density)
+        assert cli.main(["verify", "lower-bound"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == LOWER_BOUND_STDOUT_SHA256
 
     def test_failing_suite_exits_1(self, monkeypatch, capsys):
         def failing(seed, trials):
@@ -745,6 +797,31 @@ class TestVerify:
         assert cli.main(["verify", suite, "--trials", trials]) == 2
         captured = capsys.readouterr()
         assert "--trials" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("suite", ["gap-law", "dp-ratio", "quantile-concentration", "all"])
+    def test_trials_past_the_cap_exit_2_before_any_suite_runs(self, monkeypatch, capsys, suite):
+        # gap-law at 1e9 trials used to end in a 7.45 GiB allocation error, exit 1
+        def no_suite(seed, trials):
+            raise AssertionError("a suite ran with a rejected trial count")
+
+        for name in cli._SUITES:
+            monkeypatch.setitem(cli._SUITES, name, no_suite)
+        cap = cli.MAX_VERIFY_TRIALS
+        assert cli.main(["verify", suite, "--trials", str(cap + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --trials must be between 1 and {cap}, got {cap + 1}\n"
+        assert captured.out == ""
+
+    def test_trials_at_the_cap_run(self, monkeypatch, capsys):
+        seen = []
+
+        def suite(seed, trials):
+            seen.append(trials)
+            return CheckReport("gap-law", True, [])
+
+        monkeypatch.setitem(cli._SUITES, "gap-law", suite)
+        assert cli.main(["verify", "gap-law", "--trials", str(cli.MAX_VERIFY_TRIALS)]) == 0
+        assert seen == [cli.MAX_VERIFY_TRIALS]
 
     def test_negative_seed_exits_2(self, capsys):
         assert cli.main(["verify", "gap-law", "--seed", "-1", "--trials", "10"]) == 2

@@ -11,12 +11,11 @@ from dpquantiles.errors import DegenerateDensityError, InvalidArgumentError
 from dpquantiles.mechanisms import (
     RandomSource,
     WeightedIntervalDensity,
-    interval_mass,
     laplace_draw,
-    log_density_at,
     log_density_grid,
     sample_piecewise,
 )
+from reference import interval_mass
 
 
 class TestRandomSource:
@@ -73,6 +72,10 @@ class TestLaplace:
             laplace_draw(scale, RandomSource(0), 1)
 
 
+def density_at(dens, q):
+    return float(log_density_grid(dens, q))
+
+
 def flat_density():
     return WeightedIntervalDensity([0.0, 1.0], [0.0])
 
@@ -91,7 +94,7 @@ class TestWeightedIntervalDensity:
     def test_degenerate_density_raises_on_use(self):
         dens = WeightedIntervalDensity([0.0, 0.5, 0.5, 1.0], [-math.inf, 3.0, -math.inf])
         with pytest.raises(DegenerateDensityError):
-            sample_piecewise(dens, RandomSource(0))
+            sample_piecewise(dens, RandomSource(0), 1)
 
     def test_flat_sampling_is_uniform(self):
         draws = sample_piecewise(flat_density(), RandomSource(42), size=100_000)
@@ -126,39 +129,40 @@ class TestWeightedIntervalDensity:
 
     def test_sampling_determinism(self):
         dens = WeightedIntervalDensity([0.0, 0.3, 1.0], [1.0, 0.0])
-        assert sample_piecewise(dens, RandomSource(8)) == sample_piecewise(dens, RandomSource(8))
+        a, b = (sample_piecewise(dens, RandomSource(8), 3) for _ in range(2))
+        assert np.array_equal(a, b)
 
     def test_support_can_be_a_subinterval(self):
         dens = WeightedIntervalDensity([0.2, 0.4, 0.7], [0.0, 0.0])
         draws = sample_piecewise(dens, RandomSource(4), size=10_000)
         assert draws.min() >= 0.2 and draws.max() <= 0.7
-        assert log_density_at(dens, 0.1) == -math.inf
-        assert log_density_at(dens, 0.9) == -math.inf
+        assert density_at(dens, 0.1) == -math.inf
+        assert density_at(dens, 0.9) == -math.inf
 
 
 class TestLogDensity:
     def test_flat_density_is_log_one(self):
-        assert log_density_at(flat_density(), 0.3) == 0.0
+        assert density_at(flat_density(), 0.3) == 0.0
 
     def test_weighted_value(self):
         dens = WeightedIntervalDensity([0.0, 0.5, 1.0], [math.log(3.0), 0.0])
         # normalizer is 0.5 * 3 + 0.5 * 1 = 2, so the left density is 3/2
-        assert log_density_at(dens, 0.25) == pytest.approx(math.log(1.5), abs=1e-14)
-        assert log_density_at(dens, 0.75) == pytest.approx(math.log(0.5), abs=1e-14)
+        assert density_at(dens, 0.25) == pytest.approx(math.log(1.5), abs=1e-14)
+        assert density_at(dens, 0.75) == pytest.approx(math.log(0.5), abs=1e-14)
 
     def test_breakpoint_belongs_to_the_right_interval(self):
         dens = WeightedIntervalDensity([0.0, 0.5, 1.0], [math.log(3.0), 0.0])
-        assert log_density_at(dens, 0.5) == pytest.approx(math.log(0.5), abs=1e-14)
-        assert log_density_at(dens, 1.0) == pytest.approx(math.log(0.5), abs=1e-14)
-        assert log_density_at(dens, 0.0) == pytest.approx(math.log(1.5), abs=1e-14)
+        assert density_at(dens, 0.5) == pytest.approx(math.log(0.5), abs=1e-14)
+        assert density_at(dens, 1.0) == pytest.approx(math.log(0.5), abs=1e-14)
+        assert density_at(dens, 0.0) == pytest.approx(math.log(1.5), abs=1e-14)
 
     def test_zero_length_run_at_the_edge(self):
         dens = WeightedIntervalDensity([0.0, 1.0, 1.0], [0.0, 5.0])
-        assert log_density_at(dens, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert density_at(dens, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
-            log_density_at(flat_density(), 1.5)
+            density_at(flat_density(), 1.5)
         with pytest.raises(InvalidArgumentError):
             log_density_grid(flat_density(), np.array([-0.1, 0.5]))
 
@@ -174,7 +178,7 @@ class TestLogDensity:
         dens = WeightedIntervalDensity([0.1, 0.4, 0.4, 0.8], [1.0, 9.0, -0.5])
         qs = np.linspace(0.0, 1.0, 257)
         grid = log_density_grid(dens, qs)
-        scalar = np.array([log_density_at(dens, float(q)) for q in qs])
+        scalar = np.array([density_at(dens, float(q)) for q in qs])
         assert np.array_equal(grid, scalar)
 
 
@@ -220,7 +224,7 @@ class TestDensityProperties:
         qs = np.concatenate([[0.0, 1.0], sub.breakpoints, np.linspace(0.0, 1.0, 33)])
         expected = [reference_log_density(sub, float(q)) for q in qs]
         assert log_density_grid(sub, qs).tolist() == expected
-        assert [log_density_at(sub, float(q)) for q in qs] == expected
+        assert [density_at(sub, float(q)) for q in qs] == expected
 
     @given(densities())
     @settings(max_examples=200)
@@ -237,6 +241,17 @@ class TestDensityProperties:
         b = sample_piecewise(dens, RandomSource(seed), size=3)
         assert np.array_equal(a, b)
         assert dens.breakpoints[0] <= a.min() and a.max() <= dens.breakpoints[-1]
+
+    @given(densities(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_one_draw_takes_the_scalar_draws_bits(self, dens, seed):
+        # the scalar form the sampler had: one interval uniform, then one
+        # position uniform, from the same stream
+        rng = RandomSource(seed)
+        b = dens.breakpoints
+        k = int(np.searchsorted(dens._cumulative, rng.random(), side="right"))
+        scalar = float(b[k] + rng.random() * (b[k + 1] - b[k]))
+        assert sample_piecewise(dens, RandomSource(seed), 1).tolist() == [scalar]
 
     @given(densities())
     @settings(max_examples=100)

@@ -23,9 +23,7 @@ from dpquantiles.mechanisms import (
 )
 from dpquantiles.quantiles import (
     QuantileQuery,
-    RankTarget,
     SortedSample,
-    empirical_error,
     indexp,
     qexp,
     qexp_density,
@@ -35,6 +33,7 @@ from dpquantiles.quantiles import (
     target_rank,
 )
 from recexp_walk import recexp_calls
+from reference import empirical_error
 
 ADD_REMOVE = NeighboringRelation.ADD_REMOVE
 REPLACE = NeighboringRelation.REPLACE
@@ -127,28 +126,32 @@ class TestEmpiricalError:
 
 class TestQexpDensity:
     def test_empty_sample_is_flat(self):
-        dens = qexp_density(SortedSample(np.empty(0)), RankTarget(0), 1.0)
+        dens = qexp_density(SortedSample(np.empty(0)), 0, 1.0)
         assert np.array_equal(dens.interval_probabilities, [1.0])
 
     def test_two_interval_closed_form(self):
-        dens = qexp_density(SortedSample(np.array([0.5])), RankTarget(0), 2.0)
+        dens = qexp_density(SortedSample(np.array([0.5])), 0, 2.0)
         # masses 0.5 * e^0 and 0.5 * e^{-1}
         expected = 1.0 / (1.0 + math.exp(-1.0))
         assert dens.interval_probabilities[0] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_epsilon_is_uniform(self):
         sample = SortedSample(np.array([0.1, 0.9]))
-        dens = qexp_density(sample, RankTarget(1), 0.0)
+        dens = qexp_density(sample, 1, 0.0)
         assert np.allclose(dens.interval_probabilities, np.diff(dens.breakpoints))
 
     def test_domain_validation(self):
         sample = SortedSample(np.array([0.1, 0.9]))
         with pytest.raises(InvalidArgumentError):
-            qexp_density(sample, RankTarget(0, 0.2, 1.0), 1.0)
+            qexp_density(sample, 0, 1.0, lo=0.2)
+        for lo, hi in ((0.5, 0.4), (-0.1, 1.0), (0.0, 1.5)):
+            with pytest.raises(InvalidArgumentError):
+                qexp_density(SortedSample(np.empty(0)), 0, 1.0, lo, hi)
+        for rank in (3, -1):
+            with pytest.raises(InvalidArgumentError):
+                qexp_density(sample, rank, 1.0)
         with pytest.raises(InvalidArgumentError):
-            qexp_density(sample, RankTarget(3), 1.0)
-        with pytest.raises(InvalidArgumentError):
-            qexp_density(sample, RankTarget(1), -1.0)
+            qexp_density(sample, 1, -1.0)
 
 
 class TestQexp:
@@ -217,7 +220,7 @@ class TestIndexp:
 def density_oracle(sample, ranks, epsilon, rng):
     # the per-order density sampler that the shared table replaces
     return np.array(
-        [sample_piecewise(qexp_density(sample, RankTarget(r), epsilon), rng) for r in ranks]
+        [sample_piecewise(qexp_density(sample, r, epsilon), rng, 1)[0] for r in ranks]
     )
 
 
@@ -473,8 +476,8 @@ def per_slice_recexp(sample, query, rng, calls=None):
             return
         j_mid = (j_lo + j_hi) // 2
         r = min(max(target_rank(n, query.orders[j_mid - 1]) - a, 0), b - a)
-        density = qexp_density(SortedSample(values[a:b]), RankTarget(r, lo, hi), eps_call)
-        q = sample_piecewise(density, rng)
+        density = qexp_density(SortedSample(values[a:b]), r, eps_call, lo, hi)
+        q = float(sample_piecewise(density, rng, 1)[0])
         if calls is not None:
             calls.append((j_mid - 1, level, eps_call, b - a))
         out[j_mid - 1] = q
@@ -1096,7 +1099,7 @@ class TestRecexp:
         out, record = release("recexp", sample, query, RandomSource(2), None)
         assert record.levels == 3 and record.eps_per_call == 0.3 / 3
         assert max(level for _, level, _ in recexp_calls(sample.values, out)) <= 3
-        assert record.root_to_leaf_total() == 0.3
+        assert math.fsum([record.eps_per_call] * record.levels) == 0.3
 
     def test_replace_relation_halves_the_budget(self):
         query = QuantileQuery((0.3, 0.6), PrivacyBudget(1.0, REPLACE))
@@ -1141,7 +1144,7 @@ class TestRecexpProperties:
     def test_record_paths_always_sum_to_the_budget(self, sample, orders, seed):
         query = QuantileQuery(orders, PrivacyBudget(0.9, ADD_REMOVE))
         out, record = release("recexp", sample, query, RandomSource(seed), None)
-        assert record.root_to_leaf_total() == pytest.approx(0.9, abs=1e-15)
+        assert math.fsum([record.eps_per_call] * record.levels) == pytest.approx(0.9, abs=1e-15)
         assert max(level for _, level, _ in recexp_calls(sample.values, out)) <= record.levels
 
 
@@ -1166,7 +1169,7 @@ class TestDpRatio:
 class TestDuplicateValues:
     def test_duplicates_yield_zero_length_intervals(self):
         sample = SortedSample(np.array([0.5, 0.5, 0.5]))
-        dens = qexp_density(sample, RankTarget(1), 1.0)
+        dens = qexp_density(sample, 1, 1.0)
         draws = sample_piecewise(dens, RandomSource(3), size=5000)
         assert np.all((draws <= 0.5) | (draws >= 0.5))
         assert len(dens.breakpoints) == 5
