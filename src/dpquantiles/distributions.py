@@ -1,15 +1,15 @@
 """Ground-truth distribution oracles for benchmark error measurement.
 
-Beta distributions on [0, 1] (Uniform is Beta(1, 1)) with an i.i.d. sampler,
-a density, a CDF and a true quantile function accurate far below any
-benchmark error scale. :class:`DensityEnvelope` is the density bound
-(min, max, Lipschitz constant) that the utility bounds take as input.
+Beta distributions on [0, 1] (Uniform is Beta(1, 1)) with an i.i.d. sampler
+and a true quantile function accurate far below any benchmark error scale.
+:class:`DensityEnvelope` is the density bound (min, max, Lipschitz constant)
+that the utility bounds take as input.
 
-``scipy.special`` (``betaln``, ``betainc``, ``betaincinv``) is imported
-inside :meth:`DistributionOracle.pdf`, :meth:`~DistributionOracle.cdf` and
-:meth:`~DistributionOracle.quantile`, not here. Only the truth oracle needs
-it, and its import is about two thirds of ``import dpquantiles.cli``, so
-``dpq estimate`` and ``dpq verify dp-ratio`` start without loading scipy.
+``scipy.special.betaincinv`` is imported inside
+:meth:`DistributionOracle.quantile`, not here. Only the truth oracle of
+``dpq bench`` needs it, and its import is about two thirds of ``import
+dpquantiles.cli``, so ``dpq estimate`` and ``dpq verify`` start without
+loading scipy.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ def _shape_text(value: float) -> str:
 
 @dataclass(frozen=True)
 class DistributionOracle:
-    """Beta(alpha, beta) ground truth on [0, 1]; Beta(1, 1) is Uniform."""
+    """Beta(alpha, beta) ground truth on [0, 1], Beta(1, 1) being Uniform:
+    seeded samples and the true quantiles they are measured against."""
 
     alpha: float
     beta: float
@@ -105,43 +106,8 @@ class DistributionOracle:
             xs = ga / total
         return SortedSample(np.sort(xs))
 
-    def pdf(self, x):
-        """Density at x (vectorized); may be infinite at 0/1 for shapes < 1."""
-        from scipy.special import betaln
-
-        x = np.asarray(x, dtype=float)
-        if not np.all((x >= 0.0) & (x <= 1.0)):
-            raise InvalidArgumentError("density evaluation points must lie in [0, 1]")
-        log_norm = betaln(self.alpha, self.beta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.exp(
-                (self.alpha - 1.0) * np.log(x)
-                + (self.beta - 1.0) * np.log1p(-x)
-                - log_norm
-            )
-        # 0 * log(0) produced nans at the edges; patch them by the exact limit
-        for edge, shape in ((x == 0.0, self.alpha), (x == 1.0, self.beta)):
-            if np.any(edge):
-                if shape > 1.0:
-                    out = np.where(edge, 0.0, out)
-                elif shape == 1.0:
-                    out = np.where(edge, np.exp(-log_norm), out)
-                else:
-                    out = np.where(edge, np.inf, out)
-        return out if out.ndim else float(out)
-
-    def cdf(self, x):
-        """Regularized incomplete beta I_x(alpha, beta), vectorized."""
-        from scipy.special import betainc
-
-        x = np.asarray(x, dtype=float)
-        if not np.all((x >= 0.0) & (x <= 1.0)):
-            raise InvalidArgumentError("cdf argument must lie in [0, 1]")
-        out = betainc(self.alpha, self.beta, x)
-        return out if out.ndim else float(out)
-
     def quantile(self, p):
-        """Inverse CDF on (0, 1), accurate to |cdf(result) - p| <= 1e-10."""
+        """Inverse CDF on (0, 1): ``|F(result) - p| <= 1e-10`` for the CDF F."""
         from scipy.special import betaincinv
 
         p = np.asarray(p, dtype=float)

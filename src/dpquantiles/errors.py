@@ -1,8 +1,20 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 class InvalidArgumentError(ValueError):
     """An argument violates a documented precondition."""
+
+
+@contextlib.contextmanager
+def prefixed(prefix: str):
+    """An :class:`InvalidArgumentError` inside is raised again with ``prefix``
+    before its message: the key or flag the bad value came from."""
+    try:
+        yield
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{prefix}{exc}") from None
 
 
 class DegenerateDensityError(ValueError):

@@ -206,7 +206,7 @@ class _GapTable:
     ``_TINY`` lift, so a row holds its one-row bits.
 
     A side is summed in blocks of ``L = min(_BLOCK, floor(_BLOCK_LOG_SPAN /
-    c))`` gaps (at least 1) on a grid from its first gap, so that every
+    c), n + 1)`` gaps (at least 1) on a grid from its first gap, so that every
     in-block weight lies in [1, e^500], and only as far as the draws read: in
     whole blocks up to the largest target rank on side 0 and down to the
     smallest on side 1, extended when a recursion slice's rank lies beyond.
@@ -245,7 +245,8 @@ class _GapTable:
     def __init__(self, values, epsilon: float, b_lo: int, a_hi: int, lo: float = 0.0, hi: float = 1.0):
         rows, n = len(values), len(values[0])
         self.c = c = min(epsilon / 2.0, _SATURATED_C)
-        self.block = L = _BLOCK if c * _BLOCK <= _BLOCK_LOG_SPAN else max(1, int(_BLOCK_LOG_SPAN / c))
+        L = _BLOCK if c * _BLOCK <= _BLOCK_LOG_SPAN else max(1, int(_BLOCK_LOG_SPAN / c))
+        self.block = L = min(L, n + 1)  # rows of a few points get short blocks
         self.run = G = max(d for d in range(1, -(-L // _RUNS) + 1) if L % d == 0)
         blocks = -(-(n + 1) // L)
         # one allocation for x and the sums (glibc's malloc would give two

@@ -762,18 +762,18 @@ class TestMaxLogDensityRatio:
 
 class TestVerifyQuantileConcentration:
     def test_uniform_median(self):
-        report = verify_quantile_concentration(UNIFORM, 1000, 0.5, 0.2, 2000, RandomSource(10))
+        report = verify_quantile_concentration(1000, 0.5, 0.2, 2000, RandomSource(10))
         assert report.passed
         assert report.rows[0]["bound"] == pytest.approx(4 * math.exp(-0.04 * 1000 / 4), rel=1e-12)
 
     def test_vacuous_bound_passes(self):
-        report = verify_quantile_concentration(UNIFORM, 50, 0.5, 0.01, 500, RandomSource(11))
+        report = verify_quantile_concentration(50, 0.5, 0.01, 500, RandomSource(11))
         assert report.rows[0]["bound"] > 1.0
         assert report.passed
 
     def test_deterministic(self):
-        a = verify_quantile_concentration(UNIFORM, 500, 0.25, 0.15, 1000, RandomSource(12))
-        b = verify_quantile_concentration(UNIFORM, 500, 0.25, 0.15, 1000, RandomSource(12))
+        a = verify_quantile_concentration(500, 0.25, 0.15, 1000, RandomSource(12))
+        b = verify_quantile_concentration(500, 0.25, 0.15, 1000, RandomSource(12))
         assert a.rows == b.rows
 
 

@@ -143,6 +143,16 @@ class TestEstimate:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("method", ["indexp", "histogram"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_exits_2_naming_it(self, data_file, capsys, method, seed):
+        argv = ["estimate", "--data", data_file, "--method", method, "--m", "3",
+                "--epsilon", "1", "--seed", seed]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --seed: seed must be a 64-bit unsigned integer, got {seed}\n"
+        assert captured.out == ""
+
     def test_zero_noise_rejected_for_exponential_mechanisms(self, data_file):
         argv = [
             "estimate", "--data", data_file, "--method", "indexp", "--m", "1",
@@ -688,6 +698,12 @@ class TestBounds:
         printed = capsys.readouterr().out.strip()
         assert printed == "0.0410424993119"
 
+    @pytest.mark.parametrize("formula", ["lemma_qexp_lower", "indexp_lower", "recexp_lower"])
+    def test_floors_echo_no_guard(self, formula, capsys):
+        # the floors take no gamma, so no guard on it is checked or claimed
+        assert cli.main(["bounds", formula] + FORMULA_CASES[formula][0]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_guard_violation_exits_3(self, capsys):
         argv = ["bounds", "thm_hist", "n=1000", "gamma=0.01", "eps=1",
                 "pi_lower=0.5", "pi_upper=1.5", "lipschitz=2", "h=0.01"]
@@ -735,6 +751,8 @@ class TestBounds:
 # (x86-64, numpy 2.4): both suites are exact, so their reports keep these bytes
 LOWER_BOUND_STDOUT_SHA256 = "7fa90e979f9070928420b36c1835538d98627737ffe71a10268f8ddfa5b48809"
 DP_RATIO_STDOUT_SHA256 = "65873c06306fd598b79ab236a20a20fb3d14073394574daf7c686f380a040eb6"
+GAP_LAW_STDOUT_SHA256 = "c81b38f8a69202520d2f5337252f6b6196fee79e6aafaf36533844da572276a3"
+QUANTILE_CONCENTRATION_STDOUT_SHA256 = "ac1ff1f20395272db44e1505adbdc7df12b07a3e32151deaa27f4a87865dc464"
 
 
 class TestVerify:
@@ -764,6 +782,18 @@ class TestVerify:
         assert cli.main(["verify", suite]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "suite, digest",
+        [
+            ("gap-law", GAP_LAW_STDOUT_SHA256),
+            ("quantile-concentration", QUANTILE_CONCENTRATION_STDOUT_SHA256),
+        ],
+    )
+    def test_monte_carlo_suite_report_keeps_its_bytes(self, capsys, suite, digest):
+        # at the default seed 0
+        assert cli.main(["verify", suite, "--trials", "2000"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_lower_bound_suite_builds_no_density(self, monkeypatch, capsys):
         # the suite reads the law off qexp_log_weights, with the same bytes
         def no_density(*args, **kwargs):
@@ -776,7 +806,7 @@ class TestVerify:
 
     def test_failing_suite_exits_1(self, monkeypatch, capsys):
         def failing(seed, trials):
-            return CheckReport("gap-law", False, [{
+            return CheckReport("gap-law", [{
                 "bound": 0.5, "empirical": 0.9, "trials": trials,
                 "ci_low": 0.8, "ci_high": 1.0, "passed": False,
             }])
@@ -817,7 +847,7 @@ class TestVerify:
 
         def suite(seed, trials):
             seen.append(trials)
-            return CheckReport("gap-law", True, [])
+            return CheckReport("gap-law", [])
 
         monkeypatch.setitem(cli._SUITES, "gap-law", suite)
         assert cli.main(["verify", "gap-law", "--trials", str(cli.MAX_VERIFY_TRIALS)]) == 0
@@ -868,7 +898,7 @@ class TestVerify:
     @pytest.mark.parametrize("passed", [True, False])
     def test_unwritable_output_exits_2_naming_it(self, monkeypatch, tmp_path, capsys, passed):
         def suite(seed, trials):
-            return CheckReport("gap-law", passed, [{
+            return CheckReport("gap-law", [{
                 "bound": 0.5, "empirical": 0.4, "trials": trials,
                 "ci_low": 0.3, "ci_high": 0.5, "passed": passed,
             }])
@@ -899,6 +929,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         assert cli.main(["estimate", "--data", {str(data)!r}, "--method", method,
                          "--m", "3", "--epsilon", "1", "--seed", "1"]) == 0
     assert cli.main(["verify", "dp-ratio"]) == 0
+    assert cli.main(["verify", "all", "--trials", "50"]) == 0
 print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 import scipy.special
 from dpquantiles.distributions import DistributionOracle

@@ -383,6 +383,8 @@ class TestInversionStability:
 class TestDensityErrorTail:
     def test_beta22_sup_error_frequency_under_the_bound(self):
         # one configuration of the density-error tail with value below 1/2
+        from scipy.stats import beta as beta_law
+
         from dpquantiles.bounds import lemma_hist_density_tail
         from dpquantiles.distributions import DistributionOracle
 
@@ -393,12 +395,13 @@ class TestDensityErrorTail:
         assert bound < 0.5
 
         oracle = DistributionOracle.make_beta(2.0, 2.0)
+        pdf = beta_law(2.0, 2.0).pdf
         edges = np.linspace(0.0, 1.0, bins + 1)
         # per-bin density extremes: 6x(1-x) is unimodal with vertex at 1/2
-        lo_heights = np.minimum(oracle.pdf(edges[:-1]), oracle.pdf(edges[1:]))
-        hi_heights = np.maximum(oracle.pdf(edges[:-1]), oracle.pdf(edges[1:]))
+        lo_heights = np.minimum(pdf(edges[:-1]), pdf(edges[1:]))
+        hi_heights = np.maximum(pdf(edges[:-1]), pdf(edges[1:]))
         vertex_bin = int(0.5 * bins)
-        hi_heights[vertex_bin] = oracle.pdf(0.5)
+        hi_heights[vertex_bin] = pdf(0.5)
 
         rng = RandomSource(2712)
         trials, hits = 200, 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp, kstest
 
 from dpquantiles import quantiles
-from dpquantiles.bench import centered_grid, max_log_density_ratio, neighboring_sample_pairs, release
+from dpquantiles.bench import _CHUNK_VALUES, centered_grid, max_log_density_ratio, neighboring_sample_pairs, release
 from dpquantiles.bounds import fact_qexp_threshold
 from dpquantiles.errors import InvalidArgumentError
 from dpquantiles.mechanisms import (
@@ -687,10 +687,11 @@ class TestGapTable:
     )
     @pytest.mark.parametrize("n", [0, 1, 255, 256, 300])
     def test_short_blocks_and_partial_last_blocks(self, n, epsilon, block):
-        # n + 1 gaps: a multiple of L, one more or one fewer, or no whole block
+        # n + 1 gaps: a multiple of L, one more or one fewer, or one block of
+        # all n + 1 gaps where they are fewer than L
         sample = oracle_test_sample("duplicates", n, seed=n)
         table = quantiles._GapTable([sample.values], epsilon, n + 1, 0)
-        assert table.block == block
+        assert table.block == min(block, n + 1)
         for k in sorted({min(k, n + 1) for k in (1, 2, 3, n // 2, n + 1)}):
             table.extend(0, k)
             table.extend(1, k)
@@ -706,7 +707,7 @@ class TestGapTable:
         values = np.array([1, 2, 3, 4, 5, 5, 5, 5, 6, 7] + [3e299, 6e299]) * 1e-300
         for epsilon in (200.0, 2.0):
             table = quantiles._GapTable([values], epsilon, 0, values.size + 1)
-            assert table.block == (5 if epsilon == 200.0 else 256)
+            assert table.block == (5 if epsilon == 200.0 else values.size + 1)
             A, B = one_row(table).A, one_row(table).B
             assert np.all(A[6:9] == A[5]) and np.all(B[5:8] == B[8])
             assert np.all(A[9:] > A[8]) and np.all(np.isfinite(A[1:]))
@@ -741,8 +742,28 @@ class TestGapTable:
 
     @pytest.mark.parametrize("epsilon,block,run", [(1.0, 256, 16), (10.0, 100, 5), (7.84, 127, 1), (3e3, 1, 1)])
     def test_runs_divide_the_blocks(self, epsilon, block, run):
-        table = quantiles._GapTable([evenly_spaced_sample(10).values], epsilon, 0, 11)
+        # 301 gaps, more than any L; 11 gaps cap L at 11, a prime, so runs of 1
+        table = quantiles._GapTable([evenly_spaced_sample(300).values], epsilon, 0, 301)
         assert (table.block, table.run) == (block, run)
+        table = quantiles._GapTable([evenly_spaced_sample(10).values], epsilon, 0, 11)
+        assert (table.block, table.run) == (min(block, 11), 1)
+
+    def test_full_chunk_of_small_samples_stays_small(self):
+        # a protocol chunk at n = 5 stacks 18 724 rows, each with 6 gaps a
+        # side: blocks of 256 gaps peaked at 209 MiB, blocks of 6 at 19.4 MiB
+        n = 5
+        rows = _CHUNK_VALUES // (n + 2)
+        values = np.sort(np.random.default_rng(2).random((rows, n)), axis=1)
+        samples = [SortedSample(v) for v in values]
+        rngs = [RandomSource(2, (i,)) for i in range(rows)]
+        query = QuantileQuery((0.5,), PrivacyBudget(1.0, REPLACE))
+        tracemalloc.start()
+        try:
+            indexp(samples, query, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak / 2**20
 
     def test_one_order_release_keeps_three_arrays(self):
         # a one-row table holds x and both sides' sums, about 3 (n + 2)
