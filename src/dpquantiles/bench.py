@@ -210,6 +210,12 @@ def run_trial(
 # (13 rows) and n = 65 534 (2 rows), 12.3 MiB for n = 100 (1 285 rows) and
 # 21.4 MiB for n = 5 (18 724 rows), where per-row arrays outweigh the values.
 _CHUNK_VALUES = 2**17
+# The most (row, order) pairs, ``rows * max(m_grid)``, that one chunk stacks:
+# a draw keeps about 60 to 130 doubles a pair, so under tracemalloc a full
+# chunk of indexp (its samples, truths and call) peaks at about 22 MiB for
+# n = 5, m = 10 (3 120 rows of 18 724), where the values alone allowed
+# 18 724 rows and 132 MiB, and at about 23 MiB for n = 1 000, m = 1 000.
+_CHUNK_ORDERS = 2**15
 
 
 def _trial_chunks(config: ExperimentConfig, workers: int) -> list[tuple[int, int]]:
@@ -218,12 +224,14 @@ def _trial_chunks(config: ExperimentConfig, workers: int) -> list[tuple[int, int
     Pair ``(d_idx, t)`` is row ``d_idx * trials + t`` of the flat list in
     protocol order, so a chunk may span two or more distributions; it runs
     every (estimator, m) cell of its rows. The chunks are as few as fit
-    ``rows * (n + 2) <= _CHUNK_VALUES`` (one row when none fit more), and at
-    more than one worker at least ``min(rows, 2 workers)``, about two per
-    worker to balance the load with. Their sizes differ by at most one row.
+    ``rows * (n + 2) <= _CHUNK_VALUES`` and ``rows * max(m_grid) <=
+    _CHUNK_ORDERS`` (one row when none fit more), and at more than one
+    worker at least ``min(rows, 2 workers)``, about two per worker to
+    balance the load with. Their sizes differ by at most one row.
     """
     total = len(config.distributions) * config.trials
-    count = -(-total // max(1, _CHUNK_VALUES // (config.n + 2)))
+    rows = min(_CHUNK_VALUES // (config.n + 2), _CHUNK_ORDERS // max(config.m_grid))
+    count = -(-total // max(1, rows))
     if workers > 1:
         count = max(count, min(total, 2 * workers))
     return [(k * total // count, (k + 1) * total // count) for k in range(count)]
@@ -234,17 +242,6 @@ def _cells(config: ExperimentConfig) -> list[tuple[int, int]]:
     return list(itertools.product(range(len(config.estimators)), range(len(config.m_grid))))
 
 
-def _chunk_rows(config: ExperimentConfig, chunk: tuple[int, int]) -> list[tuple[int, int]]:
-    """The ``(d_idx, t)`` pairs of a chunk, in protocol order."""
-    return [divmod(row, config.trials) for row in range(*chunk)]
-
-
-def _trials_by_distribution(rows: list[tuple[int, int]]) -> list[tuple[int, list[int]]]:
-    """``rows`` grouped into ``(d_idx, trials)``, in protocol order."""
-    groups = itertools.groupby(rows, lambda row: row[0])
-    return [(d_idx, [t for _, t in group]) for d_idx, group in groups]
-
-
 def _run_chunk(
     config: ExperimentConfig, chunk: tuple[int, int], truths: list[list[np.ndarray]]
 ) -> tuple[list[list[float]], list[float], float]:
@@ -253,17 +250,15 @@ def _run_chunk(
 
     Returns, per cell of :func:`_cells`, the errors of the chunk's rows in
     protocol order and the seconds its :func:`run_trial` call took, then the
-    seconds the samples took. Trial ``t`` of distribution ``d_idx`` draws
-    its sample from ``RandomSource(base_seed, (d_idx, t))``, and cell
-    ``(e_idx, m_idx)`` its noise from that source's ``child(e_idx,
-    m_idx)``; one :func:`run_trial` call takes the chunk's samples as rows,
-    each with its own trial's stream and its own distribution's truth, so
-    each error is the one a call on that trial alone gives. ``truths``
-    holds the true quantiles of the chunk's distributions, from its first
-    on, one array per m of the grid each.
+    seconds the samples took. Row ``d_idx * trials + t`` is trial ``t`` of
+    distribution ``d_idx``, which draws its sample from
+    ``RandomSource(base_seed, (d_idx, t))``, and cell ``(e_idx, m_idx)`` its
+    noise from that source's ``child(e_idx, m_idx)``; one :func:`run_trial`
+    call takes the chunk's samples as rows, each with its own trial's stream
+    and its own distribution's truth, ``truths[d_idx][m_idx]``, so each error
+    is the one a call on that trial alone gives.
     """
-    rows = _chunk_rows(config, chunk)
-    first = rows[0][0]
+    rows = [divmod(row, config.trials) for row in range(*chunk)]
     began = time.perf_counter()
     sources = [RandomSource(config.base_seed, row) for row in rows]
     samples = [
@@ -272,7 +267,7 @@ def _run_chunk(
     ]
     sample_time = time.perf_counter() - began
     grids = [
-        (m, config.orders_for(m), np.stack([truths[d_idx - first][m_idx] for d_idx, _ in rows]))
+        (m, config.orders_for(m), np.stack([truths[d_idx][m_idx] for d_idx, _ in rows]))
         for m_idx, m in enumerate(config.m_grid)
     ]
     errors, walls = [], []
@@ -284,10 +279,12 @@ def _run_chunk(
         try:
             errors.append(run_trial(samples, estimator, orders, truth, config, rngs))
         except Exception as exc:
+            (first_d, first_t), (last_d, last_t) = rows[0], rows[-1]
             spans = " and ".join(
-                f"trials {ts[0]}-{ts[-1]} of cell ({config.distributions[d_idx].label}, "
-                f"{estimator}, m={m})"
-                for d_idx, ts in _trials_by_distribution(rows)
+                f"trials {first_t if d_idx == first_d else 0}-"
+                f"{last_t if d_idx == last_d else config.trials - 1} of cell "
+                f"({config.distributions[d_idx].label}, {estimator}, m={m})"
+                for d_idx in range(first_d, last_d + 1)
             )
             raise RuntimeError(f"{spans} failed") from exc
         walls.append(time.perf_counter() - began)
@@ -336,46 +333,31 @@ def run_experiment(
         [oracle.quantile(np.asarray(config.orders_for(m))) for m in config.m_grid]
         for oracle in config.distributions
     ]
-    # each chunk gets the truths of the distributions it spans
-    chunk_truths = [
-        truths[start // config.trials : (stop - 1) // config.trials + 1] for start, stop in chunks
-    ]
     if workers == 1:
-        outputs = [_run_chunk(config, chunk, span) for chunk, span in zip(chunks, chunk_truths)]
+        outputs = [_run_chunk(config, chunk, truths) for chunk in chunks]
     else:
         with _process_pool(min(workers, len(chunks), _usable_cpus())) as pool:
-            outputs = list(pool.map(_run_chunk, itertools.repeat(config), chunks, chunk_truths))
-    cells = _cells(config)
-    keys = [(d_idx, *cell) for d_idx in range(len(config.distributions)) for cell in cells]
-    cell_errors: dict[tuple, list[float]] = {key: [] for key in keys}
-    cell_walls: dict[tuple, float] = dict.fromkeys(keys, 0.0)
-    result = ExperimentResult(config)
-    for chunk, (errors, walls, sample_time) in zip(chunks, outputs):
-        rows = _chunk_rows(config, chunk)
-        for cell, row_errors, seconds in zip(cells, errors, walls):
-            for (d_idx, _), error in zip(rows, row_errors):
-                cell_errors[(d_idx, *cell)].append(error)
-                cell_walls[(d_idx, *cell)] += seconds / len(rows)
-        result.sample_time += sample_time
-    for (d_idx, e_idx, m_idx), errors in cell_errors.items():
-        mean = math.fsum(errors) / config.trials
-        if config.trials > 1:
-            variance = math.fsum((e - mean) ** 2 for e in errors) / (config.trials - 1)
-            std_error = math.sqrt(variance / config.trials)
-        else:
-            std_error = 0.0
-        result.cells.append(
-            CellResult(
-                distribution=config.distributions[d_idx].label,
-                estimator=config.estimators[e_idx],
-                m=config.m_grid[m_idx],
-                mean_error=mean,
-                std_error=std_error,
-                trials=config.trials,
-                wall_time=cell_walls[d_idx, e_idx, m_idx],
-                errors=tuple(errors),
-            )
-        )
+            outputs = list(pool.map(_run_chunk, itertools.repeat(config), chunks, itertools.repeat(truths)))
+    chunk_errors, chunk_walls, sample_times = zip(*outputs)
+    # per cell, its chunk outputs laid end to end: the errors and wall shares
+    # of every row, row d_idx * trials + t being trial t of distribution d_idx
+    errors = [list(itertools.chain(*column)) for column in zip(*chunk_errors)]
+    shares = [
+        [seconds / (stop - start) for (start, stop), seconds in zip(chunks, column) for _ in range(start, stop)]
+        for column in zip(*chunk_walls)
+    ]
+    result = ExperimentResult(config, sample_time=sum(sample_times))
+    trials = config.trials
+    for d_idx, oracle in enumerate(config.distributions):
+        rows = slice(d_idx * trials, (d_idx + 1) * trials)
+        for (e_idx, m_idx), cell_errors, cell_shares in zip(_cells(config), errors, shares):
+            cell_errors = tuple(cell_errors[rows])
+            mean = math.fsum(cell_errors) / trials
+            variance = math.fsum((e - mean) ** 2 for e in cell_errors) / (trials - 1) if trials > 1 else 0.0
+            result.cells.append(CellResult(
+                oracle.label, config.estimators[e_idx], config.m_grid[m_idx], mean,
+                math.sqrt(variance / trials), trials, sum(cell_shares[rows]), cell_errors,
+            ))
     return result
 
 

@@ -59,12 +59,21 @@ def _log_prefactor(n: int, pi_max: float) -> float:
     return math.log(4.0) + math.log(n) + 0.5 * math.log(2.0 * math.e * pi_max)
 
 
+def _exp(log_term: float) -> float:
+    """exp(log_term), or inf where that overflows a float: a vacuous bound,
+    returned unclipped like any other value above 1."""
+    try:
+        return math.exp(log_term)
+    except OverflowError:
+        return math.inf
+
+
 def thm_qexp_tail(n: int, gamma: float, epsilon: float, envelope: DensityEnvelope) -> float:
     """Tail bound on the statistical error of the single-quantile mechanism:
     4 n sqrt(2 e pi_max) exp(-eps n gamma pi_min / 32) + 4 exp(-gamma^2 pi_min^2 n / 8)."""
     _check_tail_inputs(n, gamma, epsilon, envelope)
     pi_min, pi_max = envelope.lower, envelope.upper
-    privacy = math.exp(_log_prefactor(n, pi_max) - epsilon * n * gamma * pi_min / 32.0)
+    privacy = _exp(_log_prefactor(n, pi_max) - epsilon * n * gamma * pi_min / 32.0)
     sampling = 4.0 * math.exp(-gamma * gamma * pi_min * pi_min * n / 8.0)
     return privacy + sampling
 
@@ -77,7 +86,7 @@ def thm_indexp_tail(
     _check_tail_inputs(n, gamma, epsilon, envelope)
     _require(m >= 1, f"m must be at least 1, got {m}")
     pi_min, pi_max = envelope.lower, envelope.upper
-    privacy = math.exp(
+    privacy = _exp(
         _log_prefactor(n, pi_max) + math.log(m) - epsilon * n * gamma * pi_min / (32.0 * m)
     )
     sampling = 4.0 * m * math.exp(-gamma * gamma * pi_min * pi_min * n / 8.0)
@@ -93,7 +102,7 @@ def thm_recexp_tail(
     _require(m >= 1, f"m must be at least 1, got {m}")
     pi_min, pi_max = envelope.lower, envelope.upper
     depth = math.log2(2.0 * m)
-    privacy = math.exp(
+    privacy = _exp(
         _log_prefactor(n, pi_max) + 0.5 * math.log(m)
         - epsilon * n * gamma * pi_min / (32.0 * depth * depth)
     )

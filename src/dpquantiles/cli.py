@@ -19,7 +19,6 @@ import numpy as np
 
 from . import bounds
 from .bench import (
-    CellResult,
     CheckReport,
     ESTIMATOR_IDS,
     ExperimentConfig,
@@ -52,11 +51,6 @@ ZERO_NOISE_BANNER = (
     + "\n== NON-PRIVATE OUTPUT: zero-noise test mode, no noise is added ==\n"
     + "=" * 64
 )
-
-
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
 
 
 @contextlib.contextmanager
@@ -265,19 +259,14 @@ def write_experiment_outputs(result: ExperimentResult, outdir: Path) -> list[Pat
     """One CSV per distribution plus a JSON summary for exact replay, in the
     existing directory ``outdir``."""
     written = []
-    cells_by_key: dict[tuple[str, str, int], list[CellResult]] = {}
-    for cell in result.cells:
-        cells_by_key.setdefault((cell.distribution, cell.estimator, cell.m), []).append(cell)
+    cells = {(cell.distribution, cell.estimator, cell.m): cell for cell in result.cells}
     for oracle in result.config.distributions:
         path = outdir / f"{oracle.slug}.csv"
         lines = ["m,estimator,mean_error,std_error,trials"]
         for m in result.config.m_grid:
             for estimator in result.config.estimators:
-                for cell in cells_by_key.get((oracle.label, estimator, m), ()):
-                    lines.append(
-                        f"{cell.m},{cell.estimator},{cell.mean_error!r},"
-                        f"{cell.std_error!r},{cell.trials}"
-                    )
+                cell = cells[oracle.label, estimator, m]
+                lines.append(f"{m},{estimator},{cell.mean_error!r},{cell.std_error!r},{cell.trials}")
         _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
     summary = {
@@ -320,56 +309,49 @@ def cmd_estimate(args) -> int:
     if args.zero_noise:
         print(ZERO_NOISE_BANNER, file=sys.stderr)
         if args.method != "histogram":
-            return _fail(
+            raise InvalidArgumentError(
                 "--zero-noise applies to the histogram method only: the "
-                "exponential-mechanism estimators have no noiseless mode",
-                EXIT_INPUT_ERROR,
+                "exponential-mechanism estimators have no noiseless mode"
             )
-    try:
-        sample = load_data_file(args.data)
-        relation = _parse_relation(args.relation)
-        if (args.orders is None) == (args.m is None):
-            raise InvalidArgumentError("give exactly one of --orders or --m")
-        if args.orders is not None:
-            try:
-                orders = tuple(float(p) for p in args.orders.split(","))
-            except ValueError:
-                raise InvalidArgumentError(f"--orders: not a list of numbers: {args.orders!r}")
-        else:
-            with prefixed("--m: "):
-                orders = centered_grid(args.m)
-        budget = PrivacyBudget(args.epsilon, relation)
-        if args.method == "histogram":
-            with prefixed("--bins: "):
-                check_bin_count(args.bins)
-            if not args.zero_noise:
-                with prefixed("--epsilon "):
-                    check_noise_scale(budget)
-        query = QuantileQuery(orders, budget)
-        with prefixed("--seed: "):
-            rng = RandomSource(args.seed)
-        estimates, record = release(args.method, sample, query, rng, args.bins, args.zero_noise)
-        spent = "0 (zero-noise mode)" if args.zero_noise else repr(record.epsilon_total)
-        split = _SPLIT_WORDS[record.method].format_map(vars(record))
-        print(f"spent budget: epsilon = {spent} ({record.relation.value}), {split}", file=sys.stderr)
-        lines = ["p,q_hat"] + [f"{float(p)!r},{float(q)!r}" for p, q in zip(orders, estimates)]
-        _write_text(args.output, "\n".join(lines) + "\n")
-    except (InvalidArgumentError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    sample = load_data_file(args.data)
+    relation = _parse_relation(args.relation)
+    if (args.orders is None) == (args.m is None):
+        raise InvalidArgumentError("give exactly one of --orders or --m")
+    if args.orders is not None:
+        try:
+            orders = tuple(float(p) for p in args.orders.split(","))
+        except ValueError:
+            raise InvalidArgumentError(f"--orders: not a list of numbers: {args.orders!r}")
+    else:
+        with prefixed("--m: "):
+            orders = centered_grid(args.m)
+    budget = PrivacyBudget(args.epsilon, relation)
+    if args.method == "histogram":
+        with prefixed("--bins: "):
+            check_bin_count(args.bins)
+        if not args.zero_noise:
+            with prefixed("--epsilon "):
+                check_noise_scale(budget)
+    query = QuantileQuery(orders, budget)
+    with prefixed("--seed: "):
+        rng = RandomSource(args.seed)
+    estimates, record = release(args.method, sample, query, rng, args.bins, args.zero_noise)
+    spent = "0 (zero-noise mode)" if args.zero_noise else repr(record.epsilon_total)
+    split = _SPLIT_WORDS[record.method].format_map(vars(record))
+    print(f"spent budget: epsilon = {spent} ({record.relation.value}), {split}", file=sys.stderr)
+    lines = ["p,q_hat"] + [f"{float(p)!r},{float(q)!r}" for p, q in zip(orders, estimates)]
+    _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     if args.workers < 1:
-        return _fail(f"--workers must be at least 1, got {args.workers}", EXIT_INPUT_ERROR)
+        raise InvalidArgumentError(f"--workers must be at least 1, got {args.workers}")
     outdir = Path(args.output)
-    try:
-        config = parse_config_file(args.config)
-        with _naming(outdir):
-            outdir.mkdir(parents=True, exist_ok=True)
-        written = write_experiment_outputs(run_experiment(config, workers=args.workers), outdir)
-    except (InvalidArgumentError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    config = parse_config_file(args.config)
+    with _naming(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+    written = write_experiment_outputs(run_experiment(config, workers=args.workers), outdir)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
@@ -434,9 +416,8 @@ def _bound_form(evaluator):
 
 def cmd_bounds(args) -> int:
     if args.formula not in _BOUNDS:
-        return _fail(
-            f"unknown formula {args.formula!r}; choose from: {', '.join(sorted(_BOUNDS))}",
-            EXIT_INPUT_ERROR,
+        raise InvalidArgumentError(
+            f"unknown formula {args.formula!r}; choose from: {', '.join(sorted(_BOUNDS))}"
         )
     evaluator, guards = _BOUNDS[args.formula]
     expected, evaluate = _bound_form(evaluator)
@@ -444,35 +425,26 @@ def cmd_bounds(args) -> int:
     for item in args.assignments:
         key, sep, raw = item.partition("=")
         if not sep:
-            return _fail(f"expected name=value, got {item!r}", EXIT_INPUT_ERROR)
+            raise InvalidArgumentError(f"expected name=value, got {item!r}")
         if key not in expected:
-            return _fail(
-                f"formula {args.formula!r} does not take {key!r}; expected: {', '.join(expected)}",
-                EXIT_INPUT_ERROR,
+            raise InvalidArgumentError(
+                f"formula {args.formula!r} does not take {key!r}; expected: {', '.join(expected)}"
             )
         if key in values:
-            return _fail(f"argument {key!r} is given twice", EXIT_INPUT_ERROR)
+            raise InvalidArgumentError(f"argument {key!r} is given twice")
         try:
             value = float(raw)
         except ValueError:
-            return _fail(f"argument {key!r}: not a number: {raw!r}", EXIT_INPUT_ERROR)
+            raise InvalidArgumentError(f"argument {key!r}: not a number: {raw!r}")
         if expected[key] is int:
             if not value.is_integer():
-                return _fail(f"argument {key!r}: not an integer: {raw!r}", EXIT_INPUT_ERROR)
+                raise InvalidArgumentError(f"argument {key!r}: not an integer: {raw!r}")
             value = int(value)
         values[key] = value
     missing = [k for k in expected if k not in values]
     if missing:
-        return _fail(
-            f"formula {args.formula!r} is missing: {', '.join(missing)}", EXIT_INPUT_ERROR
-        )
-    try:
-        value = evaluate(values)
-    except BoundPreconditionError as exc:
-        print(f"precondition violated: {exc.guard}", file=sys.stderr)
-        return EXIT_BOUND_PRECONDITION
-    except InvalidArgumentError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+        raise InvalidArgumentError(f"formula {args.formula!r} is missing: {', '.join(missing)}")
+    value = evaluate(values)
     print(f"{value:.12g}")
     for guard in guards:
         print(f"guard satisfied: {guard}", file=sys.stderr)
@@ -547,15 +519,11 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     if not 1 <= args.trials <= MAX_VERIFY_TRIALS:
-        message = f"--trials must be between 1 and {MAX_VERIFY_TRIALS}, got {args.trials}"
-        return _fail(message, EXIT_INPUT_ERROR)
+        raise InvalidArgumentError(f"--trials must be between 1 and {MAX_VERIFY_TRIALS}, got {args.trials}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    try:
-        with prefixed("--seed: "):
-            check_seed(args.seed)
-        reports = [_SUITES[name](args.seed, args.trials) for name in names]
-    except InvalidArgumentError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    with prefixed("--seed: "):
+        check_seed(args.seed)
+    reports = [_SUITES[name](args.seed, args.trials) for name in names]
     for report in reports:
         for row in report.rows:
             keys = ", ".join(
@@ -571,10 +539,7 @@ def cmd_verify(args) -> int:
             f"suite {report.name}: {'PASS' if report.passed else 'FAIL'}", file=sys.stderr
         )
     payload = json.dumps({"suites": [r.to_dict() for r in reports]}, indent=2) + "\n"
-    try:
-        _write_text(args.output, payload)
-    except InvalidArgumentError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    _write_text(args.output, payload)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
@@ -622,8 +587,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and map its errors to exit codes: an input error
+    or a file that cannot be read or written exits 2, a bound evaluated
+    outside its guard exits 3."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InvalidArgumentError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except BoundPreconditionError as exc:
+        print(f"precondition violated: {exc.guard}", file=sys.stderr)
+        return EXIT_BOUND_PRECONDITION
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +326,7 @@ class TestTrialChunks:
         sizes = [stop - start for start, stop in chunks]
         assert min(sizes) >= 1
         assert all(size * (n + 2) <= bench._CHUNK_VALUES or size == 1 for size in sizes)
+        assert all(size * max(config.m_grid) <= bench._CHUNK_ORDERS for size in sizes)
         if workers > 1:
             assert len(chunks) >= min(total, 2 * workers)
         else:
@@ -352,6 +355,53 @@ class TestTrialChunks:
         assert bench._trial_chunks(config, 1) == [(0, 2), (2, 4)]
         config = small_config(n=65_535, trials=4, distributions=(UNIFORM,))
         assert len(bench._trial_chunks(config, 1)) == 4
+
+    def test_the_cap_counts_each_row_as_its_largest_m(self):
+        # at n = 5 the values allow 18 724 rows, the orders 2^15 // 1000 = 32
+        config = small_config(n=5, trials=100, distributions=(UNIFORM,), m_grid=(1, 1000))
+        assert bench._trial_chunks(config, 1) == [(0, 25), (25, 50), (50, 75), (75, 100)]
+        config = small_config(n=5, trials=3, distributions=(UNIFORM,), m_grid=(2**15 + 1,))
+        assert bench._trial_chunks(config, 1) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_full_chunk_of_many_orders_stays_small(self):
+        # a draw keeps about 60-130 doubles a (row, order) pair: one chunk of
+        # the 18 724 rows the values allow at n = 5 peaked at 88 MiB for
+        # indexp at m = 10, where the order cap gives chunks of 3 120 rows
+        config = small_config(
+            n=5, trials=18_724, distributions=(UNIFORM,), estimators=("indexp",), m_grid=(10,)
+        )
+        chunk = bench._trial_chunks(config, 1)[0]
+        truths = [[UNIFORM.quantile(np.asarray(config.orders_for(10)))]]
+        tracemalloc.start()
+        try:
+            bench._run_chunk(config, chunk, truths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak / 2**20
+
+
+class TestFailedChunk:
+    def test_a_chunk_spanning_two_distributions_names_both_spans(self, monkeypatch):
+        # chunks of 3 of the 6 rows: the first holds trials 0-1 of the first
+        # distribution and trial 0 of the second, the second the rest
+        monkeypatch.setattr(bench, "_CHUNK_VALUES", 4 * (500 + 2))
+        config = small_config(trials=2, estimators=("histogram",), distributions=THREE_DISTRIBUTIONS, m_grid=(1,))
+        object.__setattr__(config, "estimators", ("mystery",))  # past validation
+        assert bench._trial_chunks(config, 1) == [(0, 3), (3, 6)]
+        first, second, third = (f"of cell ({oracle.label}, mystery, m=1)" for oracle in THREE_DISTRIBUTIONS)
+        messages = {
+            (0, 3): f"trials 0-1 {first} and trials 0-0 {second} failed",
+            (3, 6): f"trials 1-1 {second} and trials 0-1 {third} failed",
+        }
+        truths = [[oracle.quantile(np.asarray([0.5]))] for oracle in THREE_DISTRIBUTIONS]
+        for chunk, message in messages.items():
+            with pytest.raises(RuntimeError) as failure:
+                bench._run_chunk(config, chunk, truths)
+            assert str(failure.value) == message
+            assert isinstance(failure.value.__cause__, InvalidArgumentError)
+        with pytest.raises(RuntimeError, match=re.escape(messages[0, 3])):
+            run_experiment(config)
 
 
 class TestCellWallTime:

@@ -91,6 +91,15 @@ class TestUpperTails:
         )
         assert value == pytest.approx(expected, rel=1e-12)
 
+    def test_privacy_term_past_the_float_range_is_inf(self):
+        # a log-space privacy term above log(max float) ~ 709.78 used to raise
+        # OverflowError; the bound is vacuous there, returned unclipped
+        wide = DensityEnvelope(lower=1e-300, upper=1e300, lipschitz=0.0)
+        assert bounds.thm_qexp_tail(10**300, 1e-300, 1e-300, wide) == math.inf
+        assert bounds.thm_indexp_tail(10**300, 10**300, 1e-300, 1e-300, wide) == math.inf
+        narrow = DensityEnvelope(lower=1e-300, upper=1.0, lipschitz=0.0)
+        assert bounds.thm_recexp_tail(10**300, 10**300, 1e-300, 1e-300, narrow) == math.inf
+
 
 class TestHistogramTails:
     def test_quantile_tail_guard(self):

@@ -688,6 +688,21 @@ class TestBounds:
         assert cli.main(["bounds", formula] + assignments) == 0
         assert math.isfinite(float(capsys.readouterr().out))
 
+    @pytest.mark.parametrize(
+        "formula, assignments",
+        [
+            ("thm_qexp", ["n=1e300", "pi_upper=1e300"]),
+            ("thm_indexp", ["n=1e300", "m=1e300", "pi_upper=1e300"]),
+            ("thm_recexp", ["n=1e300", "m=1e300", "pi_upper=1"]),
+        ],
+    )
+    def test_tail_past_the_float_range_prints_inf(self, formula, assignments, capsys):
+        # the privacy term's logarithm exceeds log(max float): a vacuous
+        # bound, printed as inf with exit 0 instead of an OverflowError
+        assignments += ["gamma=1e-300", "eps=1e-300", "pi_lower=1e-300"]
+        assert cli.main(["bounds", formula] + assignments) == 0
+        assert capsys.readouterr().out == "inf\n"
+
     def test_fact_qexp_near_zero(self, capsys):
         assert cli.main(["bounds", "fact_qexp", "delta=1", "beta=0.999999", "eps=1"]) == 0
         value = float(capsys.readouterr().out)
