@@ -168,21 +168,20 @@ def release(
     query: QuantileQuery,
     rng: RandomSource | Sequence[RandomSource],
     bins: int | None,
-    zero_noise: bool = False,
 ) -> tuple[np.ndarray, ReleaseRecord]:
     """The estimates of ``query`` on ``sample`` by ``method``, one of
     ``ESTIMATOR_IDS``, with noise from ``rng``, and the record of how the
     release split its budget: the one place that picks an estimator, for the
-    CLI and the experiment engine. ``bins`` and the NON-PRIVATE
-    ``zero_noise`` mode are the histogram's. Samples of one size with a
-    source each are the rows of one estimator call, a row of estimates each."""
+    CLI and the experiment engine. ``bins`` is the histogram's. Samples of
+    one size with a source each are the rows of one estimator call, a row of
+    estimates each."""
     record = ReleaseRecord.of(method, query.m, query.budget, bins)
     if method == "indexp":
         estimates = indexp(sample, query, rng)
     elif method == "recexp":
         estimates = recexp(sample, query, rng)
     else:
-        estimates = quantile_from_histogram(sample, bins, query.budget, query.orders, rng, zero_noise=zero_noise)
+        estimates = quantile_from_histogram(sample, bins, query.budget, query.orders, rng)
     return estimates, record
 
 

@@ -53,19 +53,34 @@ def _check_tail_inputs(n: int, gamma: float, epsilon: float, envelope: DensityEn
 
 
 def _log_prefactor(n: int, pi_max: float) -> float:
-    """log(4 n sqrt(2 e pi_max)). The privacy terms multiply this prefactor
-    by exp(-(...) n), so they are formed as one exp of a sum: at huge n the
-    product itself would be inf * 0 = nan, while the term tends to 0."""
-    return math.log(4.0) + math.log(n) + 0.5 * math.log(2.0 * math.e * pi_max)
+    """log(4 n sqrt(2 e pi_max)), taken factor by factor so that no product
+    of the factors can overflow first."""
+    return math.log(4.0) + math.log(n) + 0.5 * (math.log(2.0) + 1.0 + math.log(pi_max))
 
 
 def _exp(log_term: float) -> float:
     """exp(log_term), or inf where that overflows a float: a vacuous bound,
-    returned unclipped like any other value above 1."""
+    returned unclipped like any other value above 1.
+
+    Every term of a tail bound is a coefficient times exp(-(...)), formed as
+    one ``_exp(log coefficient + exponent)``: where the coefficient overflows
+    and the exponential underflows, the product itself would be
+    inf * 0 = nan, while the term is 0, a number or inf."""
     try:
         return math.exp(log_term)
     except OverflowError:
         return math.inf
+
+
+def _rate(*factors: float, over: float) -> float:
+    """The product of the nonnegative ``factors`` divided by ``over``, as
+    written; where a partial product overflows or underflows, the exp of the
+    sum of their logs instead, so the result is inf or 0 only where the exact
+    value is out of the float range."""
+    value = math.prod(factors) / over
+    if 0.0 < value < math.inf or 0.0 in factors:
+        return value
+    return _exp(math.fsum(math.log(f) for f in factors) - math.log(over))
 
 
 def thm_qexp_tail(n: int, gamma: float, epsilon: float, envelope: DensityEnvelope) -> float:
@@ -73,8 +88,8 @@ def thm_qexp_tail(n: int, gamma: float, epsilon: float, envelope: DensityEnvelop
     4 n sqrt(2 e pi_max) exp(-eps n gamma pi_min / 32) + 4 exp(-gamma^2 pi_min^2 n / 8)."""
     _check_tail_inputs(n, gamma, epsilon, envelope)
     pi_min, pi_max = envelope.lower, envelope.upper
-    privacy = _exp(_log_prefactor(n, pi_max) - epsilon * n * gamma * pi_min / 32.0)
-    sampling = 4.0 * math.exp(-gamma * gamma * pi_min * pi_min * n / 8.0)
+    privacy = _exp(_log_prefactor(n, pi_max) - _rate(epsilon, n, gamma, pi_min, over=32.0))
+    sampling = _exp(math.log(4.0) - _rate(gamma, gamma, pi_min, pi_min, n, over=8.0))
     return privacy + sampling
 
 
@@ -87,9 +102,9 @@ def thm_indexp_tail(
     _require(m >= 1, f"m must be at least 1, got {m}")
     pi_min, pi_max = envelope.lower, envelope.upper
     privacy = _exp(
-        _log_prefactor(n, pi_max) + math.log(m) - epsilon * n * gamma * pi_min / (32.0 * m)
+        _log_prefactor(n, pi_max) + math.log(m) - _rate(epsilon, n, gamma, pi_min, over=m) / 32.0
     )
-    sampling = 4.0 * m * math.exp(-gamma * gamma * pi_min * pi_min * n / 8.0)
+    sampling = _exp(math.log(4.0) + math.log(m) - _rate(gamma, gamma, pi_min, pi_min, n, over=8.0))
     return privacy + sampling
 
 
@@ -101,12 +116,12 @@ def thm_recexp_tail(
     _check_tail_inputs(n, gamma, epsilon, envelope)
     _require(m >= 1, f"m must be at least 1, got {m}")
     pi_min, pi_max = envelope.lower, envelope.upper
-    depth = math.log2(2.0 * m)
+    depth = 1.0 + math.log2(m)
     privacy = _exp(
         _log_prefactor(n, pi_max) + 0.5 * math.log(m)
-        - epsilon * n * gamma * pi_min / (32.0 * depth * depth)
+        - _rate(epsilon, n, gamma, pi_min, over=32.0 * depth * depth)
     )
-    sampling = 4.0 * m * math.exp(-gamma * gamma * pi_min * pi_min * n / 8.0)
+    sampling = _exp(math.log(4.0) + math.log(m) - _rate(gamma, gamma, pi_min, pi_min, n, over=8.0))
     return privacy + sampling
 
 
@@ -129,9 +144,9 @@ def thm_hist_tail(
         raise BoundPreconditionError(
             "gamma < 1/2", f"gamma = {gamma} is not below 1/2"
         )
-    privacy = (1.0 / h) * math.exp(-gamma * pi_min * h * n * epsilon / 8.0)
-    slack = gamma * pi_min / 2.0 - lipschitz * h
-    sampling = (2.0 / h) * math.exp(-(h * h / 4.0) * slack * slack * n)
+    privacy = _exp(-math.log(h) - _rate(gamma, pi_min, h, n, epsilon, over=8.0))
+    slack = abs(gamma * pi_min / 2.0 - lipschitz * h)
+    sampling = _exp(math.log(2.0) - math.log(h) - _rate(h, h, slack, slack, n, over=4.0))
     return privacy + sampling
 
 
@@ -149,9 +164,9 @@ def lemma_hist_density_tail(
         raise BoundPreconditionError(
             "gamma > L h", f"gamma = {gamma} is not above L h = {lipschitz * h}"
         )
-    privacy = (1.0 / h) * math.exp(-gamma * h * n * epsilon / 4.0)
-    slack = gamma - lipschitz * h
-    sampling = (2.0 / h) * math.exp(-h * h * slack * slack * n / 4.0)
+    privacy = _exp(-math.log(h) - _rate(gamma, h, n, epsilon, over=4.0))
+    slack = abs(gamma - lipschitz * h)
+    sampling = _exp(math.log(2.0) - math.log(h) - _rate(h, h, slack, slack, n, over=4.0))
     return privacy + sampling
 
 
@@ -211,8 +226,9 @@ def lemma_quantile_concentration_tail(n: int, p: float, gamma: float, pi_lower: 
     _require(0.0 < p < 1.0, f"p must lie in (0, 1), got {p}")
     _require(gamma > 0.0, f"gamma must be positive, got {gamma}")
     _require(pi_lower > 0.0, f"pi_lower must be positive, got {pi_lower}")
-    base = gamma * gamma * pi_lower * pi_lower * n
-    return 2.0 * math.exp(-base / (8.0 * p)) + 2.0 * math.exp(-base / (8.0 * (1.0 - p)))
+    return sum(
+        2.0 * math.exp(-_rate(gamma, gamma, pi_lower, pi_lower, n, over=8.0 * q)) for q in (p, 1.0 - p)
+    )
 
 
 def quantile_concentration_buffer(n: int, gamma: float, pi_lower: float) -> int:

@@ -46,13 +46,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BOUND_PRECONDITION = 3
 
-ZERO_NOISE_BANNER = (
-    "=" * 64
-    + "\n== NON-PRIVATE OUTPUT: zero-noise test mode, no noise is added ==\n"
-    + "=" * 64
-)
-
-
 @contextlib.contextmanager
 def _naming(path):
     """An OSError inside is an input error naming ``path``."""
@@ -306,13 +299,6 @@ _SPLIT_WORDS = {
 
 
 def cmd_estimate(args) -> int:
-    if args.zero_noise:
-        print(ZERO_NOISE_BANNER, file=sys.stderr)
-        if args.method != "histogram":
-            raise InvalidArgumentError(
-                "--zero-noise applies to the histogram method only: the "
-                "exponential-mechanism estimators have no noiseless mode"
-            )
     sample = load_data_file(args.data)
     relation = _parse_relation(args.relation)
     if (args.orders is None) == (args.m is None):
@@ -329,16 +315,14 @@ def cmd_estimate(args) -> int:
     if args.method == "histogram":
         with prefixed("--bins: "):
             check_bin_count(args.bins)
-        if not args.zero_noise:
-            with prefixed("--epsilon "):
-                check_noise_scale(budget)
+        with prefixed("--epsilon "):
+            check_noise_scale(budget)
     query = QuantileQuery(orders, budget)
     with prefixed("--seed: "):
         rng = RandomSource(args.seed)
-    estimates, record = release(args.method, sample, query, rng, args.bins, args.zero_noise)
-    spent = "0 (zero-noise mode)" if args.zero_noise else repr(record.epsilon_total)
+    estimates, record = release(args.method, sample, query, rng, args.bins)
     split = _SPLIT_WORDS[record.method].format_map(vars(record))
-    print(f"spent budget: epsilon = {spent} ({record.relation.value}), {split}", file=sys.stderr)
+    print(f"spent budget: epsilon = {record.epsilon_total!r} ({record.relation.value}), {split}", file=sys.stderr)
     lines = ["p,q_hat"] + [f"{float(p)!r},{float(q)!r}" for p, q in zip(orders, estimates)]
     _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -563,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--bins", type=int, default=200, help="histogram bins")
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--output", help="CSV output path (default: stdout)")
-    est.add_argument("--zero-noise", action="store_true", help="NON-PRIVATE test mode")
     est.set_defaults(func=cmd_estimate)
 
     ben = sub.add_parser("bench", help="run a Monte-Carlo benchmark from a config file")

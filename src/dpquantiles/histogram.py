@@ -1,15 +1,16 @@
 """Private histogram density estimator and its generalized quantile function.
 
 The histogram adds Laplace noise to per-bin counts (sensitivity 2 under
-replacement neighboring, 1 under add/remove) and normalizes by ``n * h``;
-the resulting piecewise-constant estimate may be negative or integrate away
-from 1, so quantiles are read off through an exact first-crossing infimum
-that is well defined for any integrable piecewise-constant function.
+replacement neighboring, 1 under add/remove) and normalizes by ``T * h``,
+where T is the sum of those noisy counts; the resulting piecewise-constant
+estimate may be negative, so quantiles are read off through an exact
+first-crossing infimum that is well defined for any integrable
+piecewise-constant function.
 
 :func:`private_histogram` takes one sample and its source, or samples of one
 size with a source each, as the exponential-mechanism estimators do: it
-checks the bin count and n and builds the bin edges once per call, and each
-row is one sample's histogram, noised from its own source.
+checks the bin count and builds the bin edges once per call, and each row is
+one sample's histogram, noised from its own source.
 """
 
 from __future__ import annotations
@@ -72,34 +73,28 @@ def private_histogram(
     bin_count: int,
     budget: PrivacyBudget,
     rng: RandomSource | Sequence[RandomSource],
-    zero_noise: bool = False,
 ) -> np.ndarray:
     """Laplace-noised histogram density: the heights of the bins
     ``[b*h, (b+1)*h)`` of [0, 1], the last closed at 1, negative ones allowed.
     Samples of one size with a source each give a (rows, bins) array whose
     row ``r`` is bit for bit the call on sample ``r`` and source ``r`` alone.
 
-    The per-bin noise scale on the raw counts is :func:`noise_scale`.
-    Dividing by ``n`` costs no budget under replacement, where ``n`` is a
-    constant of the problem; the same normalization is applied under
-    add/remove but is then a heuristic.
-
-    ``zero_noise=True`` is a NON-PRIVATE test mode that skips the noise
-    entirely; production paths must leave it off.
+    The per-bin noise scale on the raw counts is :func:`noise_scale`. Each
+    row is divided by its own noisy total T (times h), not by n, so the
+    heights are post-processing of the noisy count vector alone: exactly
+    epsilon-DP under both relations, n included, which is private under
+    add/remove. A row with T <= 0 has all-zero heights, so every order in
+    (0, 1) reads 1, the empty-crossing convention of
+    :func:`generalized_quantiles`; an empty sample is released that way.
     """
     rows, rngs = _rows(sample, rng)
-    n = rows[0].size
-    if n == 0:
-        raise InvalidArgumentError(
-            "empty sample: the histogram normalizes by n, which must be positive"
-        )
     check_bin_count(bin_count)
     noisy = bin_counts(rows, bin_count).astype(float)
-    if not zero_noise:
-        scale = noise_scale(budget)
-        for counts, source in zip(noisy, rngs):
-            counts += laplace_draw(scale, source, bin_count)
-    noisy *= bin_count / n  # divide by n * h
+    scale = noise_scale(budget)
+    for counts, source in zip(noisy, rngs):
+        counts += laplace_draw(scale, source, bin_count)
+    total = noisy.sum(axis=1, keepdims=True)
+    noisy *= bin_count / np.where(total > 0, total, np.inf)  # divide by T * h
     return noisy[0] if isinstance(sample, SortedSample) else noisy
 
 
@@ -154,10 +149,9 @@ def quantile_from_histogram(
     budget: PrivacyBudget,
     orders,
     rng: RandomSource | Sequence[RandomSource],
-    zero_noise: bool = False,
 ) -> np.ndarray:
     """Quantiles of all ``orders`` read off one :func:`private_histogram` per
     sample, a row per sample as there. A single histogram is built however
     many orders are requested, so the spent budget does not depend on m."""
-    heights = private_histogram(sample, bin_count, budget, rng, zero_noise=zero_noise)
+    heights = private_histogram(sample, bin_count, budget, rng)
     return generalized_quantiles(heights, orders)

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dpquantiles import bounds
 from dpquantiles.distributions import DensityEnvelope
@@ -99,6 +101,61 @@ class TestUpperTails:
         assert bounds.thm_indexp_tail(10**300, 10**300, 1e-300, 1e-300, wide) == math.inf
         narrow = DensityEnvelope(lower=1e-300, upper=1.0, lipschitz=0.0)
         assert bounds.thm_recexp_tail(10**300, 10**300, 1e-300, 1e-300, narrow) == math.inf
+
+
+FINITE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+COUNT = st.floats(min_value=1.0, max_value=1.7976931348623157e308).map(int)
+TAILS = {
+    "thm_qexp": lambda n, m, gamma, eps, lo, hi, lip, h: bounds.thm_qexp_tail(
+        n, gamma, eps, DensityEnvelope(lo, hi, lip)),
+    "thm_indexp": lambda n, m, gamma, eps, lo, hi, lip, h: bounds.thm_indexp_tail(
+        n, m, gamma, eps, DensityEnvelope(lo, hi, lip)),
+    "thm_recexp": lambda n, m, gamma, eps, lo, hi, lip, h: bounds.thm_recexp_tail(
+        n, m, gamma, eps, DensityEnvelope(lo, hi, lip)),
+    "thm_hist": lambda n, m, gamma, eps, lo, hi, lip, h: bounds.thm_hist_tail(
+        n, gamma, eps, DensityEnvelope(lo, hi, lip), h),
+    "lemma_hist_density": lambda n, m, gamma, eps, lo, hi, lip, h: bounds.lemma_hist_density_tail(
+        n, gamma, eps, lip, h),
+    "lemma_quantile_concentration": lambda n, m, gamma, eps, lo, hi, lip, h: (
+        bounds.lemma_quantile_concentration_tail(n, min(h, 0.5), gamma, lo)),
+}
+
+
+class TestTailsNeverNan:
+    def test_a_partial_product_out_of_range_keeps_its_term(self):
+        # gamma^2 overflows and pi_min^2 underflows while their product is
+        # about 1: multiplied in turn, the exponent read inf and dropped a
+        # term of about 3.5 (or, divided by 32 m = inf, read nan)
+        gamma, pi_min = 1e200, 1e-200
+        env = DensityEnvelope(lower=pi_min, upper=1.0, lipschitz=0.0)
+        g, p = mpmath.mpf(gamma), mpmath.mpf(pi_min)
+        expected = hp(
+            4 * mpmath.sqrt(2 * mpmath.e) * mpmath.e ** (-g * p / 32)
+            + 4 * mpmath.e ** (-(g * g) * (p * p) / 8)
+        )
+        assert bounds.thm_qexp_tail(1, gamma, 1.0, env) == pytest.approx(expected, rel=1e-12)
+        expected = hp(2 * mpmath.e ** (-(g * g) * (p * p) / 4) * 2)
+        assert bounds.lemma_quantile_concentration_tail(1, 0.5, gamma, pi_min) == pytest.approx(expected, rel=1e-12)
+        # eps n gamma pi_min overflows, and over 32 m the exponent is 0.625:
+        # the term is about 2e615
+        flat = DensityEnvelope(lower=1.0, upper=1.0, lipschitz=0.0)
+        assert bounds.thm_indexp_tail(10**308, 10**307, 2.0, 1.0, flat) == math.inf
+
+
+    @pytest.mark.parametrize("tail", sorted(TAILS))
+    @settings(max_examples=100, deadline=None)
+    @given(n=COUNT, m=COUNT, gamma=FINITE | st.floats(min_value=5e-324, max_value=0.5, exclude_max=True),
+           eps=FINITE, lo=FINITE, hi=FINITE, lip=FINITE | st.just(0.0),
+           h=st.floats(min_value=5e-324, max_value=1.0))
+    def test_no_finite_input_past_the_guards_gives_nan(self, tail, n, m, gamma, eps, lo, hi, lip, h):
+        # a coefficient that overflows times an exponential that underflows
+        # read inf * 0 = nan; tests/test_cli.py runs the five known cases
+        lo, hi = sorted((lo, hi))
+        try:
+            value = TAILS[tail](n, m, gamma, eps, lo, hi, lip, h)
+        except (InvalidArgumentError, BoundPreconditionError):
+            assume(False)
+        assert not math.isnan(value) and value >= 0.0
 
 
 class TestHistogramTails:

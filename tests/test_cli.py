@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpquantiles import bench, cli, quantiles
+from dpquantiles import bench, cli, histogram, quantiles
 from dpquantiles.bench import CheckReport
 from dpquantiles.errors import InvalidArgumentError
 from dpquantiles.histogram import MAX_BIN_COUNT
@@ -101,17 +101,17 @@ class TestEstimate:
         captured = capsys.readouterr()
         assert captured.err.endswith(f"error: {out}: {reason}\n") and captured.out == ""
 
-    def test_histogram_zero_noise_hand_value(self, data_file, capsys):
+    def test_histogram_zero_noise_hand_value(self, data_file, monkeypatch, capsys):
+        monkeypatch.setattr(histogram, "laplace_draw", lambda scale, source, size: np.zeros(size))
         argv = [
             "estimate", "--data", data_file, "--method", "histogram", "--orders", "0.5",
-            "--epsilon", "1", "--bins", "2", "--zero-noise",
+            "--epsilon", "1", "--bins", "2",
         ]
         assert cli.main(argv) == 0
-        captured = capsys.readouterr()
-        assert "NON-PRIVATE" in captured.err
-        q = float(captured.out.splitlines()[1].split(",")[1])
-        # counts (1, 2) on two bins: density (2/3, 4/3), integral at 0.5 is
-        # 1/3, so the median crossing sits at 0.5 + (1/6) / (4/3) = 0.625
+        q = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        # counts (1, 2) on two bins, so the noisy total is n = 3: density
+        # (2/3, 4/3), integral at 0.5 is 1/3, so the median crossing sits at
+        # 0.5 + (1/6) / (4/3) = 0.625
         assert q == pytest.approx(0.625, abs=1e-12)
 
     @pytest.mark.parametrize("bins", ["0", "100000000000"])
@@ -153,13 +153,6 @@ class TestEstimate:
         assert captured.err == f"error: --seed: seed must be a 64-bit unsigned integer, got {seed}\n"
         assert captured.out == ""
 
-    def test_zero_noise_rejected_for_exponential_mechanisms(self, data_file):
-        argv = [
-            "estimate", "--data", data_file, "--method", "indexp", "--m", "1",
-            "--epsilon", "1", "--zero-noise",
-        ]
-        assert cli.main(argv) == 2
-
     def test_unknown_method_exits_2(self, data_file):
         with pytest.raises(SystemExit) as err:
             cli.main(["estimate", "--data", data_file, "--method", "magic", "--m", "1", "--epsilon", "1"])
@@ -178,11 +171,15 @@ class TestEstimate:
         assert cli.main(["estimate", "--data", str(path), "--method", "recexp", "--m", "1", "--epsilon", "1"]) == 2
         assert ":2:" in capsys.readouterr().err
 
-    def test_empty_file_histogram_exits_2(self, tmp_path):
+    def test_empty_file_histogram_exits_0(self, tmp_path, capsys):
+        # an empty sample is released as indexp and recexp release it
         path = tmp_path / "empty.txt"
         path.write_text("# nothing here\n")
         argv = ["estimate", "--data", str(path), "--method", "histogram", "--orders", "0.5", "--epsilon", "1"]
-        assert cli.main(argv) == 2
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "p,q_hat" and len(lines) == 2
+        assert 0.0 <= float(lines[1].split(",")[1]) <= 1.0
 
     def test_comments_and_sorting(self, tmp_path, capsys):
         path = tmp_path / "data.txt"
@@ -293,8 +290,6 @@ class TestEstimate:
                 "--epsilon", "1e-320", "--relation", relation]
         assert cli.main(argv) == 2
         assert "--epsilon 1e-320 is too small" in capsys.readouterr().err
-        # the noiseless test mode draws no noise, so it has no scale to overflow
-        assert cli.main(argv + ["--zero-noise"]) == 0
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "absent.txt"
@@ -315,36 +310,32 @@ class TestEstimate:
         assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
 
-# (method, relation, extra arguments) -> SHA-256 of stdout and of stderr of
+# (method, relation) -> SHA-256 of stdout and of stderr of
 # `dpq estimate` on PINNED_DATA: the estimates and the budget line, byte for byte
 PINNED_ESTIMATES = {
-    ("indexp", "add-remove", ()): (
+    ("indexp", "add-remove"): (
         "dd62580fb6e65bfc5df1c587d39cee1f7e78432e7f80a7350738d670fd2049fd",
         "2c190acf77abe7f4152051e0a9e3c91095a0dd902f6751eb4d3a142f40c55655",
     ),
-    ("indexp", "replace", ()): (
+    ("indexp", "replace"): (
         "dd62580fb6e65bfc5df1c587d39cee1f7e78432e7f80a7350738d670fd2049fd",
         "9caac634b1f37271d2b976b524e0b68afe2e3845fa51336e7399e14194b92609",
     ),
-    ("recexp", "add-remove", ()): (
+    ("recexp", "add-remove"): (
         "0671783e52994e147a50b89b0208be9af686f3e434212d28822eaea855ff5f90",
         "909545ca57e8f1c29b2b8b25b1671e090567b732890c0af1c73d616fcb51991d",
     ),
-    ("recexp", "replace", ()): (
+    ("recexp", "replace"): (
         "af338ff0f91eddf1100b2680cd47b44fd0e7720402aaecf35a0d3a3b7b79cde2",
         "d28620ff39aad6ebacd55320494ae544b675793b3c18563c9487e3b02b17eed1",
     ),
-    ("histogram", "add-remove", ()): (
-        "b0c7a9fcfca81b7ffcdb85953198fd5a2c1d0acf7c4ecd62ba5af73ddb807015",
+    ("histogram", "add-remove"): (
+        "e61b3db9e134de21e06a4a6757d9d3c875bb7b24830a29cb4e3a81fc4c5dc70d",
         "14be7dd6876897d46d12a7f5ea349bf34b2855ca273fc50bca01daa4b0026481",
     ),
-    ("histogram", "replace", ()): (
-        "050ae324afaa1639e7c9b26082b2a7f1cafc23fec3477b3e559cce9da677a399",
+    ("histogram", "replace"): (
+        "318552282c978a5d17991d1d583191eb5db1a127bd9bd66a27552ccaa44b1a6e",
         "6a0f1fefd3ac87be00cf94975e3f87934f7f579a62b1982e71d338372167232f",
-    ),
-    ("histogram", "replace", ("--zero-noise",)): (
-        "8572608f690979dd4a6758a94dda5c7a2b41ce0f9b0906c0d18f66e95ff7ca4a",
-        "b4e4fead791cc956ced14726c9d64e004a5ce038d894d0e522ec2a845cac50e7",
     ),
 }
 # 300 points skewed towards 0, each written as its repr
@@ -352,14 +343,14 @@ PINNED_DATA = "".join(f"{((k * 0.6180339887498949) % 1.0) ** 2.5!r}\n" for k in 
 
 
 class TestEstimateBytes:
-    @pytest.mark.parametrize("case", list(PINNED_ESTIMATES), ids=lambda c: " ".join((*c[:2], *c[2])))
+    @pytest.mark.parametrize("case", list(PINNED_ESTIMATES), ids=" ".join)
     def test_stdout_and_stderr_are_pinned(self, case, tmp_path, capsys):
-        method, relation, extra = case
+        method, relation = case
         path = tmp_path / "pinned.txt"
         path.write_text(PINNED_DATA)
         argv = [
             "estimate", "--data", str(path), "--method", method, "--m", "7", "--epsilon", "1.5",
-            "--relation", relation, "--bins", "16", "--seed", "3", *extra,
+            "--relation", relation, "--bins", "16", "--seed", "3",
         ]
         assert cli.main(argv) == 0
         captured = capsys.readouterr()
@@ -703,6 +694,22 @@ class TestBounds:
         assert cli.main(["bounds", formula] + assignments) == 0
         assert capsys.readouterr().out == "inf\n"
 
+    @pytest.mark.parametrize(
+        "formula, assignments",
+        [
+            ("thm_qexp", "n=1 gamma=1e308 eps=1 pi_lower=1e308 pi_upper=1e308"),
+            ("thm_indexp", "n=1e308 m=1e308 gamma=1 eps=1 pi_lower=1 pi_upper=1"),
+            ("thm_recexp", "n=1e308 m=1e308 gamma=1e308 eps=1e308 pi_lower=1e308 pi_upper=1e308"),
+            ("thm_hist", "n=1e308 gamma=0.4 eps=1e300 pi_lower=1e300 pi_upper=1e300 lipschitz=0 h=1e-320"),
+            ("lemma_hist_density", "n=1e308 gamma=1 eps=1e300 lipschitz=0 h=1e-320"),
+        ],
+    )
+    def test_tail_is_never_nan(self, formula, assignments, capsys):
+        # each term is one exp of a sum of logs: a coefficient that overflows
+        # times an exponential that underflows printed nan with exit 0
+        assert cli.main(["bounds", formula] + assignments.split()) == 0
+        assert capsys.readouterr().out in ("0\n", "inf\n")
+
     def test_fact_qexp_near_zero(self, capsys):
         assert cli.main(["bounds", "fact_qexp", "delta=1", "beta=0.999999", "eps=1"]) == 0
         value = float(capsys.readouterr().out)
@@ -831,10 +838,15 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().err
 
     def test_zero_noise_flag_rejected(self):
-        # the suites add no noise, so verify has no zero-noise mode
-        with pytest.raises(SystemExit) as err:
-            cli.main(["verify", "lower-bound", "--zero-noise"])
-        assert err.value.code == 2
+        # no release and no suite has a noiseless mode: the flag is an
+        # unknown option to estimate and to verify
+        for argv in (
+            ["estimate", "--data", "points.txt", "--method", "histogram", "--m", "1", "--epsilon", "1"],
+            ["verify", "lower-bound"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv + ["--zero-noise"])
+            assert err.value.code == 2
 
     @pytest.mark.parametrize("suite", ["gap-law", "quantile-concentration", "all"])
     @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -26,41 +26,56 @@ REPLACE_1 = PrivacyBudget(1.0, NeighboringRelation.REPLACE)
 ADD_REMOVE_1 = PrivacyBudget(1.0, NeighboringRelation.ADD_REMOVE)
 
 
+@pytest.fixture
+def noiseless(monkeypatch):
+    """The histogram's Laplace draw scripted to zeros: the noiseless heights,
+    whose noisy total T is then n."""
+    monkeypatch.setattr(histogram_module, "laplace_draw", lambda scale, source, size: np.zeros(size))
+
+
 class TestPrivateHistogram:
-    def test_zero_noise_counts(self):
+    def test_zero_noise_counts(self, noiseless):
         sample = SortedSample(np.array([0.1, 0.2, 0.6, 0.9]))
-        est = private_histogram(sample, 2, REPLACE_1, RandomSource(0), zero_noise=True)
+        est = private_histogram(sample, 2, REPLACE_1, RandomSource(0))
         assert np.array_equal(est, [1.0, 1.0])
 
-    def test_last_bin_is_closed(self):
-        est = private_histogram(
-            SortedSample(np.array([1.0])), 4, REPLACE_1, RandomSource(0), zero_noise=True
-        )
+    def test_last_bin_is_closed(self, noiseless):
+        est = private_histogram(SortedSample(np.array([1.0])), 4, REPLACE_1, RandomSource(0))
         assert np.array_equal(est, [0.0, 0.0, 0.0, 4.0])
 
-    def test_zero_noise_integral_is_one(self):
+    def test_zero_noise_integral_is_one(self, noiseless):
         sample = SortedSample(np.sort(RandomSource(5).random(997)))
-        est = private_histogram(sample, 33, REPLACE_1, RandomSource(0), zero_noise=True)
+        est = private_histogram(sample, 33, REPLACE_1, RandomSource(0))
         assert math.fsum(est) / 33 == pytest.approx(1.0, abs=1e-12)
 
     def test_replace_noise_scale_is_two_over_epsilon(self):
-        # the injected noise replays as count + (2/eps) * unit Laplace draws
-        sample = SortedSample(np.array([0.1, 0.2, 0.6, 0.9]))
+        # the injected noise replays as count + (2/eps) * unit Laplace draws,
+        # normalised by the noisy counts' own total
+        sample = SortedSample(np.linspace(0.0, 1.0, 40))
         est = private_histogram(sample, 2, REPLACE_1, RandomSource(55))
-        raw = est * sample.n * 0.5
-        expected = np.array([2.0, 2.0]) + laplace_draw(2.0, RandomSource(55), size=2)
-        assert np.allclose(raw, expected, atol=1e-12)
+        noisy = np.array([20.0, 20.0]) + laplace_draw(2.0, RandomSource(55), size=2)
+        assert np.allclose(est, noisy * 2 / noisy.sum(), atol=1e-12)
 
     def test_add_remove_noise_scale_is_one_over_epsilon(self):
-        sample = SortedSample(np.array([0.1, 0.2, 0.6, 0.9]))
+        sample = SortedSample(np.linspace(0.0, 1.0, 40))
         est = private_histogram(sample, 2, ADD_REMOVE_1, RandomSource(55))
-        raw = est * sample.n * 0.5
-        expected = np.array([2.0, 2.0]) + laplace_draw(1.0, RandomSource(55), size=2)
-        assert np.allclose(raw, expected, atol=1e-12)
+        noisy = np.array([20.0, 20.0]) + laplace_draw(1.0, RandomSource(55), size=2)
+        assert np.allclose(est, noisy * 2 / noisy.sum(), atol=1e-12)
 
-    def test_empty_sample_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            private_histogram(SortedSample(np.empty(0)), 2, REPLACE_1, RandomSource(0))
+    def test_empty_sample_reads_one(self, monkeypatch):
+        # a noisy total T <= 0 gives all-zero heights, so every order in
+        # (0, 1) reads 1, as an empty crossing does; an empty sample with no
+        # noise has T = 0, and one point with noise (-3, 0.5) has T = -1.5
+        orders = (0.0, 0.1, 0.5, 0.9)
+        # with real noise an empty sample is released like any other
+        out = quantile_from_histogram(SortedSample(np.empty(0)), 200, REPLACE_1, orders, RandomSource(0))
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        for values, noise in (([], [0.0, 0.0]), ([0.5], [-3.0, 0.5])):
+            monkeypatch.setattr(histogram_module, "laplace_draw", lambda scale, source, size: np.array(noise))
+            sample = SortedSample(np.array(values, dtype=float))
+            assert np.array_equal(private_histogram(sample, 2, REPLACE_1, RandomSource(0)), [0.0, 0.0])
+            out = quantile_from_histogram(sample, 2, REPLACE_1, orders, RandomSource(0))
+            assert out.tolist() == [0.0, 1.0, 1.0, 1.0]
 
     def test_count_sensitivity_exhaustive(self):
         # L1 distance between count vectors over all neighbor pairs, n <= 6
@@ -87,6 +102,77 @@ class TestPrivateHistogram:
                         other = tuple(sorted(base[:i] + (value,) + base[i + 1 :]))
                         l1 = np.abs(counts(base) - counts(other)).sum()
                         assert l1 <= 2
+
+
+class TestAddRemoveNeighbours:
+    """The exact law of a one-bin release, with no Monte Carlo: the noise z
+    is scripted, the output is read for each z, and each output event's
+    z-set is integrated under the Laplace(1/eps) law in closed form."""
+
+    EPSILON = 0.1
+    BUDGET = PrivacyBudget(EPSILON, NeighboringRelation.ADD_REMOVE)
+
+    def median(self, monkeypatch, n, z):
+        """The released median of n points at 0.5 in one bin, with noise z."""
+
+        def scripted(scale, source, size):
+            assert scale == 1.0 / self.EPSILON and size == 1
+            return np.array([z])
+
+        monkeypatch.setattr(histogram_module, "laplace_draw", scripted)
+        sample = SortedSample(np.full(n, 0.5))
+        return float(quantile_from_histogram(sample, 1, self.BUDGET, (0.5,), RandomSource(0))[0])
+
+    def laplace_cdf(self, z):
+        return 0.5 * math.exp(self.EPSILON * z) if z < 0 else 1.0 - 0.5 * math.exp(-self.EPSILON * z)
+
+    def mass(self, monkeypatch, n, event):
+        """P(event(median)) over z. The median is nonincreasing in z, so the
+        event's z-set is one interval: its ends are found by a scan over
+        [-40, 40] and bisection between the scan points around them, an end
+        outside the scan standing for -inf or inf."""
+        hits = lambda z: event(self.median(monkeypatch, n, z))
+        scan = np.linspace(-40.0, 40.0, 321)
+        inside = [z for z in scan if hits(z)]
+        if not inside:
+            return 0.0
+        lo, hi = inside[0], inside[-1]
+        assert all(hits(z) for z in scan if lo <= z <= hi)
+
+        def edge(a, b):  # hits(a) != hits(b): close in on the switch
+            while a < (a + b) / 2 < b:
+                mid = (a + b) / 2
+                a, b = (mid, b) if hits(mid) == hits(a) else (a, mid)
+            return b if hits(b) else a
+
+        lo = -math.inf if lo == scan[0] else edge(lo - 0.25, lo)
+        hi = math.inf if hi == scan[-1] else edge(hi, hi + 0.25)
+        return self.laplace_cdf(hi) - self.laplace_cdf(lo)
+
+    def test_every_output_event_is_within_epsilon(self, monkeypatch):
+        # D = {0.5} and D' = {0.5, 0.5}. Divided by the true n, the median
+        # lay in (1/2, 1) for z in (-n/2, 0): masses (1 - e^-0.05) / 2 and
+        # (1 - e^-0.1) / 2, a log-ratio of 0.67 > eps. Divided by the noisy
+        # total it is 1/2 for z > -n and 1 for z <= -n. The one height,
+        # (n + z) * (1 / (n + z)), rounds to 1 or 1 - 2^-53, so 1/2 is read
+        # within 1e-9.
+        tol = 1e-9
+        events = {
+            "between": lambda q: 0.5 + tol < q < 1.0,
+            "1/2": lambda q: abs(q - 0.5) <= tol,
+            "below 1/2": lambda q: q < 0.5 - tol,
+            "1": lambda q: q == 1.0,
+        }
+        for name, event in events.items():
+            p, p_neighbour = (self.mass(monkeypatch, n, event) for n in (1, 2))
+            if p == p_neighbour == 0.0:
+                continue
+            assert p > 0.0 and p_neighbour > 0.0, name
+            assert abs(math.log(p / p_neighbour)) <= self.EPSILON * (1 + 1e-9), name
+        for n in (1, 2):
+            assert self.mass(monkeypatch, n, events["1"]) == pytest.approx(
+                0.5 * math.exp(-self.EPSILON * n), rel=1e-12
+            )
 
 
 def scan_quantiles(values, ps):
@@ -234,30 +320,24 @@ class TestGeneralizedQuantile:
 
 
 class TestQuantileFromHistogram:
-    def test_uniform_zero_noise_deciles(self):
+    def test_uniform_zero_noise_deciles(self, noiseless):
         sample = SortedSample(np.sort(RandomSource(9).random(10_000)))
         deciles = np.arange(1, 10) / 10.0
-        out = quantile_from_histogram(
-            sample, 100, REPLACE_1, deciles, RandomSource(0), zero_noise=True
-        )
+        out = quantile_from_histogram(sample, 100, REPLACE_1, deciles, RandomSource(0))
         assert np.max(np.abs(out - deciles)) <= 0.02
 
-    def test_two_bin_uniform_median(self):
+    def test_two_bin_uniform_median(self, noiseless):
         sample = SortedSample(np.array([0.2, 0.3, 0.6, 0.9]))
-        out = quantile_from_histogram(
-            sample, 2, REPLACE_1, (0.5,), RandomSource(0), zero_noise=True
-        )
+        out = quantile_from_histogram(sample, 2, REPLACE_1, (0.5,), RandomSource(0))
         assert out[0] == pytest.approx(0.5, abs=1e-12)
 
-    def test_noiseless_quantiles_within_one_bin_width(self):
+    def test_noiseless_quantiles_within_one_bin_width(self, noiseless):
         rng = RandomSource(31)
         for trial in range(20):
             values = np.sort(rng.random(500))
             sample = SortedSample(values)
             ps = np.linspace(0.05, 0.95, 19)
-            out = quantile_from_histogram(
-                sample, 50, REPLACE_1, ps, RandomSource(trial), zero_noise=True
-            )
+            out = quantile_from_histogram(sample, 50, REPLACE_1, ps, RandomSource(trial))
             # empirical quantile function: inf{q : #(X_i <= q)/n >= p}
             empirical = values[np.ceil(ps * 500).astype(int) - 1]
             assert np.max(np.abs(out - empirical)) <= 1.0 / 50 + 1e-12
@@ -327,11 +407,9 @@ class TestRowAxis:
         quantile_from_histogram(samples[-1:], bins, budget, orders, [scripted])
         assert scripted.calls == 2  # the zero uniforms were drawn again
 
-    def test_zero_noise_rows(self):
+    def test_zero_noise_rows(self, noiseless):
         samples = [SortedSample(np.array([0.1, 0.2, 0.6, 0.9])), SortedSample(np.full(4, 0.7))]
-        rows = quantile_from_histogram(
-            samples, 2, REPLACE_1, (0.5,), [RandomSource(0)] * 2, zero_noise=True
-        )
+        rows = quantile_from_histogram(samples, 2, REPLACE_1, (0.5,), [RandomSource(0)] * 2)
         assert rows.tolist() == [[0.5], [0.75]]
 
     @pytest.mark.parametrize("sources", [[], [RandomSource(0)], [RandomSource(0)] * 3])
